@@ -6,8 +6,7 @@ first, with a fixed length equal to the degree of the minimal polynomial.
 minimal polynomial, so a full product can be folded back into the power
 basis with integer arithmetic only.
 
-quiverbelt._kernels_c is the compiled twin; both modules must keep
-identical semantics (see tests/test_kernels.py).
+Callers go through quiverbelt.kernels, which re-exports these functions.
 """
 
 from math import gcd

@@ -11,6 +11,9 @@ optionally signed, or as exact rationals ("3/2", "-1"); an inline matrix
 spec lists the upper triangle row-major as "b12,b13,b23".  The environment
 variable QUIVERBELT_PRECISION_BITS sets the initial precision of the
 certified sign oracle.
+
+Bad input, unknown check names and exhausted search budgets end the run
+with one line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -25,11 +28,9 @@ from fractions import Fraction
 from quiverbelt import exgraph, verification
 from quiverbelt.cycfield import FieldElem, cos_multiple
 from quiverbelt.exmatrix import (
+    BudgetExceeded,
     ExchangeMatrix,
-    NotCosineForm,
-    SearchBudgetExceeded,
     classify,
-    markov_constant,
     spherical_matrix,
 )
 from quiverbelt.rank2 import period_grid
@@ -101,12 +102,7 @@ def _write_out(args, payload: str) -> None:
 
 
 def cmd_classify(args) -> int:
-    B = _matrix_from_args(args)
-    try:
-        result = classify(B, budget=args.budget)
-    except (NotCosineForm, SearchBudgetExceeded) as exc:
-        print(f"classification failed: {exc}", file=sys.stderr)
-        return 2
+    result = classify(_matrix_from_args(args), budget=args.budget)
     payload = {
         "class": str(result),
         "kind": result.kind,
@@ -139,7 +135,7 @@ def cmd_enumerate(args) -> int:
             graph = exgraph.bfs(
                 seed, depth_limit=depth, vertex_limit=args.max_vertices or None
             )
-        except exgraph.BudgetExceeded as exc:
+        except BudgetExceeded as exc:
             graph = exc.partial
         summary = {
             "vertices": graph.order(),
@@ -250,7 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, BudgetExceeded, OSError) as exc:
+        # ValueError covers ParseError, NotCosineForm and the other
+        # bad-input errors of the library
+        print(f"quiverbelt {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -136,21 +136,6 @@ def level_context(d: int) -> LevelContext:
     return LevelContext(d)
 
 
-def _interval_eval(coeffs, lo: Fraction, hi: Fraction):
-    """Exact interval Horner evaluation of an integer vector at [lo, hi]."""
-    if lo == hi:
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * lo + c
-        return acc, acc
-    alo = ahi = Fraction(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        p1, p2, p3, p4 = alo * lo, alo * hi, ahi * lo, ahi * hi
-        alo = min(p1, p2, p3, p4) + c
-        ahi = max(p1, p2, p3, p4) + c
-    return alo, ahi
-
-
 def _interval_sign_dyadic(coeffs, lo: Fraction, hi: Fraction) -> int:
     """Sign of the polynomial over a dyadic interval via exact integer
     Horner: endpoints are num/2^B, interval products stay exact integers at
@@ -391,11 +376,7 @@ class FieldElem:
             return self
         if target_level % self.level != 0:
             raise ValueError(f"cannot lift level {self.level} to {target_level}")
-        g = cos_multiple(target_level, target_level // self.level)
-        acc = FieldElem.zero(target_level)
-        for n in reversed(self.num):
-            acc = acc * g + n
-        return acc * Fraction(1, self.den)
+        return _substitute(self, cos_multiple(target_level, target_level // self.level))
 
     # -- predicates ----------------------------------------------------------
 
@@ -446,6 +427,15 @@ class FieldElem:
     def key(self) -> str:
         """Compact canonical string, used by seed/matrix deduplication."""
         return ",".join(map(str, self.num)) + "/" + str(self.den)
+
+
+def _substitute(elem: FieldElem, g: FieldElem) -> FieldElem:
+    """The coefficient polynomial of `elem` evaluated at `g` by Horner's
+    rule; the result lives at g's level."""
+    acc = FieldElem.zero(g.level)
+    for n in reversed(elem.num):
+        acc = acc * g + n
+    return acc * Fraction(1, elem.den)
 
 
 # -- Fraction-polynomial helpers (lists, lowest degree first) ----------------
@@ -581,15 +571,7 @@ class GaloisMap:
     def apply(self, elem: FieldElem) -> FieldElem:
         if elem.level != self.level:
             raise ValueError("element level does not match the Galois map")
-        g = cos_multiple(self.level, self.multiplier)
-        acc = FieldElem.zero(self.level)
-        for n in reversed(elem.num):
-            acc = acc * g + n
-        return acc * Fraction(1, elem.den)
-
-
-def galois_apply(g: GaloisMap, elem: FieldElem) -> FieldElem:
-    return g.apply(elem)
+        return _substitute(elem, cos_multiple(self.level, self.multiplier))
 
 
 # -- exact linear algebra over Q ----------------------------------------------
@@ -685,7 +667,10 @@ def field_det(rows) -> FieldElem:
 
 
 def units_up_to_half(d: int) -> list[int]:
-    """U = {k in [1, (d-1)//2] : gcd(k, d) = 1} for odd d."""
+    """U = {k in [1, (d-1)//2] : gcd(k, d) = 1}.
+
+    For every d >= 3 this is also {k in [1, d//2] : gcd(k, d) = 1}: at even
+    d the extra candidate d/2 shares the factor d/2 with d."""
     return [k for k in range(1, (d - 1) // 2 + 1) if gcd(k, d) == 1]
 
 

@@ -12,41 +12,27 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log
-from typing import Callable, Optional
+from typing import Optional
 
-from quiverbelt.cycfield import FieldElem, rational_rank
+from quiverbelt.cycfield import FieldElem, rational_rank, units_up_to_half
+from quiverbelt.exmatrix import PERMS3, BudgetExceeded
 from quiverbelt.intpoly import euler_totient
-from quiverbelt.planegeom import PlanarPoint, cross_q, length_along, midpoint, unit_dir
+from quiverbelt.planegeom import PlanarPoint, length_along
 from quiverbelt.seedgeom import (
+    NotAcyclic,
     PlanarSeed,
     SphericalSeed,
     _source_sink_lists,
-    designated_feet,
-    feet_on_belt,
-    initial_seed,
     orientation_tag,
     planar_mutate,
     positivity,
     reflect_across_belt,
     seed_mutate,
-    t_invariant,
     translation_between,
 )
-
-
-class BudgetExceeded(RuntimeError):
-    """Enumeration hit a limit; .partial carries the graph built so far."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
-class NotAcyclic(ValueError):
-    pass
 
 
 @dataclass
@@ -295,7 +281,7 @@ def s_k_length(d: int, k: int) -> FieldElem:
 def lattice_report(graph: ExchangeGraphData, d: int) -> LatticeReport:
     """Collect translation witnesses among enumerated seeds, witness the
     infinite-region generators of R, and compute exact Q-ranks."""
-    units = [k for k in range(1, d // 2 + 1) if gcd(k, d) == 1]
+    units = units_up_to_half(d)
     seeds = list(graph.vertices.values())
     belt_e_class = seeds[0].chart.belt.dir_class if seeds else None
 
@@ -390,13 +376,6 @@ def _has_reflection_witness(graph: ExchangeGraphData) -> bool:
     return False
 
 
-@dataclass
-class CensusClass:
-    angles: tuple[int, ...]
-    quiver: tuple
-    tags: dict  # orientation tag -> number of translation classes
-
-
 def quotient_census(graph: ExchangeGraphData, lattice_generators=None):
     """Group enumerated seeds into (angles, quiver) classes and count the
     congruence classes modulo translations inside each.
@@ -410,7 +389,6 @@ def quotient_census(graph: ExchangeGraphData, lattice_generators=None):
     for seed in graph.vertices.values():
         if seed.kind != "triangle":
             continue
-        perms = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
         angle = seed.angle_triple()
         signs = seed.B.sign_pattern()
         cls = min(
@@ -418,7 +396,7 @@ def quotient_census(graph: ExchangeGraphData, lattice_generators=None):
                 tuple(angle[p[i]] for i in range(3)),
                 tuple(signs[p[i]][p[j]] for i in range(3) for j in range(3) if i != j),
             )
-            for p in perms
+            for p in PERMS3
         )
         triples.add(tuple(sorted(angle)))
         shape = _shape_key(seed)
@@ -639,10 +617,6 @@ def _dot_escape(s: str) -> str:
 
 def export_json(graph: ExchangeGraphData) -> str:
     return json.dumps(graph.to_json(), indent=1, sort_keys=True)
-
-
-def export_csv(table: GrowthTable) -> str:
-    return table.to_csv()
 
 
 def export_svg(graph: ExchangeGraphData, width: int = 640, height: int = 640) -> str:

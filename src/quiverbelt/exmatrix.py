@@ -10,7 +10,7 @@ constant against 4.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -18,7 +18,7 @@ from typing import Optional
 
 from quiverbelt.cycfield import FieldElem, cos_multiple
 
-_PERMS3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+PERMS3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 _PERMS2 = ((0, 1), (1, 0))
 
 
@@ -26,8 +26,9 @@ class NotCosineForm(ValueError):
     """An entry is not of the form +-2cos(pi k / l)."""
 
 
-class SearchBudgetExceeded(RuntimeError):
-    """Mutation-class search ran out of budget; .partial holds progress."""
+class BudgetExceeded(RuntimeError):
+    """A search (mutation class, exchange-graph BFS) hit its limit;
+    .partial carries what was built so far."""
 
     def __init__(self, message, partial=None):
         super().__init__(message)
@@ -135,7 +136,7 @@ class ExchangeMatrix:
         """Lexicographically minimal serialisation over simultaneous
         permutations; identifies matrices up to reordering of indices."""
         if self._key is None:
-            perms = _PERMS3 if self.rank == 3 else _PERMS2
+            perms = PERMS3 if self.rank == 3 else _PERMS2
             self._key = min(self.permuted(p).serialised() for p in perms)
         return self._key
 
@@ -287,19 +288,12 @@ def affine_normal_form(d: int) -> ExchangeMatrix:
     return ExchangeMatrix.from_upper(two, -w, w)
 
 
-def mutation_class(B: ExchangeMatrix, budget: int = 512):
-    """BFS closure of the mutation class up to simultaneous permutation.
-
-    Returns (members, closed) where members maps canonical key to a
-    representative, in deterministic BFS order.  Raises
-    SearchBudgetExceeded (carrying the partial map) when the closure is not
-    reached within `budget` matrices.
-    """
-    if budget < 1:
-        raise ValueError("budget must be positive")
-    start = B
-    members: dict[str, ExchangeMatrix] = {start.canonical_key(): start}
-    queue = deque([start])
+def _class_walk(members: dict, budget: int):
+    """Breadth-first walk of a mutation class up to simultaneous
+    permutation, from the matrices already in `members` (canonical key ->
+    representative).  Each new member is recorded in `members` and yielded;
+    a new member beyond `budget` raises BudgetExceeded carrying `members`."""
+    queue = deque(members.values())
     while queue:
         current = queue.popleft()
         for k in range(current.rank):
@@ -307,11 +301,27 @@ def mutation_class(B: ExchangeMatrix, budget: int = 512):
             key = nxt.canonical_key()
             if key not in members:
                 if len(members) >= budget:
-                    raise SearchBudgetExceeded(
+                    raise BudgetExceeded(
                         f"mutation class exceeded budget {budget}", partial=members
                     )
                 members[key] = nxt
                 queue.append(nxt)
+                yield nxt
+
+
+def mutation_class(B: ExchangeMatrix, budget: int = 512):
+    """BFS closure of the mutation class up to simultaneous permutation.
+
+    Returns (members, closed) where members maps canonical key to a
+    representative, in deterministic BFS order.  Raises BudgetExceeded
+    (carrying the partial map) when the closure is not reached within
+    `budget` matrices.
+    """
+    if budget < 1:
+        raise ValueError("budget must be positive")
+    members: dict[str, ExchangeMatrix] = {B.canonical_key(): B}
+    for _ in _class_walk(members, budget):
+        pass
     return members, True
 
 
@@ -331,25 +341,11 @@ def classify(B: ExchangeMatrix, budget: int = 512) -> ClassificationResult:
             entry_cosine_form(B[i, j])
 
     members: dict[str, ExchangeMatrix] = {B.canonical_key(): B}
-    queue = deque([B])
-    acyclic_rep: Optional[ExchangeMatrix] = None
+    acyclic_rep: Optional[ExchangeMatrix] = B if is_acyclic(B) else None
     blowup = False
     closed = True
-    if is_acyclic(B):
-        acyclic_rep = B
-    while queue:
-        current = queue.popleft()
-        for k in range(3):
-            nxt = mutate(current, k)
-            key = nxt.canonical_key()
-            if key in members:
-                continue
-            if len(members) >= budget:
-                closed = False
-                queue.clear()
-                break
-            members[key] = nxt
-            queue.append(nxt)
+    try:
+        for nxt in _class_walk(members, budget):
             if acyclic_rep is None and is_acyclic(nxt):
                 acyclic_rep = nxt
             if any(
@@ -359,9 +355,10 @@ def classify(B: ExchangeMatrix, budget: int = 512) -> ClassificationResult:
             ):
                 # an entry beyond 2 in absolute value: hyperbolic blow-up
                 blowup = True
-                queue.clear()
                 closed = False
                 break
+    except BudgetExceeded:
+        closed = False
 
     if acyclic_rep is None:
         if closed:
@@ -371,7 +368,7 @@ def classify(B: ExchangeMatrix, budget: int = 512) -> ClassificationResult:
                 class_size=len(members),
                 closed=True,
             )
-        raise SearchBudgetExceeded(
+        raise BudgetExceeded(
             "no acyclic representative within budget", partial=members
         )
 
@@ -401,7 +398,7 @@ def classify(B: ExchangeMatrix, budget: int = 512) -> ClassificationResult:
             closed=closed,
         )
     if not closed:
-        raise SearchBudgetExceeded(
+        raise BudgetExceeded(
             "C < 4 but class not closed within budget", partial=members
         )
     for t1, t2 in SPHERICAL_PAIRS:

@@ -1,27 +1,14 @@
-"""Kernel backend selection.
+"""The hot vector kernels that cycfield calls.
 
-The compiled extension is preferred when it imported cleanly; the pure
-Python module is the fallback.  QUIVERBELT_PURE=1 forces the fallback,
-which the benchmark and the backend parity tests use to compare the two.
+The kernels are defined in quiverbelt._kernels_py and re-exported here.
+cycfield looks them up in this module at call time, so a profiler can wrap
+these four names without touching the defining module, whose internal calls
+(mul_reduce -> reduce_tail) then stay uncounted.  BACKEND names the kernel
+implementation; there is only the pure-Python one.
 """
 
-import os
+from quiverbelt._kernels_py import content, mul_reduce, poly_mul, reduce_tail
 
-if os.environ.get("QUIVERBELT_PURE") == "1":
-    from quiverbelt import _kernels_py as _impl
+BACKEND = "pure"
 
-    BACKEND = "pure"
-else:
-    try:
-        from quiverbelt import _kernels_c as _impl  # type: ignore[no-redef]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from quiverbelt import _kernels_py as _impl  # type: ignore[no-redef]
-
-        BACKEND = "pure"
-
-poly_mul = _impl.poly_mul
-reduce_tail = _impl.reduce_tail
-mul_reduce = _impl.mul_reduce
-content = _impl.content
+__all__ = ["BACKEND", "content", "mul_reduce", "poly_mul", "reduce_tail"]

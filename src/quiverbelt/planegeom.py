@@ -20,7 +20,6 @@ from functools import lru_cache
 from quiverbelt.cycfield import (
     FieldElem,
     cos_value,
-    level_context,
     sin_product,
     sin_quotient,
 )

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import atan2, gcd, pi
 
-from quiverbelt.cycfield import FieldElem, cos_value
+from quiverbelt.cycfield import cos_value
 
 
 class DegenerateReference(ValueError):

@@ -31,13 +31,13 @@ from quiverbelt.cycfield import (
     FieldElem,
     cos_multiple,
     cos_value,
-    level_context,
     sin_product,
 )
-from quiverbelt.exmatrix import ClassificationResult, ExchangeMatrix, classify, mutate
+from quiverbelt.exmatrix import PERMS3, ClassificationResult, ExchangeMatrix, classify, mutate
 from quiverbelt.planegeom import (
     PlanarPoint,
     cross_q,
+    direction_class,
     dot,
     foot_of_perpendicular,
     length_along,
@@ -202,9 +202,6 @@ class PlanarSeed:
     def canonical_key(self) -> str:
         key = self._cache.get("key")
         if key is None:
-            perms = (
-                (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)
-            )
             key = min(
                 ";".join(
                     [self.kind]
@@ -221,7 +218,7 @@ class PlanarSeed:
                         if i != j
                     ]
                 )
-                for p in perms
+                for p in PERMS3
             )
             self._cache["key"] = key
         return key
@@ -262,8 +259,10 @@ class PlanarSeed:
 def _angle_multiple_between(d: int, u: PlanarPoint, v: PlanarPoint) -> int:
     """Angle between two nonzero grid vectors as an integer multiple of
     pi/d."""
-    mu = _class_of(d, u)
-    mv = _class_of(d, v)
+    mu = direction_class(d, u)
+    mv = direction_class(d, v)
+    if mu is None or mv is None:
+        raise ValueError("vector is not parallel to a grid direction")
     delta = (mu - mv) % d
     lo, hi = min(delta, d - delta), max(delta, d - delta)
     sgn = dot(d, u, v).sign()
@@ -274,13 +273,6 @@ def _angle_multiple_between(d: int, u: PlanarPoint, v: PlanarPoint) -> int:
     if d % 2 != 0:
         raise ValueError("perpendicular grid vectors need an even level")
     return d // 2
-
-
-def _class_of(d: int, v: PlanarPoint) -> int:
-    for m in range(d):
-        if cross_q(unit_dir(d, m), v).is_zero():
-            return m
-    raise ValueError("vector is not parallel to a grid direction")
 
 
 # -- initial seeds --------------------------------------------------------------
@@ -376,10 +368,7 @@ def _belt_for_initial(d, vertices, side_dirs, B) -> BeltLine:
             points.append(_triangle_feet(d, tuple(cur_v), tuple(cur_d), k2))
     base = points[0]
     other = next(p for p in points if p != base)
-    direction = other - base
-    m = next(
-        (m for m in range(d) if cross_q(unit_dir(d, m), direction).is_zero()), None
-    )
+    m = direction_class(d, other - base)
     if m is None:
         raise RuntimeError("belt direction is not a grid direction")
     # orient e so that the source side is positive and the sink negative
@@ -615,9 +604,7 @@ def translation_between(s1: PlanarSeed, s2: PlanarSeed) -> Optional[PlanarPoint]
     w is checked to be parallel to the belt."""
     if s1.kind != s2.kind or s1.chart.d != s2.chart.d:
         return None
-    d = s1.chart.d
-    perms = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-    for p in perms:
+    for p in PERMS3:
         if any(
             (s1.vertices[p[i]] is None) != (s2.vertices[i] is None) for i in range(3)
         ):
@@ -731,11 +718,8 @@ class SphericalSeed:
 
     def canonical_key(self) -> str:
         if not self._key:
-            perms = (
-                (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)
-            )
             best = None
-            for p in perms:
+            for p in PERMS3:
                 parts = []
                 for i in range(3):
                     parts.extend(c.key() for c in self.vectors[p[i]])

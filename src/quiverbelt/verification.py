@@ -20,7 +20,6 @@ from typing import Callable, Optional
 
 from quiverbelt import exgraph, rank2, seedgeom
 from quiverbelt.cycfield import (
-    FieldElem,
     cos_multiple,
     dedekind_det,
     estimate_check,
@@ -376,7 +375,7 @@ def check_translated_belts(levels=(5, 7), depth: int = 12, **_) -> CheckResult:
     problems = []
     for d in levels:
         graph = affine_graph(d, depth)
-        units = [k for k in range(1, d // 2 + 1) if gcd(k, d) == 1]
+        units = units_up_to_half(d)
         initial = graph.vertices[graph.initial_key]
         for k in units:
             length = exgraph._witness_region_translation(graph, d, k)
@@ -529,6 +528,14 @@ def run_checks(
     levels: Optional[list[int]] = None,
     seed: int = 2024,
 ) -> list[CheckResult]:
+    """Run the named checks (all when names is empty) in CHECKS order.
+    Unknown names raise ValueError before any check runs."""
+    unknown = [n for n in names or () if n not in CHECKS]
+    if unknown:
+        raise ValueError(
+            f"unknown check {', '.join(map(repr, unknown))}; "
+            f"valid checks: {', '.join(CHECKS)}"
+        )
     results = []
     for name, fn in CHECKS.items():
         if names and name not in names:

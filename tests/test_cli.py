@@ -115,3 +115,46 @@ def test_matrix_file_round_trip(tmp_path, capsys):
     code, out, _ = run(["classify", "--matrix", str(path)], capsys)
     assert code == 0
     assert "Affine(d=5)" in out
+
+
+def test_verify_rejects_unknown_check_names(capsys, monkeypatch):
+    from quiverbelt import verification
+
+    ran = []
+    monkeypatch.setattr(
+        verification, "CHECKS", {n: lambda **kw: ran.append(kw) for n in verification.CHECKS}
+    )
+    code, out, err = run(["verify", "--checks", "nonsense,verlinde"], capsys)
+    assert code == 2
+    assert out == "" and not ran
+    assert len(err.splitlines()) == 1
+    assert "nonsense" in err and "verlinde" in err and "number-theory" in err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["enumerate", "--entries", "2,-2,2", "--max-vertices", "64"], "vertex limit 64"),
+        (["classify", "--entries", "foo,1,2"], "cannot parse entry 'foo'"),
+        (["enumerate", "--affine", "2"], "d must be at least 3"),
+        (["classify", "--matrix", "no-such-matrix.json"], "no-such-matrix.json"),
+    ],
+)
+def test_handled_errors_print_one_line_and_exit_2(
+    args, message, capsys, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and message in err and "Traceback" not in err
+
+
+def test_affine_enumeration_reports_the_partial_graph_on_budget(capsys):
+    code, out, err = run(
+        ["enumerate", "--affine", "5", "--depth", "8", "--max-vertices", "30"], capsys
+    )
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["vertices"] == 30 and summary["closed"] is False
+    assert "enumerated 30 seeds" in err

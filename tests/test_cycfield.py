@@ -12,7 +12,6 @@ from quiverbelt.cycfield import (
     cos_multiple,
     dedekind_det,
     estimate_check,
-    galois_apply,
     integrality_check,
     inv_sin_sq,
     level_context,
@@ -142,10 +141,10 @@ def test_cross_level_equality_raises():
 
 
 def test_galois_action():
-    assert galois_apply(GaloisMap(7, 1), inv_sin_sq(7, 2)) == inv_sin_sq(7, 2)
+    assert GaloisMap(7, 1).apply(inv_sin_sq(7, 2)) == inv_sin_sq(7, 2)
     # sigma_l(1/sin^2(r a)) = 1/sin^2(r l a)
-    assert galois_apply(GaloisMap(7, 2), inv_sin_sq(7, 1)) == inv_sin_sq(7, 2)
-    assert galois_apply(GaloisMap(5, 3), cos_multiple(5, 2)) == cos_multiple(5, 6)
+    assert GaloisMap(7, 2).apply(inv_sin_sq(7, 1)) == inv_sin_sq(7, 2)
+    assert GaloisMap(5, 3).apply(cos_multiple(5, 2)) == cos_multiple(5, 6)
     with pytest.raises(InvalidMultiplier):
         GaloisMap(5, 5)
 

@@ -6,10 +6,10 @@ from math import gcd
 import pytest
 
 from quiverbelt import exgraph
-from quiverbelt.exmatrix import spherical_matrix
+from quiverbelt.exmatrix import BudgetExceeded, is_acyclic, spherical_matrix
 from quiverbelt.intpoly import euler_totient
 from quiverbelt.planegeom import length_along
-from quiverbelt.seedgeom import initial_seed, planar_mutate, t_invariant
+from quiverbelt.seedgeom import NotAcyclic, initial_seed, planar_mutate, t_invariant
 
 GRAPHS = {}
 
@@ -37,7 +37,7 @@ def test_bfs_depths_and_edges_are_consistent():
 
 
 def test_vertex_budget():
-    with pytest.raises(exgraph.BudgetExceeded) as err:
+    with pytest.raises(BudgetExceeded) as err:
         exgraph.bfs(initial_seed(5), vertex_limit=50)
     assert err.value.partial.order() == 50
 
@@ -64,6 +64,16 @@ def test_acyclic_belt_structure():
         # made of equilateral triangles throughout
         if d == 3:
             assert all(s.angle_triple() == (1, 1, 1) for s in belt)
+
+
+def test_acyclic_belt_rejects_a_cyclic_seed():
+    # the obtuse triangles of the d=5 window carry cyclic quivers
+    obtuse = next(
+        s for s in graph(5).vertices.values() if s.kind == "triangle" and s.is_obtuse()
+    )
+    assert not is_acyclic(obtuse.B)
+    with pytest.raises(NotAcyclic):
+        exgraph.acyclic_belt(obtuse, 2)
 
 
 def test_belt_translation_every_sixth_seed():

@@ -6,9 +6,9 @@ import pytest
 from quiverbelt.cycfield import FieldElem, cos_multiple
 from quiverbelt.exmatrix import (
     SPHERICAL_PAIRS,
+    BudgetExceeded,
     ExchangeMatrix,
     NotCosineForm,
-    SearchBudgetExceeded,
     affine_normal_form,
     classify,
     entry_cosine_form,
@@ -144,7 +144,7 @@ def test_budget_exhaustion_reports_partial():
     big = ExchangeMatrix.from_upper(
         cos_multiple(7, 1), cos_multiple(7, 2), cos_multiple(7, 3)
     )
-    with pytest.raises(SearchBudgetExceeded) as err:
+    with pytest.raises(BudgetExceeded) as err:
         mutation_class(big, budget=16)
     assert len(err.value.partial) == 16
 

@@ -1,20 +1,13 @@
-import random
-
-import pytest
-
 from quiverbelt import _kernels_py as pure
 from quiverbelt import kernels
 
-try:
-    from quiverbelt import _kernels_c as compiled
-except ImportError:
-    compiled = None
-
 
 def test_selected_backend_exposes_the_kernel_api():
-    assert kernels.BACKEND in ("pure", "compiled")
-    assert callable(kernels.mul_reduce)
-    assert callable(kernels.content)
+    assert kernels.BACKEND == "pure"
+    # cycfield calls the kernels through this module; they are the pure ones
+    assert kernels.mul_reduce is pure.mul_reduce
+    for name in ("poly_mul", "reduce_tail", "content"):
+        assert getattr(kernels, name) is getattr(pure, name)
 
 
 def test_pure_kernels_basic():
@@ -24,35 +17,3 @@ def test_pure_kernels_basic():
     assert pure.content([6, -9, 12], 3) == 3
     assert pure.content([0, 0], 0) == 0
     assert pure.content([4, 8], 6) == 2
-
-
-@pytest.mark.skipif(compiled is None, reason="compiled kernels unavailable")
-def test_backend_parity_on_random_inputs():
-    rng = random.Random(0)
-    for _ in range(200):
-        deg = rng.randint(1, 16)
-        a = [rng.randint(-(10**9), 10**9) for _ in range(deg)]
-        b = [rng.randint(-(10**9), 10**9) for _ in range(deg)]
-        rows = tuple(
-            tuple(rng.randint(-9, 9) for _ in range(deg)) for _ in range(deg)
-        )
-        assert pure.poly_mul(a, b) == compiled.poly_mul(a, b)
-        assert pure.mul_reduce(a, b, rows, deg) == compiled.mul_reduce(a, b, rows, deg)
-        extra = rng.randint(0, 1000)
-        assert pure.content(a, extra) == compiled.content(a, extra)
-
-
-@pytest.mark.skipif(compiled is None, reason="compiled kernels unavailable")
-def test_backend_parity_on_field_arithmetic():
-    # same canonical representations whichever backend reduced them
-    from quiverbelt.cycfield import level_context
-
-    rng = random.Random(5)
-    for d in (5, 9, 16):
-        ctx = level_context(d)
-        for _ in range(40):
-            a = [rng.randint(-99, 99) for _ in range(ctx.deg)]
-            b = [rng.randint(-99, 99) for _ in range(ctx.deg)]
-            assert pure.mul_reduce(a, b, ctx.pow_table, ctx.deg) == compiled.mul_reduce(
-                a, b, ctx.pow_table, ctx.deg
-            )

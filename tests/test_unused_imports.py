@@ -1,0 +1,78 @@
+"""Every name a quiverbelt module imports is used in that module.
+
+A stdlib-ast scan standing in for pyflakes' unused-import rule: an import
+binds a name, and the name must be read somewhere in the module, listed in
+its __all__, or named in a string annotation.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "quiverbelt"
+
+
+def _annotation_names(node):
+    """Names read by a string annotation such as -> "FieldElem"."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        try:
+            tree = ast.parse(node.value, mode="eval")
+        except SyntaxError:
+            return set()
+        return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return set()
+
+
+def unused_imports(source: str):
+    """(line, name) for each imported name that the module never uses."""
+    tree = ast.parse(source)
+    imported = []
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.append((node.lineno, name))
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "__future__":
+                continue
+            for alias in node.names:
+                imported.append((node.lineno, alias.asname or alias.name))
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                used |= _annotation_names(arg.annotation)
+            used |= _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {
+                e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)
+            }
+    return [(line, name) for line, name in imported if name not in used]
+
+
+def test_scanner_reports_unused_and_accepts_used_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, os.path\n"
+        "from math import gcd, lcm as least\n"
+        "from typing import Optional\n"
+        "from fractions import Fraction\n"
+        "__all__ = ['Fraction']\n"
+        "def f(x: 'Optional[int]') -> int:\n"
+        "    from math import pi\n"
+        "    return gcd(x, 2)\n"
+    )
+    assert unused_imports(source) == [(2, "os"), (2, "os"), (3, "least"), (8, "pi")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    unused = unused_imports(path.read_text(encoding="utf-8"))
+    assert not unused, ", ".join(f"{path.name}:{line} {name}" for line, name in unused)
