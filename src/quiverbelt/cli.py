@@ -186,7 +186,7 @@ def cmd_rank2(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    levels = [int(x) for x in args.levels.split(",")] if args.levels else [3, 5, 7]
+    levels = [int(x) for x in args.levels.split(",")] if args.levels else None
     names = args.checks.split(",") if args.checks else None
     results = verification.run_checks(names=names, levels=levels, seed=args.seed)
     worst = 0
@@ -237,7 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(func=cmd_rank2)
 
     pv = sub.add_parser("verify", help="run verification suites")
-    pv.add_argument("--levels", help="comma-separated affine levels (default 3,5,7)")
+    pv.add_argument(
+        "--levels",
+        help="comma-separated affine levels for every selected check that takes "
+        "levels (default: each check's own)",
+    )
     pv.add_argument("--checks", help="comma-separated check names (default all)")
     pv.add_argument("--seed", type=int, default=2024)
     pv.set_defaults(func=cmd_verify)

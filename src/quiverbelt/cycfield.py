@@ -32,22 +32,31 @@ _MAX_SIGN_BITS = 1 << 20
 
 
 def _initial_sign_bits() -> int:
+    """Initial precision of the sign oracle: QUIVERBELT_PRECISION_BITS,
+    default 64, at least 8."""
+    text = os.environ.get("QUIVERBELT_PRECISION_BITS", "64")
     try:
-        bits = int(os.environ.get("QUIVERBELT_PRECISION_BITS", "64"))
+        bits = int(text)
     except ValueError:
-        bits = 64
+        raise ValueError(
+            f"QUIVERBELT_PRECISION_BITS must be an integer, not {text!r}"
+        ) from None
     return max(bits, 8)
 
 
 class LevelContext:
     """Per-level data: minimal polynomial, reduction table, root enclosure."""
 
-    __slots__ = ("d", "deg", "mu", "pow_table", "_rows", "c_float", "_lo", "_hi", "_bits")
+    __slots__ = (
+        "d", "deg", "mu", "pow_table", "_rows", "c_float", "sign_bits",
+        "_lo", "_hi", "_bits",
+    )
 
     def __init__(self, d: int):
         if d < 2:
             raise ValueError("level must be at least 2")
         self.d = d
+        self.sign_bits = _initial_sign_bits()
         mu = real_min_poly(d)
         self.mu = mu.coeffs
         self.deg = mu.degree()
@@ -168,46 +177,38 @@ class FieldElem:
 
     __slots__ = ("level", "num", "den", "_sign")
 
-    def __init__(self, level: int, num, den: int = 1, _reduced: bool = False):
+    def __init__(self, level: int, num, den: int = 1):
         ctx = level_context(level)
         self.level = level
-        if _reduced:
-            self.num = tuple(num)
-            self.den = den
-        else:
-            vec = list(num)
-            if len(vec) > ctx.deg:
-                vec = kernels.reduce_tail(
-                    vec, ctx.rows_for(len(vec) - ctx.deg), ctx.deg
-                )
-            elif len(vec) < ctx.deg:
-                vec = vec + [0] * (ctx.deg - len(vec))
-            if den == 0:
-                raise ZeroDivisionError("zero denominator")
-            if den < 0:
-                den = -den
-                vec = [-v for v in vec]
-            g = kernels.content(vec, den)
-            if g > 1:
-                vec = [v // g for v in vec]
-                den //= g
-            if not any(vec):
-                den = 1
-            self.num = tuple(vec)
-            self.den = den
+        vec = list(num)
+        if len(vec) > ctx.deg:
+            vec = kernels.reduce_tail(vec, ctx.rows_for(len(vec) - ctx.deg), ctx.deg)
+        elif len(vec) < ctx.deg:
+            vec = vec + [0] * (ctx.deg - len(vec))
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
+        if den < 0:
+            den = -den
+            vec = [-v for v in vec]
+        g = kernels.content(vec, den)
+        if g > 1:
+            vec = [v // g for v in vec]
+            den //= g
+        if not any(vec):
+            den = 1
+        self.num = tuple(vec)
+        self.den = den
         self._sign = None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(level: int) -> "FieldElem":
-        deg = level_context(level).deg
-        return FieldElem(level, (0,) * deg, 1, _reduced=True)
+        return _canonical(level, (0,) * level_context(level).deg, 1)
 
     @staticmethod
     def one(level: int) -> "FieldElem":
-        deg = level_context(level).deg
-        return FieldElem(level, (1,) + (0,) * (deg - 1), 1, _reduced=True)
+        return _canonical(level, (1,) + (0,) * (level_context(level).deg - 1), 1)
 
     @staticmethod
     def from_rational(level: int, value) -> "FieldElem":
@@ -284,6 +285,8 @@ class FieldElem:
     # -- arithmetic --------------------------------------------------------
 
     def _coerced(self, other):
+        if other.__class__ is FieldElem and other.level == self.level:
+            return self, other
         if isinstance(other, (int, Fraction)):
             other = FieldElem.from_rational(self.level, other)
         elif not isinstance(other, FieldElem):
@@ -293,10 +296,15 @@ class FieldElem:
         target = lcm(self.level, other.level)
         return self.lift(target), other.lift(target)
 
+    # A result with denominator 1 is already canonical: its content with
+    # the denominator is 1 and a zero vector keeps denominator 1.
+
     def __add__(self, other):
         a, b = self._coerced(other)
         if a is None:
             return NotImplemented
+        if a.den == 1 and b.den == 1:
+            return _canonical(a.level, tuple(x + y for x, y in zip(a.num, b.num)), 1)
         num = [x * b.den + y * a.den for x, y in zip(a.num, b.num)]
         return FieldElem(a.level, num, a.den * b.den)
 
@@ -306,6 +314,8 @@ class FieldElem:
         a, b = self._coerced(other)
         if a is None:
             return NotImplemented
+        if a.den == 1 and b.den == 1:
+            return _canonical(a.level, tuple(x - y for x, y in zip(a.num, b.num)), 1)
         num = [x * b.den - y * a.den for x, y in zip(a.num, b.num)]
         return FieldElem(a.level, num, a.den * b.den)
 
@@ -313,17 +323,18 @@ class FieldElem:
         return (-self).__add__(other)
 
     def __neg__(self):
-        return FieldElem(
-            self.level, tuple(-n for n in self.num), self.den, _reduced=True
-        )
+        return _canonical(self.level, tuple(-n for n in self.num), self.den)
 
     def __mul__(self, other):
         a, b = self._coerced(other)
         if a is None:
             return NotImplemented
         ctx = level_context(a.level)
-        num = kernels.mul_reduce(list(a.num), list(b.num), ctx.pow_table, ctx.deg)
-        return FieldElem(a.level, num, a.den * b.den)
+        num = kernels.mul_reduce(a.num, b.num, ctx.pow_table, ctx.deg)
+        den = a.den * b.den
+        if den == 1:
+            return _canonical(a.level, tuple(num), 1)
+        return FieldElem(a.level, num, den)
 
     __rmul__ = __mul__
 
@@ -388,7 +399,7 @@ class FieldElem:
             self._sign = 0
             return 0
         ctx = level_context(self.level)
-        bits = _initial_sign_bits()
+        bits = ctx.sign_bits
         while bits <= _MAX_SIGN_BITS:
             lo, hi = ctx.enclosure(bits)
             s = _interval_sign_dyadic(self.num, lo, hi)
@@ -427,6 +438,17 @@ class FieldElem:
     def key(self) -> str:
         """Compact canonical string, used by seed/matrix deduplication."""
         return ",".join(map(str, self.num)) + "/" + str(self.den)
+
+
+def _canonical(level: int, num: tuple, den: int) -> FieldElem:
+    """A FieldElem from a representation that is already canonical: `num`
+    a reduced tuple of full length, coprime to the positive `den`."""
+    elem = object.__new__(FieldElem)
+    elem.level = level
+    elem.num = num
+    elem.den = den
+    elem._sign = None
+    return elem
 
 
 def _substitute(elem: FieldElem, g: FieldElem) -> FieldElem:

@@ -96,12 +96,19 @@ def bfs(
     """Breadth-first closure of the exchange graph from an initial seed.
 
     A limit of None means unbounded.  The result's `closed` flag records
-    whether the frontier was exhausted before any limit."""
+    whether the frontier was exhausted before any limit.
+
+    Mutation is an involution: the stored seed of a vertex first reached
+    as mu_k(parent) gives back the parent under mu_k, an edge already
+    recorded, so direction k is not expanded there.  Only that direction
+    is skipped: a direction index does not carry over to another seed with
+    the same key, because keys are minimised over index permutations."""
     mutator = _mutator_for(initial)
     rank = initial.B.rank if hasattr(initial, "B") else initial.rank
     key0 = initial.canonical_key()
     vertices = {key0: initial}
     depth = {key0: 0}
+    came_by = {key0: None}  # the direction that first reached each vertex
     edges: dict = {}
     closed = True
     frontier = []
@@ -115,6 +122,8 @@ def bfs(
             frontier.append(seed)
             continue
         for k in range(rank):
+            if k == came_by[key]:
+                continue
             nxt = mutator(seed, k)
             nkey = nxt.canonical_key()
             if nkey not in vertices:
@@ -125,6 +134,7 @@ def bfs(
                     )
                 vertices[nkey] = nxt
                 depth[nkey] = level + 1
+                came_by[nkey] = k
                 queue.append(nxt)
             if nkey != key:
                 edges.setdefault(frozenset((key, nkey)), k)
@@ -133,6 +143,8 @@ def bfs(
     for seed in frontier:
         key = seed.canonical_key()
         for k in range(rank):
+            if k == came_by[key]:
+                continue
             nkey = mutator(seed, k).canonical_key()
             if nkey in vertices and nkey != key:
                 edges.setdefault(frozenset((key, nkey)), k)

@@ -202,21 +202,18 @@ class PlanarSeed:
     def canonical_key(self) -> str:
         key = self._cache.get("key")
         if key is None:
+            # element keys once, then the least serialisation over PERMS3
+            verts = ["inf" if v is None else v.key() for v in self.vertices]
+            dirs = [str(m) for m in self.side_dirs]
+            ray = self.ray.key() if self.ray is not None else "-"
+            arrows = _arrow_keys(self.B)
             key = min(
                 ";".join(
                     [self.kind]
-                    + [
-                        "inf" if self.vertices[p[i]] is None else self.vertices[p[i]].key()
-                        for i in range(3)
-                    ]
-                    + [str(self.side_dirs[p[i]]) for i in range(3)]
-                    + [self.ray.key() if self.ray is not None else "-"]
-                    + [
-                        self.B[p[i], p[j]].key()
-                        for i in range(3)
-                        for j in range(3)
-                        if i != j
-                    ]
+                    + [verts[p[i]] for i in range(3)]
+                    + [dirs[p[i]] for i in range(3)]
+                    + [ray]
+                    + [arrows[p[i], p[j]] for i, j in _OFF_DIAGONAL]
                 )
                 for p in PERMS3
             )
@@ -254,6 +251,14 @@ class PlanarSeed:
             ],
             "matrix": self.B.to_json(),
         }
+
+
+_OFF_DIAGONAL = tuple((i, j) for i in range(3) for j in range(3) if i != j)
+
+
+def _arrow_keys(B: ExchangeMatrix) -> dict:
+    """Key of each off-diagonal entry of a rank-3 matrix, by index pair."""
+    return {(i, j): B[i, j].key() for i, j in _OFF_DIAGONAL}
 
 
 def _angle_multiple_between(d: int, u: PlanarPoint, v: PlanarPoint) -> int:
@@ -718,21 +723,18 @@ class SphericalSeed:
 
     def canonical_key(self) -> str:
         if not self._key:
-            best = None
-            for p in PERMS3:
-                parts = []
-                for i in range(3):
-                    parts.extend(c.key() for c in self.vectors[p[i]])
-                parts.extend(
-                    self.B[p[i], p[j]].key()
-                    for i in range(3)
-                    for j in range(3)
-                    if i != j
+            # element keys once, then the least serialisation over PERMS3
+            coords = [[c.key() for c in v] for v in self.vectors]
+            arrows = _arrow_keys(self.B)
+            self._key.append(
+                min(
+                    ";".join(
+                        [k for i in range(3) for k in coords[p[i]]]
+                        + [arrows[p[i], p[j]] for i, j in _OFF_DIAGONAL]
+                    )
+                    for p in PERMS3
                 )
-                s = ";".join(parts)
-                if best is None or s < best:
-                    best = s
-            self._key.append(best)
+            )
         return self._key[0]
 
     def __eq__(self, other):

@@ -39,7 +39,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-    elapsed: float
+    elapsed: float = 0.0  # seconds, set by run_check
 
 
 _GRAPHS: dict = {}
@@ -68,7 +68,6 @@ FINITE_TYPE_COUNTS = {
 
 def check_rank2_periods(max_b: int = 24, **_) -> CheckResult:
     """Anchored orbit periods plus the closed formula across the grid."""
-    t0 = time.time()
     anchors = []
     s13 = rank2.SectorSeed(1, 3)
     anchors.append(rank2.orbit_period(s13, rank2.ReferencePoint2D(10, 3))[0] == 5)
@@ -104,7 +103,6 @@ def check_rank2_periods(max_b: int = 24, **_) -> CheckResult:
         ok,
         f"anchors 5/7/6/8 {'ok' if all(anchors) else 'FAILED'}; "
         f"{cases} grid cases, {mismatches} formula mismatches",
-        time.time() - t0,
     )
 
 
@@ -185,7 +183,6 @@ def check_finite_type_counts(seed: int = 2024, **_) -> CheckResult:
     """Closure counts of the five spherical classes, twice per class with
     independently sampled compatible reference points, isomorphism between
     the two runs, and a floating-point brute-force cross-check."""
-    t0 = time.time()
     rng = random.Random(seed)
     problems = []
     counts = {}
@@ -227,12 +224,10 @@ def check_finite_type_counts(seed: int = 2024, **_) -> CheckResult:
         "finite-type-counts",
         not problems,
         detail + ("; " + "; ".join(problems) if problems else ""),
-        time.time() - t0,
     )
 
 
 def check_verlinde(n_max: int = 25, **_) -> CheckResult:
-    t0 = time.time()
     bad = [
         n
         for n in range(1, n_max + 1)
@@ -242,12 +237,10 @@ def check_verlinde(n_max: int = 25, **_) -> CheckResult:
         "verlinde",
         not bad,
         f"n <= {n_max} exact" + (f"; failures {bad}" if bad else ""),
-        time.time() - t0,
     )
 
 
 def check_independence_ranks(**_) -> CheckResult:
-    t0 = time.time()
     problems = []
     for d in (3, 5, 7, 9, 11, 13, 15):
         units = units_up_to_half(d)
@@ -262,7 +255,6 @@ def check_independence_ranks(**_) -> CheckResult:
         not problems,
         "ranks phi(d)/2 for d in 3..15 odd; dedekind dets nonzero for n <= 8"
         + ("; " + "; ".join(problems) if problems else ""),
-        time.time() - t0,
     )
 
 
@@ -283,10 +275,9 @@ def _cyclic_orientation(seed) -> int:
     return cross_q(mids[1] - mids[0], mids[2] - mids[0]).sign()
 
 
-def check_affine_invariants(levels=(3, 5, 7, 9), depth: int = 12, **_) -> CheckResult:
+def check_affine_invariants(levels=(3, 5, 7), depth: int = 12, **_) -> CheckResult:
     """T conserved along edges, feet on the belt, acute iff acyclic,
     the orientation rule, and translation witnesses parallel to the belt."""
-    t0 = time.time()
     problems = []
     for d in levels:
         graph = affine_graph(d, depth)
@@ -337,13 +328,11 @@ def check_affine_invariants(levels=(3, 5, 7, 9), depth: int = 12, **_) -> CheckR
         not problems,
         f"levels {tuple(levels)} to depth {depth}"
         + ("; " + "; ".join(problems[:4]) if problems else ""),
-        time.time() - t0,
     )
 
 
 def check_belt_periodicity(levels=(3, 5, 7), **_) -> CheckResult:
     """I_n vs I_{n+6}: a translation of exact length 4 T(initial)."""
-    t0 = time.time()
     problems = []
     for d in levels:
         s0 = seedgeom.initial_seed(d)
@@ -364,14 +353,12 @@ def check_belt_periodicity(levels=(3, 5, 7), **_) -> CheckResult:
         not problems,
         f"levels {tuple(levels)}: |I_n -> I_n+6| = 4T exactly"
         + ("; " + "; ".join(problems) if problems else ""),
-        time.time() - t0,
     )
 
 
 def check_translated_belts(levels=(5, 7), depth: int = 12, **_) -> CheckResult:
     """Each generator s_k witnessed by a region mutation, and the
     translated belt is a full subgraph of the window."""
-    t0 = time.time()
     problems = []
     for d in levels:
         graph = affine_graph(d, depth)
@@ -393,14 +380,12 @@ def check_translated_belts(levels=(5, 7), depth: int = 12, **_) -> CheckResult:
         not problems,
         f"levels {tuple(levels)}: s_k witnessed and belts are full subgraphs"
         + ("; " + "; ".join(problems) if problems else ""),
-        time.time() - t0,
     )
 
 
 def check_quotient_census(levels=(5, 7), depth: int = 12, **_) -> CheckResult:
     """Occurring angle triples are the gcd-1 triples; every (angles,
     quiver) class splits into exactly two translation classes."""
-    t0 = time.time()
     problems = []
     for d in levels:
         graph = affine_graph(d, depth)
@@ -419,7 +404,6 @@ def check_quotient_census(levels=(5, 7), depth: int = 12, **_) -> CheckResult:
         not problems,
         f"levels {tuple(levels)}: gcd-1 triples and 2 classes each"
         + ("; " + "; ".join(problems[:3]) if problems else ""),
-        time.time() - t0,
     )
 
 
@@ -430,7 +414,6 @@ def check_growth(n_max: int = 36, **_) -> CheckResult:
     the additive quasi-isometry constants make early windows read high
     (gr(n) for d=5 fits ~20(n-4)^2, whose log-slope over small n exceeds
     the asymptotic degree)."""
-    t0 = time.time()
     problems = []
     lo = 2 * n_max // 3
     table3 = exgraph.growth(seedgeom.initial_seed(3), n_max)
@@ -452,13 +435,11 @@ def check_growth(n_max: int = 36, **_) -> CheckResult:
         f"d=5 degree {deg5:.2f} over [{lo},{n_max}] "
         f"(plain ball slope {table5.loglog_slope(lo, n_max):.2f})"
         + ("; " + "; ".join(problems) if problems else ""),
-        time.time() - t0,
     )
 
 
 def check_even_denominators(levels=(4, 6, 8), depth: int = 12, **_) -> CheckResult:
     """rank R = phi(d)/2 exactly; observed L-rank within the allowed pair."""
-    t0 = time.time()
     problems = []
     details = []
     for d in levels:
@@ -473,14 +454,12 @@ def check_even_denominators(levels=(4, 6, 8), depth: int = 12, **_) -> CheckResu
         "even-denominators",
         not problems,
         "; ".join(details) + ("; " + "; ".join(problems) if problems else ""),
-        time.time() - t0,
     )
 
 
 def check_number_theory(**_) -> CheckResult:
     """Watkins-Zeitlin identities, the product-to-sum grid, and cyclotomic
     unit verdicts."""
-    t0 = time.time()
     problems = []
     for n in range(1, 11):
         if not watkins_zeitlin_check(n):
@@ -504,7 +483,6 @@ def check_number_theory(**_) -> CheckResult:
         not problems,
         "watkins-zeitlin n<=10, product-to-sum d<=30, units d<=15"
         + ("; " + "; ".join(problems[:4]) if problems else ""),
-        time.time() - t0,
     )
 
 
@@ -523,25 +501,58 @@ CHECKS: dict[str, Callable[..., CheckResult]] = {
 }
 
 
+# The checks that take `levels`: each takes any affine level d >= 3, except
+# that belt periodicity and the quotient census state facts about odd d (at
+# even d the sixth belt seed is no translate and orientation tags
+# degenerate).
+LEVEL_CHECKS = (
+    "affine-invariants",
+    "belt-periodicity",
+    "translated-belts",
+    "quotient-census",
+    "even-denominators",
+)
+ODD_LEVEL_CHECKS = ("belt-periodicity", "quotient-census")
+
+
+def run_check(name: str, **kwargs) -> CheckResult:
+    """Run one named check and record its wall time in `elapsed`."""
+    start = time.perf_counter()
+    result = CHECKS[name](**kwargs)
+    result.elapsed = time.perf_counter() - start
+    return result
+
+
 def run_checks(
     names: Optional[list[str]] = None,
     levels: Optional[list[int]] = None,
     seed: int = 2024,
 ) -> list[CheckResult]:
     """Run the named checks (all when names is empty) in CHECKS order.
-    Unknown names raise ValueError before any check runs."""
+
+    Levels, when given, go to every selected check that takes them;
+    otherwise each check runs its own default levels.  Unknown names and
+    levels a selected check cannot take raise ValueError before any check
+    runs."""
     unknown = [n for n in names or () if n not in CHECKS]
     if unknown:
         raise ValueError(
             f"unknown check {', '.join(map(repr, unknown))}; "
             f"valid checks: {', '.join(CHECKS)}"
         )
-    results = []
-    for name, fn in CHECKS.items():
-        if names and name not in names:
+    selected = [name for name in CHECKS if not names or name in names]
+    levels = tuple(levels or ())
+    for name in selected:
+        if name not in LEVEL_CHECKS:
             continue
+        for d in levels:
+            if d < 3 or (d % 2 == 0 and name in ODD_LEVEL_CHECKS):
+                parity = "odd " if name in ODD_LEVEL_CHECKS else ""
+                raise ValueError(f"check {name!r} takes {parity}levels d >= 3, not {d}")
+    results = []
+    for name in selected:
         kwargs = {"seed": seed}
-        if levels and name in ("affine-invariants",):
-            kwargs["levels"] = tuple(levels)
-        results.append(fn(**kwargs))
+        if levels and name in LEVEL_CHECKS:
+            kwargs["levels"] = levels
+        results.append(run_check(name, **kwargs))
     return results

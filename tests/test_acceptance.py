@@ -18,7 +18,7 @@ from quiverbelt import verification
 
 
 def _run(name, **kwargs):
-    result = verification.CHECKS[name](**kwargs)
+    result = verification.run_check(name, **kwargs)
     status = "PASS" if result.passed else "FAIL"
     print(f"\n[acceptance] {status} {result.name} ({result.elapsed:.2f}s): {result.detail}")
     assert result.passed, result.detail

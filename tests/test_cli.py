@@ -1,4 +1,8 @@
+import inspect
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -158,3 +162,90 @@ def test_affine_enumeration_reports_the_partial_graph_on_budget(capsys):
     summary = json.loads(out)
     assert summary["vertices"] == 30 and summary["closed"] is False
     assert "enumerated 30 seeds" in err
+
+
+def record_checks(monkeypatch):
+    """Replace every check with one that records its keyword arguments."""
+    from quiverbelt import verification
+
+    calls = {}
+
+    def recorder(name):
+        def check(**kwargs):
+            calls[name] = kwargs
+            return verification.CheckResult(name, True, "recorded")
+
+        return check
+
+    checks = {name: recorder(name) for name in verification.CHECKS}
+    monkeypatch.setattr(verification, "CHECKS", checks)
+    return calls
+
+
+def test_verify_levels_reach_every_check_that_takes_levels(capsys, monkeypatch):
+    from quiverbelt.verification import LEVEL_CHECKS
+
+    calls = record_checks(monkeypatch)
+    code, out, _ = run(["verify", "--levels", "5,7"], capsys)
+    assert code == 0 and out.count("PASS") == len(calls) == 11
+    for name, kwargs in calls.items():
+        assert kwargs.get("levels") == ((5, 7) if name in LEVEL_CHECKS else None)
+
+
+def test_verify_without_levels_runs_each_checks_own_levels(capsys, monkeypatch):
+    from quiverbelt import verification
+
+    defaults = {
+        name: inspect.signature(verification.CHECKS[name]).parameters["levels"].default
+        for name in verification.LEVEL_CHECKS
+    }
+    assert defaults == {
+        "affine-invariants": (3, 5, 7),
+        "belt-periodicity": (3, 5, 7),
+        "translated-belts": (5, 7),
+        "quotient-census": (5, 7),
+        "even-denominators": (4, 6, 8),
+    }
+    calls = record_checks(monkeypatch)
+    code, _, _ = run(["verify"], capsys)
+    assert code == 0
+    assert all(kwargs == {"seed": 2024} for kwargs in calls.values())
+
+
+def test_verify_runs_the_requested_level(capsys):
+    code, out, _ = run(
+        ["verify", "--checks", "belt-periodicity", "--levels", "9"], capsys
+    )
+    assert code == 0
+    assert out.startswith("PASS belt-periodicity") and "levels (9,):" in out
+    code, out, _ = run(["verify", "--checks", "belt-periodicity"], capsys)
+    assert code == 0 and "levels (3, 5, 7):" in out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--checks", "belt-periodicity", "--levels", "4"],
+        ["verify", "--checks", "verlinde,quotient-census", "--levels", "5,6"],
+        ["verify", "--checks", "affine-invariants", "--levels", "2"],
+    ],
+)
+def test_verify_rejects_levels_a_check_cannot_take(args, capsys, monkeypatch):
+    calls = record_checks(monkeypatch)
+    code, out, err = run(args, capsys)
+    assert code == 2 and out == "" and not calls
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "levels d >= 3, not" in err
+
+
+def test_bad_precision_bits_end_the_run_with_one_line(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src")
+    env = dict(os.environ, QUIVERBELT_PRECISION_BITS="abc", PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quiverbelt.cli", "verify", "--checks", "verlinde"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "QUIVERBELT_PRECISION_BITS" in proc.stderr and "'abc'" in proc.stderr

@@ -1,15 +1,27 @@
 import json
 import random
+from collections import deque
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from quiverbelt import exgraph
-from quiverbelt.exmatrix import BudgetExceeded, is_acyclic, spherical_matrix
+from quiverbelt.exmatrix import (
+    SPHERICAL_PAIRS,
+    BudgetExceeded,
+    is_acyclic,
+    spherical_matrix,
+)
 from quiverbelt.intpoly import euler_totient
 from quiverbelt.planegeom import length_along
-from quiverbelt.seedgeom import NotAcyclic, initial_seed, planar_mutate, t_invariant
+from quiverbelt.seedgeom import (
+    NotAcyclic,
+    initial_seed,
+    planar_mutate,
+    seed_mutate,
+    t_invariant,
+)
 
 GRAPHS = {}
 
@@ -34,6 +46,60 @@ def test_bfs_depths_and_edges_are_consistent():
         a, b = tuple(pair)
         k = g.edges[pair]
         assert planar_mutate(g.vertices[a], k) == g.vertices[b]
+
+
+def reference_bfs(initial, mutate, depth_limit=None):
+    """Plain BFS that mutates every vertex in all three directions."""
+    key0 = initial.canonical_key()
+    vertices, depth, edges, frontier = {key0: initial}, {key0: 0}, {}, []
+    queue = deque([initial])
+    while queue:
+        seed = queue.popleft()
+        key = seed.canonical_key()
+        if depth_limit is not None and depth[key] >= depth_limit:
+            frontier.append(seed)
+            continue
+        for k in range(3):
+            nxt = mutate(seed, k)
+            nkey = nxt.canonical_key()
+            if nkey not in vertices:
+                vertices[nkey] = nxt
+                depth[nkey] = depth[key] + 1
+                queue.append(nxt)
+            if nkey != key:
+                edges.setdefault(frozenset((key, nkey)), k)
+    for seed in frontier:
+        key = seed.canonical_key()
+        for k in range(3):
+            nkey = mutate(seed, k).canonical_key()
+            if nkey in vertices and nkey != key:
+                edges.setdefault(frozenset((key, nkey)), k)
+    return vertices, depth, edges
+
+
+def assert_same_graph(g, reference):
+    vertices, depth, edges = reference
+    assert list(g.vertices) == list(vertices)
+    assert list(g.depth.items()) == list(depth.items())
+    assert list(g.edges.items()) == list(edges.items())
+
+
+@pytest.mark.parametrize("d, depth", [(3, 14), (4, 12), (5, 10), (7, 8), (8, 8)])
+@pytest.mark.parametrize("offset", [-1, 0, 2])
+def test_bfs_matches_the_plain_bfs_on_affine_windows(d, depth, offset):
+    # bfs skips the direction back to each vertex's parent
+    start = exgraph.acyclic_belt(initial_seed(d), 2)[2 + offset]
+    g = exgraph.bfs(start, depth_limit=depth)
+    assert not g.closed
+    assert_same_graph(g, reference_bfs(start, planar_mutate, depth))
+
+
+@pytest.mark.parametrize("pair", SPHERICAL_PAIRS)
+def test_bfs_matches_the_plain_bfs_on_spherical_closures(pair):
+    B = spherical_matrix(*pair)
+    seed, g = exgraph.compatible_spherical_graph(B, random.Random(1))
+    assert g.closed
+    assert_same_graph(g, reference_bfs(seed, seed_mutate))
 
 
 def test_vertex_budget():

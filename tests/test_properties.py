@@ -1,0 +1,96 @@
+"""Property tests: mutation is an involution on canonical keys, and the
+FieldElem fast paths return canonical representations."""
+
+from fractions import Fraction
+
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+from quiverbelt.cycfield import FieldElem, level_context
+from quiverbelt.exmatrix import (
+    SPHERICAL_PAIRS,
+    affine_normal_form,
+    markov_matrix,
+    mutate,
+    spherical_matrix,
+)
+from quiverbelt.seedgeom import (
+    DegeneratePositivity,
+    initial_seed,
+    planar_mutate,
+    seed_mutate,
+    spherical_seed,
+)
+
+walks = st.lists(st.integers(0, 2), min_size=1, max_size=10)
+exact = settings(deadline=None, database=None)
+
+
+def assert_involution_along(start, mutator, walk):
+    s = start
+    for k in walk:
+        nxt = mutator(s, k)
+        assert mutator(nxt, k).canonical_key() == s.canonical_key()
+        s = nxt
+
+
+MATRICES = (
+    [spherical_matrix(*pair) for pair in SPHERICAL_PAIRS]
+    + [affine_normal_form(d) for d in range(3, 9)]
+    + [markov_matrix()]
+)
+
+
+@exact
+@given(st.sampled_from(MATRICES), walks)
+def test_matrix_mutation_is_an_involution_on_keys(B, walk):
+    assert_involution_along(B, mutate, walk)
+
+
+@exact
+@given(st.integers(3, 8), walks)
+def test_planar_mutation_is_an_involution_on_keys(d, walk):
+    assert_involution_along(initial_seed(d), planar_mutate, walk)
+
+
+nonzero_weights = st.tuples(
+    st.integers(-40, 40).filter(bool), st.integers(1, 7)
+).map(lambda t: Fraction(*t))
+
+
+@exact
+@given(
+    st.sampled_from(SPHERICAL_PAIRS),
+    st.tuples(nonzero_weights, nonzero_weights, nonzero_weights),
+    walks,
+)
+def test_spherical_mutation_is_an_involution_on_keys(pair, reference, walk):
+    try:
+        assert_involution_along(
+            spherical_seed(spherical_matrix(*pair), reference), seed_mutate, walk
+        )
+    except DegeneratePositivity:
+        reject()
+
+
+@st.composite
+def same_level_pairs(draw):
+    level = draw(st.sampled_from((3, 4, 5, 7, 8, 9, 12, 15)))
+    deg = level_context(level).deg
+
+    def element():
+        num = draw(st.lists(st.integers(-60, 60), min_size=deg, max_size=deg))
+        den = draw(st.one_of(st.just(1), st.integers(2, 12)))
+        return FieldElem(level, num, den)
+
+    return element(), element()
+
+
+@exact
+@given(same_level_pairs())
+def test_arithmetic_results_are_canonical(pair):
+    a, b = pair
+    for r in (a + b, a - b, a * b, -a):
+        canonical = FieldElem(r.level, list(r.num), r.den)
+        assert type(r.num) is tuple
+        assert (r.level, r.num, r.den) == (canonical.level, canonical.num, canonical.den)
