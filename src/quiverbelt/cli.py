@@ -8,9 +8,7 @@ Subcommands:
 
 Matrix shorthand: entries are given as "cos(a/b)" meaning 2cos(a*pi/b),
 optionally signed, or as exact rationals ("3/2", "-1"); an inline matrix
-spec lists the upper triangle row-major as "b12,b13,b23".  The environment
-variable QUIVERBELT_PRECISION_BITS sets the initial precision of the
-certified sign oracle.
+spec lists the upper triangle row-major as "b12,b13,b23".
 
 Bad input, unknown check names and exhausted search budgets end the run
 with one line on stderr and exit status 2.

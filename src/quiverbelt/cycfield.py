@@ -20,7 +20,6 @@ mixes levels (matrices, seeds) lifts once at its own boundary.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from functools import lru_cache
 from math import cos, gcd, lcm, pi
@@ -28,35 +27,27 @@ from math import cos, gcd, lcm, pi
 from quiverbelt import kernels
 from quiverbelt.intpoly import IntPoly, cos2_poly, euler_totient, real_min_poly, sinq_poly
 
+_INITIAL_SIGN_BITS = 64
 _MAX_SIGN_BITS = 1 << 20
 
 
 def _initial_sign_bits() -> int:
-    """Initial precision of the sign oracle: QUIVERBELT_PRECISION_BITS,
-    default 64, at least 8."""
-    text = os.environ.get("QUIVERBELT_PRECISION_BITS", "64")
-    try:
-        bits = int(text)
-    except ValueError:
-        raise ValueError(
-            f"QUIVERBELT_PRECISION_BITS must be an integer, not {text!r}"
-        ) from None
-    return max(bits, 8)
+    """Initial precision of the sign oracle; perfbench's tracer counts
+    enclosures above it as escalations."""
+    return _INITIAL_SIGN_BITS
 
 
 class LevelContext:
     """Per-level data: minimal polynomial, reduction table, root enclosure."""
 
     __slots__ = (
-        "d", "deg", "mu", "pow_table", "_rows", "c_float", "sign_bits",
-        "_lo", "_hi", "_bits",
+        "d", "deg", "mu", "pow_table", "_rows", "c_float", "_lo", "_hi", "_bits",
     )
 
     def __init__(self, d: int):
         if d < 2:
             raise ValueError("level must be at least 2")
         self.d = d
-        self.sign_bits = _initial_sign_bits()
         mu = real_min_poly(d)
         self.mu = mu.coeffs
         self.deg = mu.degree()
@@ -247,9 +238,6 @@ class FieldElem:
             raise ValueError("element is irrational")
         return Fraction(self.num[0], self.den)
 
-    def is_integer_vector(self) -> bool:
-        return self.den == 1
-
     def __bool__(self) -> bool:
         return not self.is_zero()
 
@@ -399,7 +387,7 @@ class FieldElem:
             self._sign = 0
             return 0
         ctx = level_context(self.level)
-        bits = ctx.sign_bits
+        bits = _INITIAL_SIGN_BITS
         while bits <= _MAX_SIGN_BITS:
             lo, hi = ctx.enclosure(bits)
             s = _interval_sign_dyadic(self.num, lo, hi)

@@ -1,11 +1,10 @@
 """Exchange-graph enumeration: BFS over seeds, growth tables, acyclic
 belts, translation-lattice reports, quotient censuses, and exports.
 
-The BFS works uniformly over planar seeds, spherical seeds, and bare
-exchange matrices: anything with three mutation directions, a canonical
-key, and a mutation callable.  Vertex order is the deterministic BFS
-discovery order; edges are unordered key pairs labelled by the mutation
-index.
+The BFS runs over planar or spherical seeds, three mutation directions
+each, and identifies seeds by their canonical keys.  Vertex order is the
+deterministic BFS discovery order; edges are unordered key pairs of
+distinct vertices labelled by the mutation index.
 """
 
 from __future__ import annotations
@@ -17,11 +16,18 @@ from fractions import Fraction
 from math import gcd, log
 from typing import Optional
 
-from quiverbelt.cycfield import FieldElem, rational_rank, units_up_to_half
-from quiverbelt.exmatrix import PERMS3, BudgetExceeded
+from quiverbelt.cycfield import (
+    FieldElem,
+    inv_sin_sq,
+    rational_rank,
+    sin_product,
+    units_up_to_half,
+)
+from quiverbelt.exmatrix import PERMS3, BudgetExceeded, entry_cosine_form
 from quiverbelt.intpoly import euler_totient
 from quiverbelt.planegeom import PlanarPoint, length_along
 from quiverbelt.seedgeom import (
+    DegeneratePositivity,
     NotAcyclic,
     PlanarSeed,
     SphericalSeed,
@@ -31,6 +37,7 @@ from quiverbelt.seedgeom import (
     positivity,
     reflect_across_belt,
     seed_mutate,
+    spherical_seed,
     translation_between,
 )
 
@@ -49,21 +56,9 @@ class ExchangeGraphData:
     def size(self) -> int:
         return len(self.edges)
 
-    def neighbours(self, key: str):
-        out = []
-        for pair in self.edges:
-            if key in pair:
-                others = [k for k in pair if k != key]
-                out.append(others[0] if others else key)
-        return out
-
     def adjacency(self) -> dict:
         adj = {k: [] for k in self.vertices}
-        for pair in self.edges:
-            pair = tuple(pair)
-            if len(pair) == 1:
-                continue
-            a, b = pair
+        for a, b in self.edges:
             adj[a].append(b)
             adj[b].append(a)
         return adj
@@ -80,53 +75,45 @@ class ExchangeGraphData:
         }
 
 
-def _mutator_for(seed):
-    if isinstance(seed, PlanarSeed):
-        return planar_mutate
-    if isinstance(seed, SphericalSeed):
-        return seed_mutate
-    from quiverbelt.exmatrix import mutate
-
-    return mutate
-
-
 def bfs(
     initial, depth_limit: Optional[int] = None, vertex_limit: Optional[int] = None
 ) -> ExchangeGraphData:
-    """Breadth-first closure of the exchange graph from an initial seed.
+    """Breadth-first closure of the exchange graph from an initial planar or
+    spherical seed.
 
     A limit of None means unbounded.  The result's `closed` flag records
-    whether the frontier was exhausted before any limit.
+    whether the frontier was exhausted before any limit.  Vertices at the
+    depth limit are mutated too, but only record edges to vertices already
+    known, so depth-limited graphs are honest induced subgraphs.
 
     Mutation is an involution: the stored seed of a vertex first reached
     as mu_k(parent) gives back the parent under mu_k, an edge already
     recorded, so direction k is not expanded there.  Only that direction
     is skipped: a direction index does not carry over to another seed with
     the same key, because keys are minimised over index permutations."""
-    mutator = _mutator_for(initial)
-    rank = initial.B.rank if hasattr(initial, "B") else initial.rank
+    mutator = planar_mutate if isinstance(initial, PlanarSeed) else seed_mutate
     key0 = initial.canonical_key()
     vertices = {key0: initial}
     depth = {key0: 0}
     came_by = {key0: None}  # the direction that first reached each vertex
     edges: dict = {}
     closed = True
-    frontier = []
     queue = deque([initial])
     while queue:
         seed = queue.popleft()
         key = seed.canonical_key()
         level = depth[key]
-        if depth_limit is not None and level >= depth_limit:
+        at_limit = depth_limit is not None and level >= depth_limit
+        if at_limit:
             closed = False
-            frontier.append(seed)
-            continue
-        for k in range(rank):
+        for k in range(3):
             if k == came_by[key]:
                 continue
             nxt = mutator(seed, k)
             nkey = nxt.canonical_key()
             if nkey not in vertices:
+                if at_limit:
+                    continue
                 if vertex_limit is not None and len(vertices) >= vertex_limit:
                     raise BudgetExceeded(
                         f"vertex limit {vertex_limit} reached",
@@ -137,16 +124,6 @@ def bfs(
                 came_by[nkey] = k
                 queue.append(nxt)
             if nkey != key:
-                edges.setdefault(frozenset((key, nkey)), k)
-    # close the window: record edges between frontier vertices so that
-    # depth-limited graphs are honest induced subgraphs
-    for seed in frontier:
-        key = seed.canonical_key()
-        for k in range(rank):
-            if k == came_by[key]:
-                continue
-            nkey = mutator(seed, k).canonical_key()
-            if nkey in vertices and nkey != key:
                 edges.setdefault(frozenset((key, nkey)), k)
     return ExchangeGraphData(vertices, edges, depth, closed, key0)
 
@@ -195,9 +172,9 @@ def _lsq_slope(pts) -> float:
     return num / den
 
 
-def growth(initial, n_max: int, vertex_limit: Optional[int] = None) -> GrowthTable:
+def growth(initial, n_max: int) -> GrowthTable:
     """gr(n) for n = 0..n_max via the BFS depth map."""
-    graph = bfs(initial, depth_limit=n_max, vertex_limit=vertex_limit)
+    graph = bfs(initial, depth_limit=n_max)
     counts = [0] * (n_max + 1)
     for level in graph.depth.values():
         if level <= n_max:
@@ -284,8 +261,6 @@ def region_transversal_multiple(seed: PlanarSeed) -> Optional[int]:
 def s_k_length(d: int, k: int) -> FieldElem:
     """The translation length contributed by an infinite region with
     transversal angle k*pi/d (unit d1)."""
-    from quiverbelt.cycfield import inv_sin_sq, sin_product
-
     n = d // 2
     return sin_product(d, 1, n) * inv_sin_sq(d, k)
 
@@ -326,7 +301,11 @@ def lattice_report(graph: ExchangeGraphData, d: int) -> LatticeReport:
             seen.add(expected.key())
             observed.append(expected)
 
-    reflection_witness = _has_reflection_witness(graph)
+    # some seed's mirror across the belt is enumerated too, up to a
+    # lattice translation
+    reflection_witness = any(
+        _shape_key(reflect_across_belt(s)) in groups for s in seeds
+    )
 
     rank_r = rational_rank(generator_lengths) if generator_lengths else 0
     rank_obs = rational_rank(observed) if observed else 0
@@ -378,17 +357,7 @@ def _witness_region_translation(
     return None
 
 
-def _has_reflection_witness(graph: ExchangeGraphData) -> bool:
-    """Whether some enumerated seed's mirror across the belt is enumerated
-    too, up to a lattice translation."""
-    shapes = {_shape_key(s) for s in graph.vertices.values()}
-    for seed in graph.vertices.values():
-        if _shape_key(reflect_across_belt(seed)) in shapes:
-            return True
-    return False
-
-
-def quotient_census(graph: ExchangeGraphData, lattice_generators=None):
+def quotient_census(graph: ExchangeGraphData):
     """Group enumerated seeds into (angles, quiver) classes and count the
     congruence classes modulo translations inside each.
 
@@ -464,8 +433,6 @@ def belt_subgraph_check(graph: ExchangeGraphData, w: PlanarPoint, steps: int = 8
 
 def expected_short_period(entry: FieldElem) -> int:
     """Short alternating period for a rank-2 pair of the given weight."""
-    from quiverbelt.exmatrix import entry_cosine_form
-
     if entry.is_zero():
         return 4
     a, b = entry_cosine_form(entry)
@@ -504,8 +471,6 @@ def compatible_spherical_graph(
     Compatible reference points fill chamber interiors of the reflection
     arrangement, so rejection sampling over a rational box converges in a
     handful of draws."""
-    from quiverbelt.seedgeom import DegeneratePositivity, spherical_seed
-
     last = None
     for _ in range(attempts):
         lam = tuple(
@@ -614,10 +579,7 @@ def export_dot(graph: ExchangeGraphData) -> str:
     for pair, label in sorted(
         graph.edges.items(), key=lambda kv: sorted(kv[0])
     ):
-        pair = sorted(pair)
-        if len(pair) == 1:
-            continue
-        a, b = pair
+        a, b = sorted(pair)
         lines.append(f'  {ids[a]} -- {ids[b]} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -721,10 +683,7 @@ def _svg_circle(graph: ExchangeGraphData, width: int, height: int) -> str:
     }
     elements = []
     for pair in sorted(graph.edges, key=lambda p: sorted(p)):
-        pair = sorted(pair)
-        if len(pair) == 1:
-            continue
-        a, b = pair
+        a, b = sorted(pair)
         elements.append(
             f'<line x1="{pos[a][0]}" y1="{pos[a][1]}" x2="{pos[b][0]}" '
             f'y2="{pos[b][1]}" stroke="#888" stroke-width="0.7"/>'

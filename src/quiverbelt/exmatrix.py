@@ -117,27 +117,24 @@ class ExchangeMatrix:
             [[FieldElem.from_json(e) for e in row] for row in data["entries"]]
         )
 
-    def permuted(self, perm) -> "ExchangeMatrix":
-        """Simultaneous row/column permutation: entry (i,j) of the result is
-        entry (perm[i], perm[j])."""
-        return ExchangeMatrix(
-            [[self.entries[perm[i]][perm[j]] for j in range(self.rank)] for i in range(self.rank)]
-        )
-
-    def serialised(self) -> str:
-        return ";".join(
-            self.entries[i][j].key()
-            for i in range(self.rank)
-            for j in range(self.rank)
+    def entry_keys(self) -> dict:
+        """Key of each off-diagonal entry by index pair, in row-major order."""
+        return {
+            (i, j): e.key()
+            for i, row in enumerate(self.entries)
+            for j, e in enumerate(row)
             if i != j
-        )
+        }
 
     def canonical_key(self) -> str:
         """Lexicographically minimal serialisation over simultaneous
         permutations; identifies matrices up to reordering of indices."""
         if self._key is None:
+            keys = self.entry_keys()
             perms = PERMS3 if self.rank == 3 else _PERMS2
-            self._key = min(self.permuted(p).serialised() for p in perms)
+            self._key = min(
+                ";".join(keys[p[i], p[j]] for i, j in keys) for p in perms
+            )
         return self._key
 
     def sign_pattern(self):

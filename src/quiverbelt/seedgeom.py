@@ -33,7 +33,14 @@ from quiverbelt.cycfield import (
     cos_value,
     sin_product,
 )
-from quiverbelt.exmatrix import PERMS3, ClassificationResult, ExchangeMatrix, classify, mutate
+from quiverbelt.exmatrix import (
+    PERMS3,
+    ClassificationResult,
+    ExchangeMatrix,
+    classify,
+    is_acyclic,
+    mutate,
+)
 from quiverbelt.planegeom import (
     PlanarPoint,
     cross_q,
@@ -206,14 +213,14 @@ class PlanarSeed:
             verts = ["inf" if v is None else v.key() for v in self.vertices]
             dirs = [str(m) for m in self.side_dirs]
             ray = self.ray.key() if self.ray is not None else "-"
-            arrows = _arrow_keys(self.B)
+            arrows = self.B.entry_keys()
             key = min(
                 ";".join(
                     [self.kind]
                     + [verts[p[i]] for i in range(3)]
                     + [dirs[p[i]] for i in range(3)]
                     + [ray]
-                    + [arrows[p[i], p[j]] for i, j in _OFF_DIAGONAL]
+                    + [arrows[p[i], p[j]] for i, j in arrows]
                 )
                 for p in PERMS3
             )
@@ -251,14 +258,6 @@ class PlanarSeed:
             ],
             "matrix": self.B.to_json(),
         }
-
-
-_OFF_DIAGONAL = tuple((i, j) for i in range(3) for j in range(3) if i != j)
-
-
-def _arrow_keys(B: ExchangeMatrix) -> dict:
-    """Key of each off-diagonal entry of a rank-3 matrix, by index pair."""
-    return {(i, j): B[i, j].key() for i, j in _OFF_DIAGONAL}
 
 
 def _angle_multiple_between(d: int, u: PlanarPoint, v: PlanarPoint) -> int:
@@ -725,12 +724,12 @@ class SphericalSeed:
         if not self._key:
             # element keys once, then the least serialisation over PERMS3
             coords = [[c.key() for c in v] for v in self.vectors]
-            arrows = _arrow_keys(self.B)
+            arrows = self.B.entry_keys()
             self._key.append(
                 min(
                     ";".join(
                         [k for i in range(3) for k in coords[p[i]]]
-                        + [arrows[p[i], p[j]] for i, j in _OFF_DIAGONAL]
+                        + [arrows[p[i], p[j]] for i, j in arrows]
                     )
                     for p in PERMS3
                 )
@@ -763,8 +762,6 @@ def gram_invariants_ok(s: SphericalSeed) -> bool:
                 return False
     if all(not p.is_zero() for p in pairings.values()):
         positives = sum(1 for p in pairings.values() if p.sign() > 0)
-        from quiverbelt.exmatrix import is_acyclic
-
         if is_acyclic(s.B):
             if positives % 2 != 0:
                 return False
@@ -796,8 +793,6 @@ def spherical_seed(B: ExchangeMatrix, reference=None) -> SphericalSeed:
     if B.rank != 3:
         raise ValueError("spherical seeds have rank 3")
     level = B.level
-    from quiverbelt.exmatrix import is_acyclic
-
     acyclic = is_acyclic(B)
     gram_rows = []
     nonzero_pairs = []

@@ -31,7 +31,7 @@ from quiverbelt.cycfield import (
 )
 from quiverbelt.exmatrix import SPHERICAL_PAIRS, spherical_matrix
 from quiverbelt.intpoly import euler_totient, watkins_zeitlin_check
-from quiverbelt.planegeom import cross_q, midpoint
+from quiverbelt.planegeom import cross_q, length_along, midpoint
 
 
 @dataclass
@@ -343,8 +343,6 @@ def check_belt_periodicity(levels=(3, 5, 7), **_) -> CheckResult:
             if w is None:
                 problems.append(f"d={d}: no translation at offset {n}")
                 break
-            from quiverbelt.planegeom import length_along
-
             if length_along(d, w, s0.chart.belt.dir_class) != target:
                 problems.append(f"d={d}: wrong translation length")
                 break

@@ -217,19 +217,3 @@ def test_json_round_trip():
     e = sin_ratio(9, 2, 1) / 3
     assert FieldElem.from_json(e.to_json()) == e
     assert e.to_json()["level"] == 9
-
-
-def test_precision_bits_are_read_once_per_level_and_checked(monkeypatch):
-    from quiverbelt.cycfield import LevelContext, _initial_sign_bits
-
-    monkeypatch.setenv("QUIVERBELT_PRECISION_BITS", "200")
-    assert _initial_sign_bits() == 200
-    ctx = LevelContext(7)
-    assert ctx.sign_bits == 200
-    monkeypatch.setenv("QUIVERBELT_PRECISION_BITS", "3")
-    assert _initial_sign_bits() == 8 and ctx.sign_bits == 200
-    monkeypatch.setenv("QUIVERBELT_PRECISION_BITS", "abc")
-    with pytest.raises(ValueError, match="QUIVERBELT_PRECISION_BITS.*'abc'"):
-        _initial_sign_bits()
-    with pytest.raises(ValueError, match="QUIVERBELT_PRECISION_BITS"):
-        LevelContext(7)

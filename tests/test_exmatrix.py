@@ -168,6 +168,22 @@ def test_all_class_entries_are_cosines():
                     entry_cosine_form(m[i, j])
 
 
+@pytest.mark.parametrize("pair", SPHERICAL_PAIRS, ids=str)
+def test_mutation_class_builds_one_matrix_per_mutation(pair, monkeypatch):
+    B = spherical_matrix(*pair)
+    built = []
+    init = ExchangeMatrix.__init__
+
+    def counting_init(self, entries):
+        built.append(1)
+        init(self, entries)
+
+    monkeypatch.setattr(ExchangeMatrix, "__init__", counting_init)
+    members, closed = mutation_class(B)
+    assert closed and len(members) in (4, 5, 6, 10)
+    assert len(built) == 3 * len(members)
+
+
 def test_json_round_trip():
     B = affine_normal_form(6)
     assert ExchangeMatrix.from_json(B.to_json()) == B

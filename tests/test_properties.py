@@ -1,4 +1,5 @@
-"""Property tests: mutation is an involution on canonical keys, and the
+"""Property tests: mutation is an involution on canonical keys, canonical
+keys do not change under a simultaneous permutation of the indices, and the
 FieldElem fast paths return canonical representations."""
 
 from fractions import Fraction
@@ -6,9 +7,11 @@ from fractions import Fraction
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from quiverbelt.cycfield import FieldElem, level_context
+from quiverbelt.cycfield import FieldElem, cos_multiple, level_context
 from quiverbelt.exmatrix import (
+    PERMS3,
     SPHERICAL_PAIRS,
+    ExchangeMatrix,
     affine_normal_form,
     markov_matrix,
     mutate,
@@ -16,6 +19,8 @@ from quiverbelt.exmatrix import (
 )
 from quiverbelt.seedgeom import (
     DegeneratePositivity,
+    PlanarSeed,
+    SphericalSeed,
     initial_seed,
     planar_mutate,
     seed_mutate,
@@ -71,6 +76,80 @@ def test_spherical_mutation_is_an_involution_on_keys(pair, reference, walk):
         )
     except DegeneratePositivity:
         reject()
+
+
+def walk_from(start, mutator, walk):
+    for k in walk:
+        start = mutator(start, k)
+    return start
+
+
+def permuted_matrix(B, p):
+    """Entry (i, j) of the result is entry (p[i], p[j]) of B."""
+    n = B.rank
+    return ExchangeMatrix([[B[p[i], p[j]] for j in range(n)] for i in range(n)])
+
+
+rank2_matrices = st.builds(
+    lambda d, k, sign: ExchangeMatrix.from_upper(sign * cos_multiple(d, k)),
+    st.integers(3, 12),
+    st.integers(1, 2),
+    st.sampled_from((1, -1)),
+)
+
+
+@exact
+@given(rank2_matrices)
+def test_rank2_matrix_key_is_invariant_under_index_permutation(B):
+    assert permuted_matrix(B, (1, 0)).canonical_key() == B.canonical_key()
+
+
+@exact
+@given(st.sampled_from(MATRICES), walks, st.sampled_from(PERMS3))
+def test_rank3_matrix_key_is_invariant_under_index_permutation(B, walk, p):
+    B = walk_from(B, mutate, walk)
+    assert permuted_matrix(B, p).canonical_key() == B.canonical_key()
+
+
+@exact
+@given(st.integers(3, 8), walks, st.sampled_from(PERMS3))
+def test_planar_seed_key_is_invariant_under_index_permutation(d, walk, p):
+    s = walk_from(initial_seed(d), planar_mutate, walk)
+    relabelled = PlanarSeed(
+        s.chart,
+        s.kind,
+        tuple(s.vertices[p[i]] for i in range(3)),
+        tuple(s.side_dirs[p[i]] for i in range(3)),
+        s.ray,
+        permuted_matrix(s.B, p),
+        tuple(s.flips[p[i]] for i in range(3)),
+    )
+    assert relabelled.canonical_key() == s.canonical_key()
+
+
+@exact
+@given(
+    st.sampled_from(SPHERICAL_PAIRS),
+    st.tuples(nonzero_weights, nonzero_weights, nonzero_weights),
+    walks,
+    st.sampled_from(PERMS3),
+)
+def test_spherical_seed_key_is_invariant_under_index_permutation(
+    pair, reference, walk, p
+):
+    try:
+        s = walk_from(
+            spherical_seed(spherical_matrix(*pair), reference), seed_mutate, walk
+        )
+    except DegeneratePositivity:
+        reject()
+    relabelled = SphericalSeed(
+        s.space,
+        tuple(s.vectors[p[i]] for i in range(3)),
+        permuted_matrix(s.B, p),
+        s.ref,
+    )
+    assert relabelled.canonical_key() == s.canonical_key()
 
 
 @st.composite

@@ -1,4 +1,6 @@
-"""Every name a quiverbelt module imports is used in that module.
+"""Every name a quiverbelt module imports is used in that module, and no
+function imports locally from a quiverbelt module that its file already
+imports from at the top.
 
 A stdlib-ast scan standing in for pyflakes' unused-import rule: an import
 binds a name, and the name must be read somewhere in the module, listed in
@@ -57,6 +59,24 @@ def unused_imports(source: str):
     return [(line, name) for line, name in imported if name not in used]
 
 
+def local_reimports(source: str):
+    """(line, module) for each function-local `from quiverbelt.X import`
+    in a file whose top level already imports from quiverbelt.X."""
+    tree = ast.parse(source)
+    top = {node.module for node in tree.body if isinstance(node, ast.ImportFrom)}
+    found = set()
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module in top
+                    and node.module.startswith("quiverbelt.")
+                ):
+                    found.add((node.lineno, node.module))
+    return sorted(found)
+
+
 def test_scanner_reports_unused_and_accepts_used_names():
     source = (
         "from __future__ import annotations\n"
@@ -76,3 +96,28 @@ def test_scanner_reports_unused_and_accepts_used_names():
 def test_no_unused_imports(path):
     unused = unused_imports(path.read_text(encoding="utf-8"))
     assert not unused, ", ".join(f"{path.name}:{line} {name}" for line, name in unused)
+
+
+def test_scanner_reports_function_local_reimports():
+    source = (
+        "from math import gcd\n"
+        "from quiverbelt.cycfield import FieldElem\n"
+        "from quiverbelt.seedgeom import initial_seed\n"
+        "def f():\n"
+        "    from math import pi\n"
+        "    from quiverbelt.cycfield import sin_product\n"
+        "    from quiverbelt.exmatrix import mutate\n"
+        "    def g():\n"
+        "        from quiverbelt.seedgeom import spherical_seed\n"
+        "    return FieldElem, gcd, pi, sin_product, mutate, g, initial_seed\n"
+    )
+    assert local_reimports(source) == [
+        (6, "quiverbelt.cycfield"),
+        (9, "quiverbelt.seedgeom"),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_local_reimports(path):
+    found = local_reimports(path.read_text(encoding="utf-8"))
+    assert not found, ", ".join(f"{path.name}:{line} {mod}" for line, mod in found)
