@@ -7,10 +7,16 @@ and denominator are kept coprime, so two elements of the same level are
 equal iff their representations are equal.
 
 Signs of nonzero elements are decided by evaluating the coefficient
-polynomial on a certified rational enclosure of c, doubling the enclosure
+polynomial on a certified dyadic enclosure of c, doubling the enclosure
 precision until the resulting interval excludes zero.  Zero is decided
 symbolically first, which makes the loop terminate: a nonzero reduced
-vector of degree below deg(mu_d) cannot vanish at c.
+vector of degree below deg(mu_d) cannot vanish at c.  The enclosure is
+refined by bisection on integer numerators over a power of two, reading
+the sign of mu_d at each midpoint by integer Horner.
+
+Inverses, Q-ranks and the integral-basis solve use fraction-free
+(Bareiss) elimination on integer matrices: every division in it is exact,
+so these paths run on Python ints alone.
 
 Elements of different levels never compare equal silently; binary
 arithmetic lifts both operands to the lcm level via c_d = C_{L/d}(c_L),
@@ -41,7 +47,8 @@ class LevelContext:
     """Per-level data: minimal polynomial, reduction table, root enclosure."""
 
     __slots__ = (
-        "d", "deg", "mu", "pow_table", "_rows", "c_float", "_lo", "_hi", "_bits",
+        "d", "deg", "mu", "pow_table", "_rows", "c_float",
+        "_lo", "_hi", "_shift", "_bits",
     )
 
     def __init__(self, d: int):
@@ -59,19 +66,15 @@ class LevelContext:
         self._extend_rows(max(self.deg - 1, 1))
         self.pow_table = tuple(self._rows[: max(self.deg - 1, 1)])
         self.c_float = 2.0 * cos(pi / d)
-        self._lo: Fraction | None = None
-        self._hi: Fraction | None = None
+        # root enclosure [_lo/2^_shift, _hi/2^_shift], refined to _bits
+        self._lo: int | None = None
+        self._hi: int | None = None
+        self._shift = 0
         self._bits = 0
 
     def _extend_rows(self, count: int) -> None:
         while len(self._rows) < count:
-            row = list(self._rows[-1])
-            shifted = [0] + row[:-1]
-            top = row[-1]
-            if top:
-                for i in range(self.deg):
-                    shifted[i] -= top * self.mu[i]
-            self._rows.append(tuple(shifted))
+            self._rows.append(tuple(_times_c(self._rows[-1], self.mu)))
 
     def rows_for(self, tail_len: int):
         """Reduction rows covering a coefficient tail of the given length."""
@@ -79,56 +82,83 @@ class LevelContext:
             self._extend_rows(tail_len)
         return tuple(self._rows)
 
-    def _mu_eval(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.mu):
-            acc = acc * x + c
-        return acc
-
-    def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
-        """Rational interval around c of width <= 2^-bits, certified by
-        a sign change of the minimal polynomial (exact hits collapse it).
-        Endpoints are always dyadic."""
+    def enclosure(self, bits: int) -> tuple[int, int, int]:
+        """Dyadic interval [lo/2^s, hi/2^s] around c of width <= 2^-bits,
+        returned as (lo, hi, s) with s minimal.  It is certified by a sign
+        change of the minimal polynomial (an exact hit collapses it to
+        lo == hi).  Bisection runs on the integer numerators: each step
+        doubles both and takes their sum as the midpoint at scale s + 1."""
         if self._lo is None:
             self._seed_enclosure()
         if self._lo == self._hi or self._bits >= bits:
-            return self._lo, self._hi
-        target = Fraction(1, 1 << bits)
-        lo, hi = self._lo, self._hi
-        if hi - lo > target:
-            flo = self._mu_eval(lo)
-            while hi - lo > target:
-                mid = (lo + hi) / 2
-                fmid = self._mu_eval(mid)
-                if fmid == 0:
-                    lo = hi = mid
-                    break
-                if (fmid < 0) == (flo < 0):
-                    lo, flo = mid, fmid
-                else:
-                    hi = mid
-        self._lo, self._hi, self._bits = lo, hi, max(self._bits, bits)
-        return lo, hi
+            return self._lo, self._hi, self._shift
+        lo, hi, s = self._lo, self._hi, self._shift
+        slo = _dyadic_sign(self.mu, lo, s)
+        # each step keeps hi - lo and halves the interval by raising s
+        gap = hi - lo
+        while gap << bits > 1 << s:
+            mid = lo + hi
+            lo, hi, s = lo << 1, hi << 1, s + 1
+            smid = _dyadic_sign(self.mu, mid, s)
+            if smid == 0:
+                lo = hi = mid
+                break
+            if smid == slo:
+                lo = mid
+            else:
+                hi = mid
+        self._lo, self._hi, self._shift = _reduce_dyadic(lo, hi, s)
+        self._bits = max(self._bits, bits)
+        return self._lo, self._hi, self._shift
 
     def _seed_enclosure(self) -> None:
-        center = Fraction(self.c_float)
-        delta = Fraction(1, 1 << 28)
+        num, den = self.c_float.as_integer_ratio()
+        exponent = den.bit_length() - 1
+        s = max(exponent, 28)
+        center = num << (s - exponent)
+        delta = 1 << (s - 28)
         # The nearest other root of mu_d is at distance >= 32/d^2, far above
         # the float error of the seed, so a few widenings always bracket c.
         for _ in range(64):
             lo, hi = center - delta, center + delta
-            flo, fhi = self._mu_eval(lo), self._mu_eval(hi)
-            if flo == 0:
-                self._lo = self._hi = lo
-                return
-            if fhi == 0:
-                self._lo = self._hi = hi
-                return
-            if (flo < 0) != (fhi < 0):
-                self._lo, self._hi = lo, hi
-                return
-            delta *= 2
+            slo, shi = _dyadic_sign(self.mu, lo, s), _dyadic_sign(self.mu, hi, s)
+            if slo == 0:
+                hi = lo
+            elif shi == 0:
+                lo = hi
+            elif slo == shi:
+                delta *= 2
+                continue
+            self._lo, self._hi, self._shift = _reduce_dyadic(lo, hi, s)
+            return
         raise RuntimeError(f"failed to bracket 2cos(pi/{self.d})")
+
+
+def _times_c(vec, mu) -> list:
+    """c * vec, reduced modulo the monic minimal polynomial `mu`."""
+    top = vec[-1]
+    shifted = [0, *vec[:-1]]
+    if top:
+        shifted = [v - top * m for v, m in zip(shifted, mu)]
+    return shifted
+
+
+def _dyadic_sign(coeffs, x: int, s: int) -> int:
+    """Sign of the polynomial at x/2^s, by integer Horner on the value
+    scaled by 2^(s*degree)."""
+    acc = coeffs[-1]
+    scale = 1
+    for c in reversed(coeffs[:-1]):
+        scale <<= s
+        acc = acc * x + c * scale
+    return (acc > 0) - (acc < 0)
+
+
+def _reduce_dyadic(lo: int, hi: int, s: int) -> tuple[int, int, int]:
+    """(lo, hi, s) with the common factors of two cancelled from the scale."""
+    both = lo | hi
+    zeros = min((both & -both).bit_length() - 1, s) if both else s
+    return lo >> zeros, hi >> zeros, s - zeros
 
 
 @lru_cache(maxsize=None)
@@ -136,23 +166,15 @@ def level_context(d: int) -> LevelContext:
     return LevelContext(d)
 
 
-def _interval_sign_dyadic(coeffs, lo: Fraction, hi: Fraction) -> int:
-    """Sign of the polynomial over a dyadic interval via exact integer
-    Horner: endpoints are num/2^B, interval products stay exact integers at
-    scale 2^(B*step).  Returns 0 when the interval straddles zero."""
-    if lo == hi:
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * lo + c
-        return (acc > 0) - (acc < 0)
-    bits = max(lo.denominator.bit_length(), hi.denominator.bit_length()) - 1
-    scale = 1 << bits
-    xl = lo.numerator << (bits - (lo.denominator.bit_length() - 1))
-    xh = hi.numerator << (bits - (hi.denominator.bit_length() - 1))
+def _interval_sign_dyadic(coeffs, lo: int, hi: int, s: int) -> int:
+    """Sign of the polynomial over [lo/2^s, hi/2^s] via exact integer
+    interval Horner at scale 2^(s*step); a point interval gives the exact
+    sign.  Returns 0 when the interval straddles zero."""
+    scale = 1 << s
     al = ah = coeffs[-1]
     norm = 1
     for c in reversed(coeffs[:-1]):
-        p1, p2, p3, p4 = al * xl, al * xh, ah * xl, ah * xh
+        p1, p2, p3, p4 = al * lo, al * hi, ah * lo, ah * hi
         norm *= scale
         al = min(p1, p2, p3, p4) + c * norm
         ah = max(p1, p2, p3, p4) + c * norm
@@ -349,23 +371,17 @@ class FieldElem:
         return result
 
     def inv(self) -> "FieldElem":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against the minimal polynomial."""
+        """Multiplicative inverse by fraction-free elimination.  Column j
+        of the integer matrix M holds num * c^j reduced mod mu, so M y = e_0
+        gives 1/num = sum y_j c^j; the solve returns det * y in integers."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
         ctx = level_context(self.level)
-        mu = [Fraction(c) for c in ctx.mu]
-        p = [Fraction(n, self.den) for n in self.num]
-        r0, r1 = mu, _ftrim(p)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while r1:
-            q, r = _fdivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _fsub(s0, _fmul(q, s1))
-        # r0 is a nonzero constant: mu is irreducible and deg(p) < deg(mu)
-        c = r0[0]
-        inv_coeffs = [x / c for x in s0]
-        return FieldElem.from_coeffs(self.level, inv_coeffs + [0] * ctx.deg)
+        cols = [list(self.num)]
+        for _ in range(ctx.deg - 1):
+            cols.append(_times_c(cols[-1], ctx.mu))
+        x, det = _int_solve(list(zip(*cols)), [1] + [0] * (ctx.deg - 1))
+        return FieldElem(self.level, [self.den * v for v in x], det)
 
     # -- level handling ------------------------------------------------------
 
@@ -389,8 +405,8 @@ class FieldElem:
         ctx = level_context(self.level)
         bits = _INITIAL_SIGN_BITS
         while bits <= _MAX_SIGN_BITS:
-            lo, hi = ctx.enclosure(bits)
-            s = _interval_sign_dyadic(self.num, lo, hi)
+            lo, hi, shift = ctx.enclosure(bits)
+            s = _interval_sign_dyadic(self.num, lo, hi, shift)
             if s != 0:
                 self._sign = s
                 return s
@@ -446,47 +462,6 @@ def _substitute(elem: FieldElem, g: FieldElem) -> FieldElem:
     for n in reversed(elem.num):
         acc = acc * g + n
     return acc * Fraction(1, elem.den)
-
-
-# -- Fraction-polynomial helpers (lists, lowest degree first) ----------------
-
-
-def _ftrim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _fsub(a, b):
-    out = list(a) + [Fraction(0)] * (len(b) - len(a))
-    for i, x in enumerate(b):
-        out[i] -= x
-    return _ftrim(out)
-
-
-def _fmul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _ftrim(out)
-
-
-def _fdivmod(a, b):
-    rem = list(a)
-    db = len(b) - 1
-    inv_lead = 1 / b[-1]
-    quot = [Fraction(0)] * max(len(rem) - db, 0)
-    for top in range(len(rem) - 1, db - 1, -1):
-        c = rem[top] * inv_lead
-        if c:
-            quot[top - db] = c
-            for i, bc in enumerate(b):
-                rem[top - db + i] -= c * bc
-    return _ftrim(quot), _ftrim(rem)
 
 
 # -- trigonometric elements ---------------------------------------------------
@@ -595,57 +570,68 @@ def _common_level(elems):
 
 
 def rational_rank(elems) -> int:
-    """Dimension over Q of the span of field elements, by exact elimination."""
+    """Dimension over Q of the span of field elements, by exact elimination
+    on their numerators (scaling an element by its denominator keeps the
+    span's dimension)."""
     elems = list(elems)
     if not elems:
         return 0
-    elems = _common_level(elems)
-    rows = [list(e.coeffs) for e in elems]
-    return _fraction_rank(rows)
+    return _int_rank([e.num for e in _common_level(elems)])
 
 
-def _fraction_rank(rows) -> int:
+def _int_rank(rows) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination:
+    every division by the previous pivot is exact."""
     rows = [list(r) for r in rows]
     ncols = len(rows[0]) if rows else 0
     rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
-                break
+    prev = 1
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pivot is None:
-            col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col] / pv
-            if f:
-                for j in range(col, ncols):
-                    rows[i][j] -= f * rows[rank][j]
+        prev = _bareiss_step(rows[rank], rows[rank + 1 :], col, prev)
         rank += 1
-        col += 1
+        if rank == len(rows):
+            break
     return rank
 
 
-def _fraction_solve(matrix, rhs):
-    """Solve a square nonsingular rational system exactly."""
-    n = len(matrix)
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(n)]
+def _bareiss_step(top, below, col: int, prev: int) -> int:
+    """Eliminate column `col` from the rows `below` with the pivot row
+    `top`, dividing by the previous pivot `prev` (exact by Sylvester's
+    identity); returns the new pivot."""
+    pv = top[col]
+    tail = top[col + 1 :]
+    for row in below:
+        f = row[col]
+        row[col + 1 :] = [(a * pv - f * b) // prev for a, b in zip(row[col + 1 :], tail)]
+    return pv
+
+
+def _int_solve(rows, rhs) -> tuple[list[int], int]:
+    """Solve a square nonsingular integer system fraction-free: returns
+    (x, det) with rows . x == det * rhs, where det = +-det(rows), by Bareiss
+    elimination and back-substitution with exact divisions."""
+    n = len(rows)
+    aug = [[*row, b] for row, b in zip(rows, rhs)]
+    prev = 1
     for k in range(n):
-        pivot = next((i for i in range(k, n) if aug[i][k] != 0), None)
+        pivot = next((i for i in range(k, n) if aug[i][k]), None)
         if pivot is None:
             raise ValueError("singular system")
         aug[k], aug[pivot] = aug[pivot], aug[k]
-        pv = aug[k][k]
-        for i in range(n):
-            if i != k and aug[i][k]:
-                f = aug[i][k] / pv
-                for j in range(k, n + 1):
-                    aug[i][j] -= f * aug[k][j]
-    return [aug[i][n] / aug[i][i] for i in range(n)]
+        prev = _bareiss_step(aug[k], aug[k + 1 :], k, prev)
+    det = prev
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = aug[i]
+        acc = det * row[n]
+        for j in range(i + 1, n):
+            acc -= row[j] * x[j]
+        x[i] = acc // row[i]
+    return x, det
 
 
 def field_det(rows) -> FieldElem:
@@ -664,9 +650,10 @@ def field_det(rows) -> FieldElem:
                 return FieldElem.zero(level)
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
+        inv_prev = prev.inv()
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) * inv_prev
             m[i][k] = FieldElem.zero(level)
         prev = m[k][k]
     det = m[n - 1][n - 1]
@@ -728,8 +715,8 @@ def dedekind_det(n: int) -> FieldElem:
 
 @lru_cache(maxsize=None)
 def _integral_basis_matrix(d: int):
-    """Matrix whose columns express an integral basis of O_K in the power
-    basis of c, for odd d.
+    """Integer matrix whose columns express an integral basis of O_K in the
+    power basis of c, for odd d.
 
     The conjugate set {2cos(2u*pi/d) : u in U} is used when it is linearly
     independent (all odd d <= 15 except d = 9, where it sums to zero).  The
@@ -741,16 +728,14 @@ def _integral_basis_matrix(d: int):
     if len(units) != ctx.deg:
         raise RuntimeError("integral basis size mismatch")
     conj = [cos_multiple(d, 2 * u) for u in units]
-    if _fraction_rank([list(e.coeffs) for e in conj]) == ctx.deg:
+    if _int_rank([e.num for e in conj]) == ctx.deg:
         basis = conj
     else:
         beta = cos_multiple(d, 2)
         basis = [FieldElem.one(d)]
         for _ in range(ctx.deg - 1):
             basis.append(basis[-1] * beta)
-    return tuple(
-        tuple(basis[j].coeffs[i] for j in range(ctx.deg)) for i in range(ctx.deg)
-    )
+    return tuple(zip(*(b.num for b in basis)))
 
 
 def conjugate_basis_rank(d: int) -> int:
@@ -767,12 +752,13 @@ def integrality_check(d: int, k: int) -> tuple[bool, bool]:
     n = (d - 1) // 2
     if not 1 <= k <= n:
         raise ValueError("k out of range")
-    matrix = [list(row) for row in _integral_basis_matrix(d)]
+    matrix = _integral_basis_matrix(d)
     ratio = sin_ratio(d, k, 1)
 
     def integral(elem: FieldElem) -> bool:
-        coords = _fraction_solve(matrix, list(elem.coeffs))
-        return all(c.denominator == 1 for c in coords)
+        # coordinates are x / (det * den): integral iff each x is a multiple
+        x, det = _int_solve(matrix, elem.num)
+        return all(v % (det * elem.den) == 0 for v in x)
 
     is_integer = integral(ratio)
     is_unit = is_integer and integral(ratio.inv())

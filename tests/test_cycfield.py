@@ -1,13 +1,17 @@
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverbelt.cycfield import (
     FieldElem,
     GaloisMap,
     InvalidMultiplier,
+    LevelContext,
     conjugate_basis_rank,
     cos_multiple,
     dedekind_det,
@@ -16,6 +20,7 @@ from quiverbelt.cycfield import (
     inv_sin_sq,
     level_context,
     rational_rank,
+    sin_quotient,
     sin_ratio,
     units_up_to_half,
     verlinde_sum,
@@ -217,3 +222,157 @@ def test_json_round_trip():
     e = sin_ratio(9, 2, 1) / 3
     assert FieldElem.from_json(e.to_json()) == e
     assert e.to_json()["level"] == 9
+
+
+# -- Fraction references for the integer elimination and bisection ---------
+
+
+def fraction_rank(rows) -> int:
+    """Rank by Gaussian elimination over Fractions."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def fraction_solve(matrix, rhs):
+    """Solve a square nonsingular system by Gauss-Jordan over Fractions."""
+    n = len(matrix)
+    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for k in range(n):
+        pivot = next(i for i in range(k, n) if aug[i][k])
+        aug[k], aug[pivot] = aug[pivot], aug[k]
+        for i in range(n):
+            if i != k and aug[i][k]:
+                f = aug[i][k] / aug[k][k]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[k])]
+    return [aug[i][n] / aug[i][i] for i in range(n)]
+
+
+@st.composite
+def families(draw):
+    """Field elements with repeated members, integer combinations of
+    members, columns forced to zero and, when levels differ, a lift."""
+    levels = draw(st.lists(st.sampled_from((3, 4, 5, 7, 9, 12, 15)), min_size=1, max_size=3))
+    zero_cols = draw(st.sets(st.integers(0, 7)))
+    base = []
+    for level in levels:
+        for _ in range(draw(st.integers(1, 3))):
+            deg = level_context(level).deg
+            num = [0 if j in zero_cols else draw(st.integers(-9, 9)) for j in range(deg)]
+            base.append(FieldElem(level, num, draw(st.integers(1, 6))))
+    family = list(base)
+    for _ in range(draw(st.integers(0, 3))):
+        family.append(draw(st.sampled_from(base)))
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base)))
+        family.append(reduce(lambda acc, t: acc + t[0] * t[1], zip(coeffs, base), 0))
+    return draw(st.permutations(family))
+
+
+@settings(deadline=None, database=None)
+@given(families())
+def test_rational_rank_matches_fraction_elimination(family):
+    level = math.lcm(*(e.level for e in family))
+    assert rational_rank(family) == fraction_rank([e.lift(level).coeffs for e in family])
+
+
+def reference_integrality(d: int, k: int) -> tuple[bool, bool]:
+    """integrality_check's verdict from its definition: coordinates in the
+    same integral basis, solved over Fractions."""
+    deg = level_context(d).deg
+    basis = [cos_multiple(d, 2 * u) for u in units_up_to_half(d)]
+    if fraction_rank([e.coeffs for e in basis]) < deg:
+        beta = cos_multiple(d, 2)
+        basis = [beta**j for j in range(deg)]
+    matrix = [[basis[j].coeffs[i] for j in range(deg)] for i in range(deg)]
+
+    def integral(elem):
+        return all(c.denominator == 1 for c in fraction_solve(matrix, elem.coeffs))
+
+    ratio = sin_quotient(d, k)
+    is_integer = integral(ratio)
+    return is_integer, is_integer and integral(ratio.inv())
+
+
+@pytest.mark.parametrize("d", range(3, 22, 2))
+def test_integrality_matches_fraction_solve(d):
+    for k in range(1, (d - 1) // 2 + 1):
+        assert integrality_check(d, k) == reference_integrality(d, k)
+
+
+class FractionEnclosure:
+    """The root enclosure by Fraction bisection: seeded at the float value
+    of c, widened until mu changes sign, halved to the requested width and
+    kept at the finest precision asked for."""
+
+    def __init__(self, d: int):
+        self.mu = level_context(d).mu
+        self.c_float = level_context(d).c_float
+        self.lo = self.hi = None
+        self.bits = 0
+
+    def mu_at(self, x: Fraction) -> Fraction:
+        acc = Fraction(0)
+        for c in reversed(self.mu):
+            acc = acc * x + c
+        return acc
+
+    def enclosure(self, bits: int):
+        if self.lo is None:
+            center, delta = Fraction(self.c_float), Fraction(1, 1 << 28)
+            while True:
+                lo, hi = center - delta, center + delta
+                at_lo, at_hi = self.mu_at(lo), self.mu_at(hi)
+                if at_lo == 0:
+                    self.lo = self.hi = lo
+                elif at_hi == 0:
+                    self.lo = self.hi = hi
+                elif (at_lo < 0) != (at_hi < 0):
+                    self.lo, self.hi = lo, hi
+                else:
+                    delta *= 2
+                    continue
+                break
+        if self.lo == self.hi or self.bits >= bits:
+            return self.lo, self.hi
+        lo, hi = self.lo, self.hi
+        negative_at_lo = self.mu_at(lo) < 0
+        while hi - lo > Fraction(1, 1 << bits):
+            mid = (lo + hi) / 2
+            value = self.mu_at(mid)
+            if value == 0:
+                lo = hi = mid
+                break
+            if (value < 0) == negative_at_lo:
+                lo = mid
+            else:
+                hi = mid
+        self.lo, self.hi, self.bits = lo, hi, bits
+        return lo, hi
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 7, 17, 32, 53])
+def test_enclosure_matches_fraction_bisection(d):
+    ctx, reference = LevelContext(d), FractionEnclosure(d)
+    finest = 0
+    # 100 asks for less than the cached 1024 bits and gets the cached interval
+    for bits in (64, 128, 256, 1024, 100):
+        finest = max(finest, bits)
+        lo_num, hi_num, s = ctx.enclosure(bits)
+        assert s == 0 or lo_num % 2 or hi_num % 2
+        lo, hi = Fraction(lo_num, 1 << s), Fraction(hi_num, 1 << s)
+        assert (lo, hi) == reference.enclosure(bits)
+        if lo == hi:
+            assert reference.mu_at(lo) == 0
+        else:
+            assert hi - lo <= Fraction(1, 1 << finest)
+            assert (reference.mu_at(lo) < 0) != (reference.mu_at(hi) < 0)

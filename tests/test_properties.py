@@ -1,13 +1,22 @@
 """Property tests: mutation is an involution on canonical keys, canonical
-keys do not change under a simultaneous permutation of the indices, and the
-FieldElem fast paths return canonical representations."""
+keys do not change under a simultaneous permutation of the indices, the
+FieldElem fast paths return canonical representations, inverses invert,
+signs agree with the float embedding away from zero, and Galois maps are
+ring homomorphisms."""
 
 from fractions import Fraction
 
-from hypothesis import given, reject, settings
+import pytest
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
-from quiverbelt.cycfield import FieldElem, cos_multiple, level_context
+from quiverbelt.cycfield import (
+    FieldElem,
+    GaloisMap,
+    InvalidMultiplier,
+    cos_multiple,
+    level_context,
+)
 from quiverbelt.exmatrix import (
     PERMS3,
     SPHERICAL_PAIRS,
@@ -173,3 +182,60 @@ def test_arithmetic_results_are_canonical(pair):
         canonical = FieldElem(r.level, list(r.num), r.den)
         assert type(r.num) is tuple
         assert (r.level, r.num, r.den) == (canonical.level, canonical.num, canonical.den)
+
+
+@st.composite
+def nonzero_elements(draw, levels=st.integers(2, 60)):
+    """Nonzero elements with signed coefficients and denominators 1 to 20."""
+    level = draw(levels)
+    deg = level_context(level).deg
+    num = draw(st.lists(st.integers(-20, 20), min_size=deg, max_size=deg).filter(any))
+    return FieldElem(level, num, draw(st.integers(1, 20)))
+
+
+@exact
+@given(nonzero_elements())
+@example(FieldElem(2, [-3], 4))
+@example(FieldElem(3, [5], 7))
+@example(FieldElem(5, [-2, 7], 9))
+def test_inverse_inverts(x):
+    y = x.inv()
+    assert x * y == 1
+    assert y.inv() == x
+
+
+@exact
+@given(st.integers(2, 60))
+def test_zero_has_no_inverse(level):
+    with pytest.raises(ZeroDivisionError):
+        FieldElem.zero(level).inv()
+
+
+@exact
+@given(nonzero_elements())
+def test_sign_agrees_with_float_away_from_zero(x):
+    c = level_context(x.level).c_float
+    magnitude = sum(abs(n) * c**i for i, n in enumerate(x.num)) / x.den
+    value = x.to_float()
+    assume(abs(value) > 1e-6 * magnitude)
+    assert x.sign() == (1 if value > 0 else -1)
+
+
+@st.composite
+def galois_maps(draw):
+    level = draw(st.integers(5, 30))
+    try:
+        return GaloisMap(level, draw(st.integers(-4 * level, 4 * level)))
+    except InvalidMultiplier:
+        reject()
+
+
+@exact
+@given(galois_maps(), st.data())
+def test_galois_map_is_a_ring_homomorphism(g, data):
+    same_level = nonzero_elements(st.just(g.level))
+    a, b = data.draw(same_level), data.draw(same_level)
+    assert g.apply(a + b) == g.apply(a) + g.apply(b)
+    assert g.apply(a * b) == g.apply(a) * g.apply(b)
+    one = FieldElem.one(g.level)
+    assert g.apply(one) == one

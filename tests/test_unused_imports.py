@@ -1,6 +1,7 @@
-"""Every name a quiverbelt module imports is used in that module, and no
+"""Every name a quiverbelt module imports is used in that module, no
 function imports locally from a quiverbelt module that its file already
-imports from at the top.
+imports from at the top, and every module-level function and class of a
+quiverbelt module is referenced somewhere in src/, tests/ or perfbench/.
 
 A stdlib-ast scan standing in for pyflakes' unused-import rule: an import
 binds a name, and the name must be read somewhere in the module, listed in
@@ -12,7 +13,14 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "quiverbelt"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "quiverbelt"
+REFERENCING = [
+    path
+    for tree in ("src", "tests", "perfbench")
+    for path in sorted((ROOT / tree).rglob("*.py"))
+]
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _annotation_names(node):
@@ -121,3 +129,78 @@ def test_scanner_reports_function_local_reimports():
 def test_no_function_local_reimports(path):
     found = local_reimports(path.read_text(encoding="utf-8"))
     assert not found, ", ".join(f"{path.name}:{line} {mod}" for line, mod in found)
+
+
+def referenced_names(source: str) -> set:
+    """Names a file refers to: identifiers, attribute names, imported names
+    and strings that are identifiers (perfbench patches functions by name).
+    A module-level definition's references to itself do not count."""
+    found = set()
+    for stmt in ast.parse(source).body:
+        own = stmt.name if isinstance(stmt, DEFINITIONS) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and node.value.isidentifier()
+            ):
+                name = node.value
+            else:
+                continue
+            if name != own:
+                found.add(name)
+    return found
+
+
+def unreferenced_definitions(module_source: str, references: set):
+    """(line, name) for each module-level function or class of the module
+    whose name is not among `references`."""
+    return [
+        (node.lineno, node.name)
+        for node in ast.parse(module_source).body
+        if isinstance(node, DEFINITIONS) and node.name not in references
+    ]
+
+
+def test_scanner_reports_unreferenced_definitions():
+    module = (
+        "def used():\n"
+        "    return helper()\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else 0\n"
+        "class Patched:\n"
+        "    pass\n"
+        "class Reached:\n"
+        "    pass\n"
+        "def dead():\n"
+        "    return used\n"
+    )
+    caller = (
+        "import pkg.mod\n"
+        "from pkg.mod import used as alias\n"
+        "setattr(object, 'Patched', None)\n"
+        "pkg.mod.Reached()\n"
+    )
+    references = referenced_names(module) | referenced_names(caller)
+    assert unreferenced_definitions(module, references) == [(5, "recursive"), (11, "dead")]
+
+
+@pytest.fixture(scope="module")
+def references():
+    return set().union(
+        *(referenced_names(path.read_text(encoding="utf-8")) for path in REFERENCING)
+    )
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unreferenced_definitions(path, references):
+    found = unreferenced_definitions(path.read_text(encoding="utf-8"), references)
+    assert not found, ", ".join(f"{path.name}:{line} {name}" for line, name in found)
