@@ -30,6 +30,7 @@ from quiverbelt.exmatrix import (
     ExchangeMatrix,
     classify,
     spherical_matrix,
+    weight_label,
 )
 from quiverbelt.rank2 import period_grid
 from quiverbelt.seedgeom import initial_seed, spherical_seed
@@ -113,13 +114,18 @@ def cmd_classify(args) -> int:
         payload["pair"] = [str(t) for t in result.pair]
     if result.level:
         payload["denominator"] = result.level
+    if result.weight is not None:
+        payload["weight"] = weight_label(result.weight)
     if args.format == "json":
         _write_out(args, json.dumps(payload, indent=1) + "\n")
     else:
         lines = [f"class: {payload['class']}"]
         if result.markov is not None:
             lines.append(f"markov constant: {payload['markov_constant_float']:.6f}")
-        lines.append(f"mutation class size: {result.class_size}")
+        if result.weight is not None:
+            lines.append(f"rank-2 factor weight: {payload['weight']}")
+        else:
+            lines.append(f"mutation class size: {result.class_size}")
         _write_out(args, "\n".join(lines) + "\n")
     return 0
 

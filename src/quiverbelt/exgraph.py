@@ -4,7 +4,10 @@ belts, translation-lattice reports, quotient censuses, and exports.
 The BFS runs over planar or spherical seeds, three mutation directions
 each, and identifies seeds by their canonical keys.  Vertex order is the
 deterministic BFS discovery order; edges are unordered key pairs of
-distinct vertices labelled by the mutation index.
+distinct vertices labelled by the mutation index.  The graph also keeps,
+per stored seed and direction, the neighbour's key and the relabelling
+that carries the mutated seed onto the neighbour's stored seed, so walks
+along the graph follow labelled seeds without mutating again.
 """
 
 from __future__ import annotations
@@ -23,7 +26,13 @@ from quiverbelt.cycfield import (
     sin_product,
     units_up_to_half,
 )
-from quiverbelt.exmatrix import PERMS3, BudgetExceeded, entry_cosine_form
+from quiverbelt.exmatrix import (
+    PERM_COMPOSE,
+    PERM_INVERSE,
+    PERMS3,
+    BudgetExceeded,
+    entry_cosine_form,
+)
 from quiverbelt.intpoly import euler_totient
 from quiverbelt.planegeom import PlanarPoint, length_along
 from quiverbelt.seedgeom import (
@@ -44,11 +53,19 @@ from quiverbelt.seedgeom import (
 
 @dataclass
 class ExchangeGraphData:
+    """An exchange graph as `bfs` enumerated it.
+
+    `links[key][k]` is `(nkey, t)` for the stored seed X of `key`: mu_k(X)
+    has key `nkey`, and `t` indexes the p in PERMS3 with mu_k(X)'s slot a
+    equal to slot p[a] of the stored seed of `nkey` (0 is the identity).
+    Entries stay None for mutations a depth limit kept out of the graph."""
+
     vertices: dict  # key -> seed
     edges: dict  # frozenset({k1, k2}) -> mutation index
     depth: dict  # key -> BFS distance from the initial seed
     closed: bool
     initial_key: str
+    links: dict  # key -> [(neighbour key, relabelling index) or None] * 3
 
     def order(self) -> int:
         return len(self.vertices)
@@ -88,14 +105,20 @@ def bfs(
 
     Mutation is an involution: the stored seed of a vertex first reached
     as mu_k(parent) gives back the parent under mu_k, an edge already
-    recorded, so direction k is not expanded there.  Only that direction
-    is skipped: a direction index does not carry over to another seed with
-    the same key, because keys are minimised over index permutations."""
+    recorded, so direction k is not expanded there and its link is
+    (parent, identity).  Only that direction is skipped: a direction index
+    does not carry over to another seed with the same key, because keys
+    are minimised over index permutations.
+
+    Every other link's relabelling comes from the two keys' attaining
+    permutations: q on mu_k(X) and p on the stored seed Y give mu_k(X)'s
+    slot a = Y's slot p[q^-1[a]]."""
     mutator = planar_mutate if isinstance(initial, PlanarSeed) else seed_mutate
     key0 = initial.canonical_key()
     vertices = {key0: initial}
     depth = {key0: 0}
     came_by = {key0: None}  # the direction that first reached each vertex
+    links = {key0: [None, None, None]}
     edges: dict = {}
     closed = True
     queue = deque([initial])
@@ -106,26 +129,35 @@ def bfs(
         at_limit = depth_limit is not None and level >= depth_limit
         if at_limit:
             closed = False
+        out = links[key]
         for k in range(3):
             if k == came_by[key]:
                 continue
             nxt = mutator(seed, k)
             nkey = nxt.canonical_key()
-            if nkey not in vertices:
+            stored = vertices.get(nkey)
+            if stored is None:
                 if at_limit:
                     continue
                 if vertex_limit is not None and len(vertices) >= vertex_limit:
                     raise BudgetExceeded(
                         f"vertex limit {vertex_limit} reached",
-                        partial=ExchangeGraphData(vertices, edges, depth, False, key0),
+                        partial=ExchangeGraphData(
+                            vertices, edges, depth, False, key0, links
+                        ),
                     )
-                vertices[nkey] = nxt
+                vertices[nkey] = stored = nxt
                 depth[nkey] = level + 1
                 came_by[nkey] = k
+                back = [None, None, None]
+                back[k] = (key, 0)
+                links[nkey] = back
                 queue.append(nxt)
+            relabel = PERM_COMPOSE[stored.key_perm()][PERM_INVERSE[nxt.key_perm()]]
+            out[k] = (nkey, relabel)
             if nkey != key:
                 edges.setdefault(frozenset((key, nkey)), k)
-    return ExchangeGraphData(vertices, edges, depth, closed, key0)
+    return ExchangeGraphData(vertices, edges, depth, closed, key0, links)
 
 
 @dataclass
@@ -441,7 +473,10 @@ def expected_short_period(entry: FieldElem) -> int:
 
 def alternating_period(seed: SphericalSeed, i: int, j: int, cap: int = 64):
     """Steps of the alternating mutation mu_i, mu_j, ... until the full seed
-    returns, or None within the cap."""
+    returns, or None within the cap.
+
+    The direct oracle: it mutates afresh at every step.  `linked_period`
+    reads the same number off a closed exchange graph."""
     s = seed
     for n in range(1, cap + 1):
         s = seed_mutate(s, i if n % 2 == 1 else j)
@@ -450,14 +485,36 @@ def alternating_period(seed: SphericalSeed, i: int, j: int, cap: int = 64):
     return None
 
 
+def linked_period(graph: ExchangeGraphData, key: str, i: int, j: int, cap: int = 64):
+    """`alternating_period` of the stored seed of `key`, walked along the
+    graph's links with no mutation.
+
+    The walk holds the current vertex and the relabelling r from walk
+    labels to its stored seed's labels.  Mutation commutes with
+    relabelling, so the walk's mu_l is the stored seed's mu_{r[l]}, whose
+    link (y, t) moves the walk to y with relabelling t after r.  The seed
+    returns when the walk is back at `key`, the key comparison of
+    `SphericalSeed.__eq__`."""
+    if not graph.closed:
+        raise ValueError("rank-2 periods need a closed exchange graph")
+    links = graph.links
+    x, r = key, 0
+    for n in range(1, cap + 1):
+        x, t = links[x][PERMS3[r][i if n % 2 == 1 else j]]
+        r = PERM_COMPOSE[t][r]
+        if x == key:
+            return n
+    return None
+
+
 def all_periods_short(graph: ExchangeGraphData) -> bool:
     """Compatibility check: every rank-2 subseed orbit of every seed closes
-    at its short period."""
-    for seed in graph.vertices.values():
+    at its short period, read off the closed graph's links."""
+    for key, seed in graph.vertices.items():
         for i in range(3):
             for j in range(i + 1, 3):
                 expect = expected_short_period(seed.B[i, j])
-                if alternating_period(seed, i, j, cap=expect) != expect:
+                if linked_period(graph, key, i, j, cap=expect) != expect:
                     return False
     return True
 

@@ -20,6 +20,14 @@ from quiverbelt.cycfield import FieldElem, cos_multiple
 
 PERMS3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 _PERMS2 = ((0, 1), (1, 0))
+# Relabellings as indices into PERMS3 (0 is the identity): PERM_COMPOSE[a][b]
+# is the index of i -> PERMS3[a][PERMS3[b][i]] and PERM_INVERSE[a] that of
+# the inverse of PERMS3[a], so relabellings compose by table lookups.
+PERM_COMPOSE = tuple(
+    tuple(PERMS3.index(tuple(a[b[i]] for i in range(3))) for b in PERMS3)
+    for a in PERMS3
+)
+PERM_INVERSE = tuple(PERMS3.index(tuple(a.index(i) for i in range(3))) for a in PERMS3)
 
 
 class NotCosineForm(ValueError):
@@ -206,6 +214,14 @@ def entry_cosine_form(e: FieldElem) -> tuple[int, int]:
     return _cosine_form_cached(e.abs())
 
 
+def weight_label(w: FieldElem) -> str:
+    """|w| in the CLI's entry syntax: "0", "2", or "cos(k/l)" for 2cos(pi k/l)."""
+    if w.is_zero():
+        return "0"
+    k, l = entry_cosine_form(w)
+    return "2" if k == 0 else f"cos({k}/{l})"
+
+
 @lru_cache(maxsize=None)
 def _cosine_form_cached(a: FieldElem) -> tuple[int, int]:
     if a.is_zero():
@@ -237,17 +253,21 @@ def _cosine_form_cached(a: FieldElem) -> tuple[int, int]:
 class ClassificationResult:
     """Outcome of the finite-mutation-type trichotomy."""
 
-    kind: str  # "finite" | "affine" | "markov" | "mutation_infinite"
+    # "finite" | "affine" | "markov" | "mutation_infinite" | "decomposable"
+    kind: str
     markov: Optional[FieldElem] = None
     pair: Optional[tuple[Fraction, Fraction]] = None  # finite type (t1, t2)
     level: Optional[int] = None  # affine: the common denominator d
     normal_form: Optional[ExchangeMatrix] = None
     class_size: Optional[int] = None
     closed: bool = False
+    weight: Optional[FieldElem] = None  # decomposable: |b| of the rank-2 factor
 
     def __str__(self):
         if self.kind == "finite":
             return f"FiniteType(t1={self.pair[0]}, t2={self.pair[1]})"
+        if self.kind == "decomposable":
+            return f"Decomposable(weight={weight_label(self.weight)})"
         if self.kind == "affine":
             return f"Affine(d={self.level})"
         if self.kind == "markov":
@@ -325,17 +345,26 @@ def mutation_class(B: ExchangeMatrix, budget: int = 512):
 def classify(B: ExchangeMatrix, budget: int = 512) -> ClassificationResult:
     """Finite-mutation-type trichotomy for rank-3 cosine matrices.
 
-    Searches the mutation class for an acyclic representative.  A class
-    that closes without one is the Markov class.  Otherwise the Markov
-    constant C of the representative decides: C > 4 certifies infinite
-    type, C = 4 is affine (with d the least common denominator of the
-    entry angles), C < 4 closes onto one of the five spherical pairs.
+    A quiver with an isolated vertex is `decomposable`, a rank-1 factor
+    next to a rank-2 factor whose weight is reported; no search runs.  For
+    the others, the search walks the mutation class for an acyclic
+    representative.  A class that closes without one is the Markov class.
+    Otherwise the Markov constant C of the representative decides: C > 4
+    certifies infinite type, C = 4 is affine (with d the least common
+    denominator of the entry angles), C < 4 closes onto one of the five
+    spherical pairs.
     """
     if B.rank != 3:
         raise ValueError("classification applies to rank 3")
     for i in range(3):
         for j in range(i + 1, 3):
             entry_cosine_form(B[i, j])
+    for v in range(3):
+        j, k = (x for x in range(3) if x != v)
+        if B[v, j].is_zero() and B[v, k].is_zero():
+            # mutation keeps a vertex isolated and the other pair's weight
+            # up to sign, and rank 2 is always mutation-finite
+            return ClassificationResult(kind="decomposable", weight=B[j, k].abs())
 
     members: dict[str, ExchangeMatrix] = {B.canonical_key(): B}
     acyclic_rep: Optional[ExchangeMatrix] = B if is_acyclic(B) else None

@@ -207,6 +207,8 @@ class PlanarSeed:
     # -- canonical form ------------------------------------------------------
 
     def canonical_key(self) -> str:
+        """The least serialisation over index relabellings; `key_perm()`
+        then names a relabelling that attains it."""
         key = self._cache.get("key")
         if key is None:
             # element keys once, then the least serialisation over PERMS3
@@ -214,7 +216,7 @@ class PlanarSeed:
             dirs = [str(m) for m in self.side_dirs]
             ray = self.ray.key() if self.ray is not None else "-"
             arrows = self.B.entry_keys()
-            key = min(
+            serials = [
                 ";".join(
                     [self.kind]
                     + [verts[p[i]] for i in range(3)]
@@ -223,9 +225,17 @@ class PlanarSeed:
                     + [arrows[p[i], p[j]] for i, j in arrows]
                 )
                 for p in PERMS3
-            )
+            ]
+            key = min(serials)
+            self._cache["perm"] = serials.index(key)
             self._cache["key"] = key
         return key
+
+    def key_perm(self) -> int:
+        """Index in PERMS3 of a p whose relabelling (slot i takes slot
+        p[i]'s data) serialises to the canonical key, which must already
+        be built."""
+        return self._cache["perm"]
 
     def __eq__(self, other):
         return (
@@ -709,6 +719,7 @@ class SphericalSeed:
     vectors: tuple[tuple[FieldElem, ...], ...]
     B: ExchangeMatrix
     ref: tuple[Fraction, Fraction, Fraction]  # (v_i, u) = -ref_i at the start
+    # [canonical key, key_perm()] once built
     _key: list = field(default_factory=list, compare=False, repr=False)
 
     def pair_with_ref(self, v) -> FieldElem:
@@ -721,20 +732,28 @@ class SphericalSeed:
         return total
 
     def canonical_key(self) -> str:
+        """The least serialisation over index relabellings; `key_perm()`
+        then names a relabelling that attains it."""
         if not self._key:
             # element keys once, then the least serialisation over PERMS3
             coords = [[c.key() for c in v] for v in self.vectors]
             arrows = self.B.entry_keys()
-            self._key.append(
-                min(
-                    ";".join(
-                        [k for i in range(3) for k in coords[p[i]]]
-                        + [arrows[p[i], p[j]] for i, j in arrows]
-                    )
-                    for p in PERMS3
+            serials = [
+                ";".join(
+                    [k for i in range(3) for k in coords[p[i]]]
+                    + [arrows[p[i], p[j]] for i, j in arrows]
                 )
-            )
+                for p in PERMS3
+            ]
+            key = min(serials)
+            self._key.extend((key, serials.index(key)))
         return self._key[0]
+
+    def key_perm(self) -> int:
+        """Index in PERMS3 of a p whose relabelling (slot i takes slot
+        p[i]'s data) serialises to the canonical key, which must already
+        be built."""
+        return self._key[1]
 
     def __eq__(self, other):
         return (

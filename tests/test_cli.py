@@ -54,6 +54,19 @@ def test_classify_affine_json(capsys):
     assert abs(data["markov_constant_float"] - 4.0) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "entries, weight", [("0,0,0", "0"), ("0,0,cos(1/7)", "cos(1/7)")]
+)
+def test_classify_reports_an_isolated_vertex_as_decomposable(entries, weight, capsys):
+    code, out, err = run(["classify", "--entries", entries], capsys)
+    assert code == 0 and err == ""
+    assert f"Decomposable(weight={weight})" in out
+    assert f"rank-2 factor weight: {weight}" in out
+    code, out, _ = run(["classify", "--entries", entries, "--format", "json"], capsys)
+    data = json.loads(out)
+    assert code == 0 and data["kind"] == "decomposable" and data["weight"] == weight
+
+
 def test_enumerate_sph_counts(capsys):
     code, out, err = run(["enumerate", "--sph", "1/5,2/5"], capsys)
     assert code == 0

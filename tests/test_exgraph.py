@@ -8,8 +8,10 @@ import pytest
 
 from quiverbelt import exgraph
 from quiverbelt.exmatrix import (
+    PERMS3,
     SPHERICAL_PAIRS,
     BudgetExceeded,
+    ExchangeMatrix,
     is_acyclic,
     spherical_matrix,
 )
@@ -17,9 +19,11 @@ from quiverbelt.intpoly import euler_totient
 from quiverbelt.planegeom import length_along
 from quiverbelt.seedgeom import (
     NotAcyclic,
+    PlanarSeed,
     initial_seed,
     planar_mutate,
     seed_mutate,
+    spherical_seed,
     t_invariant,
 )
 
@@ -100,6 +104,51 @@ def test_bfs_matches_the_plain_bfs_on_spherical_closures(pair):
     seed, g = exgraph.compatible_spherical_graph(B, random.Random(1))
     assert g.closed
     assert_same_graph(g, reference_bfs(seed, seed_mutate))
+
+
+def labelled_fields(seed, p):
+    """The fields of `seed` relabelled so that slot i holds slot p[i]."""
+    B = ExchangeMatrix([[seed.B[p[i], p[j]] for j in range(3)] for i in range(3)])
+    if isinstance(seed, PlanarSeed):
+        return (
+            seed.chart,
+            seed.kind,
+            tuple(seed.vertices[p[i]] for i in range(3)),
+            tuple(seed.side_dirs[p[i]] for i in range(3)),
+            seed.ray,
+            B,
+            tuple(seed.flips[p[i]] for i in range(3)),
+        )
+    return seed.space, tuple(seed.vectors[p[i]] for i in range(3)), B, seed.ref
+
+
+@pytest.mark.parametrize(
+    "start, mutate",
+    [
+        (initial_seed(5), planar_mutate),
+        (initial_seed(4), planar_mutate),
+        (spherical_seed(spherical_matrix(*SPHERICAL_PAIRS[3]), (4, 2, 1)), seed_mutate),
+        (spherical_seed(spherical_matrix(*SPHERICAL_PAIRS[0]), (-3, -3, 1)), seed_mutate),
+    ],
+    ids=["planar-d5", "planar-d4", "compatible-1/3,2/5", "incompatible-1/3,1/3"],
+)
+def test_links_carry_each_mutation_onto_the_stored_neighbour(start, mutate):
+    """links[key][k] = (nkey, t): mu_k of the stored seed is the stored seed
+    of nkey relabelled by PERMS3[t], field by field."""
+    g = exgraph.bfs(start, depth_limit=6 if isinstance(start, PlanarSeed) else None)
+    identity = PERMS3[0]
+    for key, seed in g.vertices.items():
+        for k, link in enumerate(g.links[key]):
+            image = mutate(seed, k)
+            if link is None:
+                # only mutations the depth limit kept out have no link
+                assert g.depth[key] == 6 and image.canonical_key() not in g.vertices
+                continue
+            nkey, t = link
+            assert image.canonical_key() == nkey
+            assert labelled_fields(image, identity) == labelled_fields(
+                g.vertices[nkey], PERMS3[t]
+            )
 
 
 def test_vertex_budget():

@@ -1,5 +1,8 @@
 """Property tests: mutation is an involution on canonical keys, canonical
-keys do not change under a simultaneous permutation of the indices, the
+keys do not change under a simultaneous permutation of the indices,
+mutation commutes with relabelling field by field, the stored key
+permutation attains the key, T is conserved along planar walks, the field
+axioms hold across levels, canonical forms are unique under lifting, the
 FieldElem fast paths return canonical representations, inverses invert,
 signs agree with the float embedding away from zero, and Galois maps are
 ring homomorphisms."""
@@ -18,6 +21,7 @@ from quiverbelt.cycfield import (
     level_context,
 )
 from quiverbelt.exmatrix import (
+    PERM_INVERSE,
     PERMS3,
     SPHERICAL_PAIRS,
     ExchangeMatrix,
@@ -34,6 +38,7 @@ from quiverbelt.seedgeom import (
     planar_mutate,
     seed_mutate,
     spherical_seed,
+    t_invariant,
 )
 
 walks = st.lists(st.integers(0, 2), min_size=1, max_size=10)
@@ -120,45 +125,91 @@ def test_rank3_matrix_key_is_invariant_under_index_permutation(B, walk, p):
     assert permuted_matrix(B, p).canonical_key() == B.canonical_key()
 
 
-@exact
-@given(st.integers(3, 8), walks, st.sampled_from(PERMS3))
-def test_planar_seed_key_is_invariant_under_index_permutation(d, walk, p):
-    s = walk_from(initial_seed(d), planar_mutate, walk)
-    relabelled = PlanarSeed(
-        s.chart,
-        s.kind,
-        tuple(s.vertices[p[i]] for i in range(3)),
-        tuple(s.side_dirs[p[i]] for i in range(3)),
-        s.ray,
-        permuted_matrix(s.B, p),
-        tuple(s.flips[p[i]] for i in range(3)),
+def relabelled(s, p):
+    """The planar or spherical seed whose slot i holds slot p[i] of s."""
+    if isinstance(s, PlanarSeed):
+        return PlanarSeed(
+            s.chart,
+            s.kind,
+            tuple(s.vertices[p[i]] for i in range(3)),
+            tuple(s.side_dirs[p[i]] for i in range(3)),
+            s.ray,
+            permuted_matrix(s.B, p),
+            tuple(s.flips[p[i]] for i in range(3)),
+        )
+    return SphericalSeed(
+        s.space, tuple(s.vectors[p[i]] for i in range(3)), permuted_matrix(s.B, p), s.ref
     )
-    assert relabelled.canonical_key() == s.canonical_key()
 
 
-@exact
-@given(
-    st.sampled_from(SPHERICAL_PAIRS),
-    st.tuples(nonzero_weights, nonzero_weights, nonzero_weights),
-    walks,
-    st.sampled_from(PERMS3),
-)
-def test_spherical_seed_key_is_invariant_under_index_permutation(
-    pair, reference, walk, p
-):
+def fields(s):
+    """Every field of a seed, as a labelled seed (not up to relabelling)."""
+    if isinstance(s, PlanarSeed):
+        return s.chart, s.kind, s.vertices, s.side_dirs, s.ray, s.B, s.flips
+    return s.space, s.vectors, s.B, s.ref
+
+
+def planar_walk_ends(d, walk):
+    return walk_from(initial_seed(d), planar_mutate, walk)
+
+
+def spherical_walk_ends(pair, reference, walk):
     try:
-        s = walk_from(
+        return walk_from(
             spherical_seed(spherical_matrix(*pair), reference), seed_mutate, walk
         )
     except DegeneratePositivity:
         reject()
-    relabelled = SphericalSeed(
-        s.space,
-        tuple(s.vectors[p[i]] for i in range(3)),
-        permuted_matrix(s.B, p),
-        s.ref,
-    )
-    assert relabelled.canonical_key() == s.canonical_key()
+
+
+spherical_walks = st.builds(
+    spherical_walk_ends,
+    st.sampled_from(SPHERICAL_PAIRS),
+    st.tuples(nonzero_weights, nonzero_weights, nonzero_weights),
+    walks,
+)
+planar_walks = st.builds(planar_walk_ends, st.integers(3, 8), walks)
+
+
+@exact
+@given(planar_walks, st.sampled_from(PERMS3))
+def test_planar_seed_key_is_invariant_under_index_permutation(s, p):
+    assert relabelled(s, p).canonical_key() == s.canonical_key()
+
+
+@exact
+@given(spherical_walks, st.sampled_from(PERMS3))
+def test_spherical_seed_key_is_invariant_under_index_permutation(s, p):
+    assert relabelled(s, p).canonical_key() == s.canonical_key()
+
+
+@exact
+@given(st.one_of(planar_walks, spherical_walks), st.integers(0, 2))
+def test_mutation_commutes_with_relabelling_field_by_field(s, k):
+    """With pi the relabelling that moves slot i to slot pi[i] (slot i of
+    pi.s holds slot p[i] of s for p the inverse of pi), mutating pi.s at
+    pi(k) gives pi.mu_k(s) as labelled seeds, not only up to keys."""
+    mutator = planar_mutate if isinstance(s, PlanarSeed) else seed_mutate
+    image = mutator(s, k)
+    for index, p in enumerate(PERMS3):
+        pi = PERMS3[PERM_INVERSE[index]]
+        assert fields(mutator(relabelled(s, p), pi[k])) == fields(relabelled(image, p))
+
+
+@exact
+@given(st.one_of(planar_walks, spherical_walks))
+def test_the_stored_key_permutation_attains_the_key(s):
+    key = s.canonical_key()
+    canonical = relabelled(s, PERMS3[s.key_perm()])
+    # the identity comes first in PERMS3, so it is the one found when it
+    # attains the key
+    assert canonical.canonical_key() == key and canonical.key_perm() == 0
+
+
+@exact
+@given(planar_walks)
+def test_t_is_conserved_along_planar_walks(s):
+    assert t_invariant(s) == s.chart.t0
 
 
 @st.composite
@@ -239,3 +290,47 @@ def test_galois_map_is_a_ring_homomorphism(g, data):
     assert g.apply(a * b) == g.apply(a) * g.apply(b)
     one = FieldElem.one(g.level)
     assert g.apply(one) == one
+
+
+mixed_levels = st.sampled_from((2, 3, 4, 5, 6, 10, 12))
+
+
+@exact
+@given(
+    nonzero_elements(mixed_levels),
+    nonzero_elements(mixed_levels),
+    nonzero_elements(mixed_levels),
+)
+def test_field_axioms_across_mixed_levels(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + b == b + a and a * b == b * a
+    assert (a - b) + b == a.lift((a - b).level)
+
+
+@exact
+@given(
+    nonzero_elements(st.sampled_from((2, 3, 4, 5, 6))),
+    st.integers(1, 6),
+    st.lists(st.integers(-9, 9), max_size=4),
+    st.integers(1, 9),
+)
+def test_canonical_form_is_unique_under_lift(x, m, extra, scale):
+    target = x.level * m
+    y = x.lift(target)
+    # any representation of the lifted value, scaled and with a multiple of
+    # the minimal polynomial added, reduces to the same numerator and
+    # denominator
+    mu = level_context(target).mu
+    padded = list(y.num) + [0] * (len(mu) + len(extra))
+    for i, g in enumerate(extra):
+        for j, c in enumerate(mu):
+            padded[i + j] += g * c * y.den
+    again = FieldElem(target, [scale * n for n in padded], scale * y.den)
+    assert (again.num, again.den) == (y.num, y.den)
+    # lifting through an intermediate level lands on the same form, and
+    # distinct elements stay distinct
+    for mid in (x.level * k for k in range(1, m + 1) if m % k == 0):
+        assert x.lift(mid).lift(target) == y
+    assert (x + 1).lift(target) != y

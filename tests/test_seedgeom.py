@@ -5,8 +5,13 @@ from fractions import Fraction
 import pytest
 
 from quiverbelt import exgraph
-from quiverbelt.cycfield import sin_product
-from quiverbelt.exmatrix import affine_normal_form, classify, markov_matrix
+from quiverbelt.cycfield import FieldElem, cos_multiple, sin_product
+from quiverbelt.exmatrix import (
+    ExchangeMatrix,
+    affine_normal_form,
+    classify,
+    markov_matrix,
+)
 from quiverbelt.planegeom import cross_q, from_rationals, length_along
 from quiverbelt.seedgeom import (
     NotAcyclic,
@@ -20,6 +25,7 @@ from quiverbelt.seedgeom import (
     planar_mutate,
     positivity,
     realize,
+    realize_classified,
     reflect_across_belt,
     side_length,
     t_invariant,
@@ -156,6 +162,17 @@ def test_realize_affine_and_unsupported():
     assert seed.kind == "triangle" and seed.chart.d == 5
     with pytest.raises(UnsupportedClass):
         realize(markov_matrix())
+
+
+def test_decomposable_classes_have_no_realisation():
+    # vertex 1 has no arrows; the rank-2 factor on {0, 2} has weight 2cos(pi/7)
+    w = cos_multiple(7, 1)
+    B = ExchangeMatrix.from_upper(FieldElem.zero(7), -w, FieldElem.zero(7))
+    result = classify(B)
+    assert result.kind == "decomposable" and result.weight == w
+    assert str(result) == "Decomposable(weight=cos(1/7))"
+    with pytest.raises(UnsupportedClass, match="decomposable"):
+        realize_classified(B, result)
 
 
 def test_regions_appear_and_translate():

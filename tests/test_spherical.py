@@ -82,3 +82,86 @@ def test_incompatible_reference_blows_up_the_graph():
     g = exgraph.bfs(s)
     assert g.closed and g.order() > 48
     assert not exgraph.all_periods_short(g)
+
+
+# Reference points per class: two compatible ones and, where a small one
+# exists, one whose graph closes but has a long rank-2 orbit.
+REFERENCES = [
+    (SPHERICAL_PAIRS[0], (1, 2, 4), True),
+    (SPHERICAL_PAIRS[0], (1, 1, 3), True),
+    (SPHERICAL_PAIRS[0], (-3, -3, 1), False),  # 392 seeds
+    (SPHERICAL_PAIRS[1], (1, 2, 4), True),
+    (SPHERICAL_PAIRS[1], (2, 3, 7), True),
+    (SPHERICAL_PAIRS[1], (-3, -3, 1), False),  # 440 seeds
+    (SPHERICAL_PAIRS[2], (1, 2, 4), True),
+    (SPHERICAL_PAIRS[2], (5, 1, 3), True),
+    (SPHERICAL_PAIRS[3], (4, 2, 1), True),
+    (SPHERICAL_PAIRS[3], (1, 5, 2), True),
+    (SPHERICAL_PAIRS[3], (1, 2, 4), False),  # 2592 seeds
+    (SPHERICAL_PAIRS[4], (4, 2, 1), True),
+    (SPHERICAL_PAIRS[4], (1, 4, 2), True),
+]
+
+
+@pytest.mark.parametrize("pair, reference, compatible", REFERENCES)
+def test_linked_periods_match_the_direct_oracle(
+    pair, reference, compatible, monkeypatch
+):
+    g = exgraph.bfs(spherical_seed(spherical_matrix(*pair), reference))
+    assert g.closed
+    assert exgraph.all_periods_short(g) is compatible
+    # The oracle's walks meet the same labelled seeds again and again;
+    # mutation is a function of every field, so each is mutated once.
+    direct = {}
+
+    def seed_mutate_once(s, k):
+        fields = (s.vectors, s.B.entries, s.space, s.ref, k)
+        if fields not in direct:
+            direct[fields] = seed_mutate(s, k)
+        return direct[fields]
+
+    monkeypatch.setattr(exgraph, "seed_mutate", seed_mutate_once)
+    for key, seed in g.vertices.items():
+        for i in range(3):
+            for j in range(3):
+                if i == j:
+                    continue
+                cap = exgraph.expected_short_period(seed.B[i, j]) + 8
+                assert exgraph.linked_period(g, key, i, j, cap) == (
+                    exgraph.alternating_period(seed, i, j, cap)
+                ), (key, i, j)
+
+
+def test_all_periods_short_needs_a_closed_graph():
+    B = spherical_matrix(Fraction(1, 3), Fraction(1, 4))
+    g = exgraph.bfs(spherical_seed(B, (1, 2, 4)), depth_limit=3)
+    assert not g.closed
+    with pytest.raises(ValueError, match="closed"):
+        exgraph.all_periods_short(g)
+    with pytest.raises(ValueError, match="closed"):
+        exgraph.linked_period(g, g.initial_key, 0, 1)
+
+
+def test_sampling_accepts_what_the_direct_oracle_accepts(monkeypatch):
+    """The same draws are accepted when compatibility is read off the
+    links as when every orbit is mutated afresh."""
+
+    def direct(graph):
+        return all(
+            exgraph.alternating_period(seed, i, j, cap=expect) == expect
+            for seed in graph.vertices.values()
+            for i in range(3)
+            for j in range(i + 1, 3)
+            for expect in [exgraph.expected_short_period(seed.B[i, j])]
+        )
+
+    def sample():
+        rng = random.Random(11)
+        return [
+            exgraph.compatible_spherical_graph(spherical_matrix(*pair), rng)[0].ref
+            for pair in SPHERICAL_PAIRS
+        ]
+
+    linked = sample()
+    monkeypatch.setattr(exgraph, "all_periods_short", direct)
+    assert sample() == linked
