@@ -52,10 +52,24 @@ def parse_entry(text: str) -> FieldElem | Fraction:
         if l < 1:
             raise ParseError(f"bad cosine denominator in {text!r}")
         return cos_multiple(l, k) * sign
+    return _parse_rational(text, "entry")
+
+
+def _parse_rational(text: str, what: str) -> Fraction:
     try:
         return Fraction(text)
     except ValueError as exc:
-        raise ParseError(f"cannot parse entry {text!r}") from exc
+        raise ParseError(f"cannot parse {what} {text!r}") from exc
+    except ZeroDivisionError as exc:
+        raise ParseError(f"zero denominator in {what} {text!r}") from exc
+
+
+def _parse_sph_pair(text: str) -> tuple[Fraction, Fraction]:
+    """The finite-type pair 't1,t2' of --sph."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ParseError(f"--sph needs exactly two values t1,t2, got {text!r}")
+    return tuple(_parse_rational(p.strip(), "--sph value") for p in parts)
 
 
 def parse_matrix_spec(text: str) -> ExchangeMatrix:
@@ -81,8 +95,7 @@ def load_matrix(path: str) -> ExchangeMatrix:
 
 def _matrix_from_args(args) -> ExchangeMatrix:
     if args.sph:
-        t1, t2 = (Fraction(t) for t in args.sph.split(","))
-        return spherical_matrix(t1, t2)
+        return spherical_matrix(*_parse_sph_pair(args.sph))
     if args.affine:
         return initial_seed(args.affine).B
     if args.matrix:

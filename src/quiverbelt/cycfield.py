@@ -29,6 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import cos, gcd, lcm, pi
+from operator import mul
 
 from quiverbelt import kernels
 from quiverbelt.intpoly import IntPoly, cos2_poly, euler_totient, real_min_poly, sinq_poly
@@ -391,7 +392,7 @@ class FieldElem:
             return self
         if target_level % self.level != 0:
             raise ValueError(f"cannot lift level {self.level} to {target_level}")
-        return _substitute(self, cos_multiple(target_level, target_level // self.level))
+        return _substitute(self, target_level, target_level // self.level)
 
     # -- predicates ----------------------------------------------------------
 
@@ -455,22 +456,48 @@ def _canonical(level: int, num: tuple, den: int) -> FieldElem:
     return elem
 
 
-def _substitute(elem: FieldElem, g: FieldElem) -> FieldElem:
-    """The coefficient polynomial of `elem` evaluated at `g` by Horner's
-    rule; the result lives at g's level."""
-    acc = FieldElem.zero(g.level)
-    for n in reversed(elem.num):
-        acc = acc * g + n
-    return acc * Fraction(1, elem.den)
+def _substitute(elem: FieldElem, level: int, multiplier: int) -> FieldElem:
+    """The coefficient polynomial of `elem` evaluated at g = 2cos(l*pi/L)
+    in F_L (L = `level`, l = `multiplier`): sum_i num_i * g^i / den.
+
+    g has denominator 1, so each power g^i is an integer vector of F_L.
+    `_power_columns` tabulates them once per (L, l, number of powers);
+    column j holds the j-th coefficient of g^0, g^1, ..., so coefficient
+    j of the result is one integer dot product with `elem.num`, where
+    Horner's rule needed a reduced product per coefficient."""
+    cols = _power_columns(level, multiplier, len(elem.num))
+    return FieldElem(level, [sum(map(mul, elem.num, col)) for col in cols], elem.den)
+
+
+@lru_cache(maxsize=None)
+def _power_columns(level: int, multiplier: int, count: int) -> tuple:
+    """Columns of the integer rows g^0, ..., g^(count-1) of g =
+    2cos(multiplier*pi/level) in F_level."""
+    ctx = level_context(level)
+    g = cos_multiple(level, multiplier).num
+    power = (1,) + (0,) * (ctx.deg - 1)
+    rows = [power]
+    for _ in range(count - 1):
+        power = kernels.mul_reduce(power, g, ctx.pow_table, ctx.deg)
+        rows.append(power)
+    return tuple(zip(*rows))
 
 
 # -- trigonometric elements ---------------------------------------------------
 
 
+def _fold(d: int, k: int) -> int:
+    """The t in [0, d] with cos(t*pi/d) == cos(k*pi/d): cosine has period
+    2d in k and is even."""
+    k %= 2 * d
+    return min(k, 2 * d - k)
+
+
 @lru_cache(maxsize=None)
 def cos_multiple(d: int, k: int) -> FieldElem:
-    """2 cos(k*pi/d) as an element of F_d."""
-    return FieldElem.from_intpoly(d, cos2_poly(abs(k)))
+    """2 cos(k*pi/d) as an element of F_d.  Folding k into [0, d] first
+    keeps the Chebyshev polynomial at degree <= d."""
+    return FieldElem.from_intpoly(d, cos2_poly(_fold(d, k)))
 
 
 @lru_cache(maxsize=None)
@@ -503,11 +530,31 @@ def cos_value(d: int, k: int) -> FieldElem:
 
 @lru_cache(maxsize=None)
 def inv_sin_sq(d: int, k: int) -> FieldElem:
-    """1 / sin^2(k*pi/d) as an element of F_d."""
-    s2 = sin_product(d, k, k)
-    if s2.is_zero():
+    """1 / sin^2(k*pi/d) as an element of F_d, in closed form.
+
+    Let a = k*pi/d, m = d / gcd(k, d) and u = exp(2ia), a primitive m-th
+    root of unity; sin(a) = 0 iff m = 1.  For m > 1, multiplying by u - 1
+    telescopes the sums over j = 0..m-1:
+
+        sum_j j u^j   = m / (u - 1),
+        sum_j j^2 u^j = (m^2 - 2m) / (u - 1) - 2m / (u - 1)^2,
+
+    so sum_j j(m - j) u^j = 2m u / (u - 1)^2 = -m / (2 sin^2 a), because
+    (u - 1)^2 = -4u sin^2 a.  The weights j(m - j) are symmetric under
+    j -> m - j, so the sum is real and equals half of
+    sum_j j(m - j) 2cos(2ja):
+
+        1 / sin^2 a = -(1/m) sum_{j=1}^{m-1} j(m - j) 2cos(2jk*pi/d),
+
+    one integer combination of `cos_multiple` numerators over m."""
+    m = d // gcd(k, d)
+    if m == 1:
         raise ZeroDivisionError(f"sin({k}*pi/{d}) vanishes")
-    return s2.inv()
+    acc = [0] * level_context(d).deg
+    for j in range(1, m):
+        w = j * (m - j)
+        acc = [a - w * c for a, c in zip(acc, cos_multiple(d, _fold(d, 2 * j * k)).num)]
+    return FieldElem(d, acc, m)
 
 
 # -- Galois action -------------------------------------------------------------
@@ -556,7 +603,7 @@ class GaloisMap:
     def apply(self, elem: FieldElem) -> FieldElem:
         if elem.level != self.level:
             raise ValueError("element level does not match the Galois map")
-        return _substitute(elem, cos_multiple(self.level, self.multiplier))
+        return _substitute(elem, self.level, self.multiplier)
 
 
 # -- exact linear algebra over Q ----------------------------------------------

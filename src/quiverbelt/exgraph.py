@@ -527,7 +527,12 @@ def compatible_spherical_graph(
 
     Compatible reference points fill chamber interiors of the reflection
     arrangement, so rejection sampling over a rational box converges in a
-    handful of draws."""
+    handful of draws.
+
+    A draw whose initial seed already has a long rank-2 orbit is rejected
+    before the BFS: the initial seed is a vertex of the graph, so
+    `all_periods_short` would reject its closure too, and the graph is
+    never built."""
     last = None
     for _ in range(attempts):
         lam = tuple(
@@ -537,6 +542,8 @@ def compatible_spherical_graph(
             continue
         try:
             seed = spherical_seed(B, lam)
+            if not _initial_periods_short(seed):
+                continue
             graph = bfs(seed, vertex_limit=vertex_cap)
         except (BudgetExceeded, DegeneratePositivity) as exc:
             last = exc
@@ -544,6 +551,17 @@ def compatible_spherical_graph(
         if all_periods_short(graph):
             return seed, graph
     raise RuntimeError(f"no compatible reference point found: {last!r}")
+
+
+def _initial_periods_short(seed: SphericalSeed) -> bool:
+    """Every rank-2 orbit of `seed` closes at its short period, by direct
+    mutation walks capped at that period."""
+    for i in range(3):
+        for j in range(i + 1, 3):
+            expect = expected_short_period(seed.B[i, j])
+            if alternating_period(seed, i, j, cap=expect) != expect:
+                return False
+    return True
 
 
 # -- isomorphism (for reference-point independence checks) ---------------------

@@ -155,6 +155,11 @@ def test_verify_rejects_unknown_check_names(capsys, monkeypatch):
         (["classify", "--entries", "foo,1,2"], "cannot parse entry 'foo'"),
         (["enumerate", "--affine", "2"], "d must be at least 3"),
         (["classify", "--matrix", "no-such-matrix.json"], "no-such-matrix.json"),
+        (["classify", "--entries", "1/0,0,0"], "zero denominator in entry '1/0'"),
+        (["enumerate", "--sph", "1/0,1/3"], "zero denominator in --sph value '1/0'"),
+        (["enumerate", "--sph", "1/3"], "--sph needs exactly two values"),
+        (["enumerate", "--sph", "1/3,2/5,1"], "--sph needs exactly two values"),
+        (["enumerate", "--sph", "x,1/3"], "cannot parse --sph value 'x'"),
     ],
 )
 def test_handled_errors_print_one_line_and_exit_2(

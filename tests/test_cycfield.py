@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from quiverbelt.cycfield import (
@@ -20,12 +20,13 @@ from quiverbelt.cycfield import (
     inv_sin_sq,
     level_context,
     rational_rank,
+    sin_product,
     sin_quotient,
     sin_ratio,
     units_up_to_half,
     verlinde_sum,
 )
-from quiverbelt.intpoly import euler_totient
+from quiverbelt.intpoly import cos2_poly, euler_totient
 
 
 def embed(e):
@@ -167,6 +168,66 @@ def test_galois_is_a_ring_map_and_permutes_the_basis():
             basis = {cos_multiple(d, 2 * k) for k in units_up_to_half(d)}
             image = {g.apply(e) for e in basis}
             assert image == basis
+
+
+def test_inv_sin_sq_closed_form_matches_the_general_inverse():
+    """The closed form against `inv` of sin^2 for every residue of k
+    twice over; it raises exactly when sin(k*pi/d) vanishes."""
+    for d in range(2, 61):
+        inverses = {}
+        for k in range(-2 * d + 1, 2 * d):
+            if k % d == 0:
+                with pytest.raises(ZeroDivisionError):
+                    inv_sin_sq(d, k)
+                continue
+            s2 = sin_product(d, k, k)
+            if s2 not in inverses:
+                inverses[s2] = s2.inv()
+            assert inv_sin_sq(d, k) == inverses[s2]
+
+
+def test_folded_cos_multiple_matches_the_unfolded_polynomial():
+    for d in range(2, 61):
+        for k in range(-4 * d, 4 * d + 1):
+            assert cos_multiple(d, k) == FieldElem.from_intpoly(d, cos2_poly(abs(k)))
+
+
+def horner(elem, g):
+    """The coefficient polynomial of `elem` at `g` by Horner's rule."""
+    acc = FieldElem.zero(g.level)
+    for n in reversed(elem.num):
+        acc = acc * g + n
+    return acc * Fraction(1, elem.den)
+
+
+@st.composite
+def elements(draw, level):
+    deg = level_context(level).deg
+    num = draw(st.lists(st.integers(-99, 99), min_size=deg, max_size=deg))
+    return FieldElem(level, num, draw(st.integers(1, 99)))
+
+
+@settings(deadline=None, database=None)
+@given(st.integers(3, 60), st.integers(-120, 120), st.data())
+def test_galois_maps_match_horner(level, multiplier, data):
+    try:
+        g = GaloisMap(level, multiplier)
+    except InvalidMultiplier:
+        reject()
+    x = data.draw(elements(level))
+    image = FieldElem.from_intpoly(level, cos2_poly(g.multiplier))
+    assert g.apply(x) == horner(x, image)
+
+
+@settings(deadline=None, database=None)
+@given(st.integers(3, 60), st.data())
+def test_lifts_match_horner_across_levels(level, data):
+    mid = level * data.draw(st.integers(1, 60 // level))
+    target = mid * data.draw(st.integers(1, 60 // mid))
+    x = data.draw(elements(level))
+    lifted = x.lift(target)
+    assert lifted == horner(x, FieldElem.from_intpoly(target, cos2_poly(target // level)))
+    assert x.lift(mid).lift(target) == lifted
 
 
 def test_rational_rank():

@@ -165,3 +165,55 @@ def test_sampling_accepts_what_the_direct_oracle_accepts(monkeypatch):
     linked = sample()
     monkeypatch.setattr(exgraph, "all_periods_short", direct)
     assert sample() == linked
+
+
+def old_compatible_spherical_graph(B, rng, vertex_cap=256, attempts=64):
+    """`compatible_spherical_graph` as it was before draws with a long
+    initial rank-2 orbit were rejected ahead of the BFS."""
+    last = None
+    for _ in range(attempts):
+        lam = tuple(
+            Fraction(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(3)
+        )
+        if any(x == 0 for x in lam):
+            continue
+        try:
+            seed = spherical_seed(B, lam)
+            graph = exgraph.bfs(seed, vertex_limit=vertex_cap)
+        except (exgraph.BudgetExceeded, DegeneratePositivity) as exc:
+            last = exc
+            continue
+        if exgraph.all_periods_short(graph):
+            return seed, graph
+    raise RuntimeError(f"no compatible reference point found: {last!r}")
+
+
+def test_initial_orbit_rejection_keeps_draws_and_graphs(monkeypatch):
+    """Rejecting a draw by its initial seed's orbits before the BFS returns
+    the same seeds and graphs and leaves the random stream where the old
+    loop left it, with fewer BFS runs."""
+    bfs_runs = []
+    bfs = exgraph.bfs
+
+    def counted(*args, **kwargs):
+        bfs_runs.append(1)
+        return bfs(*args, **kwargs)
+
+    monkeypatch.setattr(exgraph, "bfs", counted)
+
+    def sample(sampler, rng_seed):
+        rng = random.Random(rng_seed)
+        bfs_runs.clear()
+        out = []
+        for pair in SPHERICAL_PAIRS:
+            seed, g = sampler(spherical_matrix(*pair), rng)
+            out.append((seed.ref, list(g.vertices), g.edges, g.depth, g.links))
+        return out, rng.getstate(), len(bfs_runs)
+
+    for rng_seed in (11000, 1, 2, 3):
+        new, new_state, new_runs = sample(exgraph.compatible_spherical_graph, rng_seed)
+        old, old_state, old_runs = sample(old_compatible_spherical_graph, rng_seed)
+        assert new == old and new_state == old_state
+        assert new_runs <= old_runs
+        if rng_seed == 11000:
+            assert new_runs < old_runs
