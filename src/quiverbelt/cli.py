@@ -33,7 +33,7 @@ from quiverbelt.exmatrix import (
     weight_label,
 )
 from quiverbelt.rank2 import period_grid
-from quiverbelt.seedgeom import initial_seed, spherical_seed
+from quiverbelt.seedgeom import initial_seed, realize_classified, spherical_seed
 
 
 class ParseError(ValueError):
@@ -144,40 +144,38 @@ def cmd_classify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    rng = random.Random(args.seed)
     if args.affine:
-        seed = initial_seed(args.affine)
-        depth = args.depth or (14 if args.affine <= 7 else 10)
+        # the level names the class: no classification needed
+        result, seed = None, initial_seed(args.affine)
+    else:
+        B = _matrix_from_args(args)
+        result = classify(B, budget=args.budget)
+        seed = realize_classified(B, result) if result.kind == "affine" else None
+    if seed is not None:
+        depth = args.depth or (14 if seed.d <= 7 else 10)
         try:
             graph = exgraph.bfs(
                 seed, depth_limit=depth, vertex_limit=args.max_vertices or None
             )
         except BudgetExceeded as exc:
             graph = exc.partial
-        summary = {
-            "vertices": graph.order(),
-            "edges": graph.size(),
-            "closed": graph.closed,
-            "depth": depth,
-        }
+    elif result.kind == "finite":
+        _, graph = exgraph.compatible_spherical_graph(B, random.Random(args.seed))
     else:
-        B = _matrix_from_args(args)
-        result = classify(B, budget=args.budget)
-        if result.kind == "finite":
-            _, graph = exgraph.compatible_spherical_graph(B, rng)
-        else:
-            seed = spherical_seed(B)
-            graph = exgraph.bfs(
-                seed,
-                depth_limit=args.depth or None,
-                vertex_limit=args.max_vertices or 4096,
-            )
-        summary = {
-            "vertices": graph.order(),
-            "edges": graph.size(),
-            "closed": graph.closed,
-            "class": str(result),
-        }
+        graph = exgraph.bfs(
+            spherical_seed(B),
+            depth_limit=args.depth or None,
+            vertex_limit=args.max_vertices or 4096,
+        )
+    summary = {
+        "vertices": graph.order(),
+        "edges": graph.size(),
+        "closed": graph.closed,
+    }
+    if seed is not None:
+        summary["depth"] = depth
+    if result is not None:
+        summary["class"] = str(result)
     if args.format == "dot":
         _write_out(args, exgraph.export_dot(graph))
     elif args.format == "svg":

@@ -282,12 +282,13 @@ def _shape_key(seed: PlanarSeed) -> str:
 
 def region_transversal_multiple(seed: PlanarSeed) -> Optional[int]:
     """For a region: the k with ray/finite-side angle k*pi/d, folded below
-    d/2."""
+    d/2.  The two angles at the finite side are co-interior and sum to d,
+    so the smaller one is the folded difference of the side classes."""
     if seed.kind != "region":
         return None
     f = seed.finite_side_index()
-    angles = [seed.angle_multiple(i) for i in range(3) if i != f]
-    return min(angles)
+    delta = (seed.side_dirs[f] - seed.side_dirs[(f + 1) % 3]) % seed.d
+    return min(delta, seed.d - delta)
 
 
 def s_k_length(d: int, k: int) -> FieldElem:

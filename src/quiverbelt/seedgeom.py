@@ -167,20 +167,35 @@ class PlanarSeed:
         return ends[0], ends[1]
 
     def angle_multiple(self, i: int) -> int:
-        """Interior angle at vertex i as a multiple of pi/d."""
+        """Interior angle at vertex i as a multiple of pi/d, read off the
+        side direction classes m in [0, d).
+
+        Triangle: vertex i lies on sides i+1 and i+2, so its angle is
+        |m_{i+1} - m_{i+2}| or d minus that.  Sort the classes as a < b < c
+        and put x = b - a, y = c - b.  The three angles are positive and sum
+        to d, and the only choice that does is x, y and d - (x + y): the
+        vertex whose sides carry the extreme classes a and c, with the
+        third class strictly between them, gets d - (c - a).
+
+        Region: vertex i is an endpoint of the finite side, and its other
+        side runs along the ray.  With delta the class difference folded
+        into [0, d/2], the angle is delta when the finite side, seen from
+        vertex i, makes an acute angle with the ray, and d - delta
+        otherwise (both are d/2 for a perpendicular side)."""
         d = self.d
         if self.kind == "triangle":
-            vi = self.vertices[i]
-            vj = self.vertices[(i + 1) % 3]
-            vk = self.vertices[(i + 2) % 3]
-            return _angle_multiple_between(d, vj - vi, vk - vi)
+            mi, mj, mk = (self.side_dirs[(i + t) % 3] for t in range(3))
+            delta = abs(mj - mk)
+            return d - delta if min(mj, mk) < mi < max(mj, mk) else delta
         f = self.finite_side_index()
         if i == f:
             raise ValueError("no finite vertex opposite the finite side")
         # vertex i is the finite-side endpoint on the *other* parallel side
-        other_end = self.vertices[next(j for j in range(3) if j != i and j != f)]
-        this_end = self.vertices[i]
-        return _angle_multiple_between(d, other_end - this_end, self.ray)
+        j = next(j for j in range(3) if j != i and j != f)
+        delta = (self.side_dirs[f] - self.side_dirs[j]) % d
+        lo = min(delta, d - delta)
+        along = dot(d, self.vertices[j] - self.vertices[i], self.ray).sign()
+        return lo if along > 0 else d - lo
 
     def angle_triple(self) -> tuple[int, ...]:
         """Interior angle multiples by vertex slot; 0 marks the infinite
@@ -268,25 +283,6 @@ class PlanarSeed:
             ],
             "matrix": self.B.to_json(),
         }
-
-
-def _angle_multiple_between(d: int, u: PlanarPoint, v: PlanarPoint) -> int:
-    """Angle between two nonzero grid vectors as an integer multiple of
-    pi/d."""
-    mu = direction_class(d, u)
-    mv = direction_class(d, v)
-    if mu is None or mv is None:
-        raise ValueError("vector is not parallel to a grid direction")
-    delta = (mu - mv) % d
-    lo, hi = min(delta, d - delta), max(delta, d - delta)
-    sgn = dot(d, u, v).sign()
-    if sgn > 0:
-        return lo
-    if sgn < 0:
-        return hi
-    if d % 2 != 0:
-        raise ValueError("perpendicular grid vectors need an even level")
-    return d // 2
 
 
 # -- initial seeds --------------------------------------------------------------
@@ -458,15 +454,12 @@ def planar_mutate(s: PlanarSeed, k: int) -> PlanarSeed:
 
     mk = s.side_dirs[k]
     base_k = s.side_base(k)
-    w = s.interior_witness()
     lines = {}
     inner = {}
     for t in range(3):
         base_t = s.side_base(t)
         m_t = s.side_dirs[t]
-        inner_t = cross_q(unit_dir(d, m_t), w - base_t).sign()
-        if inner_t == 0:
-            raise UnsupportedRegion("degenerate interior witness")
+        inner_t = -s.outward_sign(t)
         if t == k:
             lines[t] = (base_t, m_t)
             inner[t] = -inner_t  # the region flips across the mutated side

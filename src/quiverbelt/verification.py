@@ -15,6 +15,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import cos, gcd, pi
 from typing import Callable, Optional
 
@@ -42,14 +43,11 @@ class CheckResult:
     elapsed: float = 0.0  # seconds, set by run_check
 
 
-_GRAPHS: dict = {}
-
-
-def affine_graph(d: int, depth: int = 12) -> exgraph.ExchangeGraphData:
-    key = (d, depth)
-    if key not in _GRAPHS:
-        _GRAPHS[key] = exgraph.bfs(seedgeom.initial_seed(d), depth_limit=depth)
-    return _GRAPHS[key]
+@lru_cache(maxsize=None)
+def affine_graph(d: int, depth: int) -> exgraph.ExchangeGraphData:
+    """The window of depth `depth` around the initial seed at level d,
+    built once per (d, depth) and shared by the checks that read it."""
+    return exgraph.bfs(seedgeom.initial_seed(d), depth_limit=depth)
 
 
 # expected seed counts of the five finite-type classes; the first three are

@@ -182,6 +182,26 @@ def test_affine_enumeration_reports_the_partial_graph_on_budget(capsys):
     assert "enumerated 30 seeds" in err
 
 
+@pytest.mark.parametrize(
+    "entries, level",
+    [("2,-cos(1/5),cos(1/5)", 5), ("cos(1/3),cos(1/3),cos(1/3)", 3)],
+)
+def test_enumerate_realises_an_affine_class_given_by_entries(entries, level, capsys):
+    opts = ["--depth", "5", "--format", "json", "--seed", "7"]
+    code, by_entries, _ = run(["enumerate", "--entries", entries, *opts], capsys)
+    assert code == 0
+    code, by_level, _ = run(["enumerate", "--affine", str(level), *opts], capsys)
+    assert code == 0 and by_entries == by_level
+    # the summary names the class, and a vertex cap gives the partial window
+    code, out, err = run(
+        ["enumerate", "--entries", entries, "--max-vertices", "30"], capsys
+    )
+    assert code == 0 and "enumerated 30 seeds" in err
+    summary = json.loads(out)
+    assert summary["vertices"] == 30 and summary["closed"] is False
+    assert summary["depth"] == 14 and summary["class"] == f"Affine(d={level})"
+
+
 def record_checks(monkeypatch):
     """Replace every check with one that records its keyword arguments."""
     from quiverbelt import verification

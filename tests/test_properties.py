@@ -1,11 +1,11 @@
 """Property tests: mutation is an involution on canonical keys, canonical
 keys do not change under a simultaneous permutation of the indices,
 mutation commutes with relabelling field by field, the stored key
-permutation attains the key, T is conserved along planar walks, the field
-axioms hold across levels, canonical forms are unique under lifting, the
-FieldElem fast paths return canonical representations, inverses invert,
-signs agree with the float embedding away from zero, and Galois maps are
-ring homomorphisms."""
+permutation attains the key, T is conserved along planar walks, planar
+angles sum to d, the field axioms hold across levels, canonical forms are
+unique under lifting, the FieldElem fast paths return canonical
+representations, inverses invert, signs agree with the float embedding
+away from zero, and Galois maps are ring homomorphisms."""
 
 from fractions import Fraction
 
@@ -210,6 +210,20 @@ def test_the_stored_key_permutation_attains_the_key(s):
 @given(planar_walks)
 def test_t_is_conserved_along_planar_walks(s):
     assert t_invariant(s) == s.chart.t0
+
+
+@exact
+@given(planar_walks)
+def test_planar_angles_sum_to_d(s):
+    """Side classes lie in [0, d); a triangle's angles sum to d, and so do
+    the two co-interior angles at a region's finite side."""
+    d = s.d
+    assert all(0 <= m < d for m in s.side_dirs)
+    f = s.finite_side_index()
+    angles = [a for i, a in enumerate(s.angle_triple()) if i != f]
+    assert len(angles) == (3 if s.kind == "triangle" else 2)
+    assert all(0 < a < d for a in angles)
+    assert sum(angles) == d
 
 
 @st.composite

@@ -8,11 +8,19 @@ from quiverbelt import exgraph
 from quiverbelt.cycfield import FieldElem, cos_multiple, sin_product
 from quiverbelt.exmatrix import (
     ExchangeMatrix,
+    _lift_matrix,
     affine_normal_form,
     classify,
     markov_matrix,
+    mutation_class,
 )
-from quiverbelt.planegeom import cross_q, from_rationals, length_along
+from quiverbelt.planegeom import (
+    cross_q,
+    direction_class,
+    dot,
+    from_rationals,
+    length_along,
+)
 from quiverbelt.seedgeom import (
     NotAcyclic,
     UnsupportedClass,
@@ -164,6 +172,21 @@ def test_realize_affine_and_unsupported():
         realize(markov_matrix())
 
 
+@pytest.mark.parametrize("d", range(3, 13))
+def test_initial_seed_lies_in_the_affine_class_of_its_level(d):
+    # realize_classified and `enumerate --entries` realise every affine
+    # class by initial_seed(level): that matrix must classify as affine at
+    # its own level and lie in the class of affine_normal_form(d)
+    B = initial_seed(d).B
+    result = classify(B)
+    assert result.kind == "affine" and result.level == d
+    members, _ = mutation_class(affine_normal_form(d))
+    level = math.lcm(B.level, *(m.level for m in members.values()))
+    assert _lift_matrix(B, level).canonical_key() in {
+        _lift_matrix(m, level).canonical_key() for m in members.values()
+    }
+
+
 def test_decomposable_classes_have_no_realisation():
     # vertex 1 has no arrows; the rank-2 factor on {0, 2} has weight 2cos(pi/7)
     w = cos_multiple(7, 1)
@@ -207,3 +230,62 @@ def test_exactness_closure_under_random_mutation():
         for v in s.vertices:
             if v is not None:
                 assert v.x.level == 7 and v.y.level == 7
+
+
+def _angle_multiple_between(d, u, v):
+    """The angle between two grid vectors as a multiple of pi/d, found by
+    searching each vector's direction class: the reference for angles read
+    off the side classes."""
+    mu = direction_class(d, u)
+    mv = direction_class(d, v)
+    if mu is None or mv is None:
+        raise ValueError("vector is not parallel to a grid direction")
+    delta = (mu - mv) % d
+    lo, hi = min(delta, d - delta), max(delta, d - delta)
+    sgn = dot(d, u, v).sign()
+    if sgn > 0:
+        return lo
+    if sgn < 0:
+        return hi
+    if d % 2 != 0:
+        raise ValueError("perpendicular grid vectors need an even level")
+    return d // 2
+
+
+def _searched_angle_triple(s):
+    d = s.d
+    if s.kind == "triangle":
+        return tuple(
+            _angle_multiple_between(
+                d,
+                s.vertices[(i + 1) % 3] - s.vertices[i],
+                s.vertices[(i + 2) % 3] - s.vertices[i],
+            )
+            for i in range(3)
+        )
+    f = s.finite_side_index()
+    out = [0, 0, 0]
+    for i in range(3):
+        if i != f:
+            other = next(j for j in range(3) if j not in (i, f))
+            out[i] = _angle_multiple_between(
+                d, s.vertices[other] - s.vertices[i], s.ray
+            )
+    return tuple(out)
+
+
+@pytest.mark.parametrize("d", range(3, 13))
+def test_angles_from_side_classes_match_the_direction_search(d):
+    graph = exgraph.bfs(initial_seed(d), depth_limit=8)
+    kinds = set()
+    for seed in graph.vertices.values():
+        for s in (seed, reflect_across_belt(seed)):
+            kinds.add(s.kind)
+            expected = _searched_angle_triple(s)
+            assert s.angle_triple() == expected
+            if s.kind == "region":
+                finite = [a for a in expected if a]
+                assert exgraph.region_transversal_multiple(s) == min(finite)
+            else:
+                assert exgraph.region_transversal_multiple(s) is None
+    assert kinds == {"triangle", "region"}
