@@ -96,7 +96,7 @@ def load_matrix(path: str) -> ExchangeMatrix:
 def _matrix_from_args(args) -> ExchangeMatrix:
     if args.sph:
         return spherical_matrix(*_parse_sph_pair(args.sph))
-    if args.affine:
+    if args.affine is not None:
         return initial_seed(args.affine).B
     if args.matrix:
         return load_matrix(args.matrix)
@@ -144,7 +144,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.affine:
+    if args.affine is not None:
         # the level names the class: no classification needed
         result, seed = None, initial_seed(args.affine)
     else:
@@ -263,9 +263,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_counts(args) -> None:
+    """Depths, caps and budgets are counts: a negative one is bad input."""
+    for name in ("depth", "max_vertices", "budget", "max_b"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            option = "--" + name.replace("_", "-")
+            raise ParseError(f"{option} must not be negative, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except (ValueError, BudgetExceeded, OSError) as exc:
         # ValueError covers ParseError, NotCosineForm and the other

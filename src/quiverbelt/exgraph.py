@@ -282,13 +282,10 @@ def _shape_key(seed: PlanarSeed) -> str:
 
 def region_transversal_multiple(seed: PlanarSeed) -> Optional[int]:
     """For a region: the k with ray/finite-side angle k*pi/d, folded below
-    d/2.  The two angles at the finite side are co-interior and sum to d,
-    so the smaller one is the folded difference of the side classes."""
+    d/2 (see PlanarSeed.transversal_multiple); None for a triangle."""
     if seed.kind != "region":
         return None
-    f = seed.finite_side_index()
-    delta = (seed.side_dirs[f] - seed.side_dirs[(f + 1) % 3]) % seed.d
-    return min(delta, seed.d - delta)
+    return seed.transversal_multiple()
 
 
 def s_k_length(d: int, k: int) -> FieldElem:

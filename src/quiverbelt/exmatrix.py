@@ -166,18 +166,20 @@ def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     if not 0 <= k < r:
         raise IndexError("mutation index out of range")
     e = B.entries
-    half = Fraction(1, 2)
-    new = [[e[i][j] for j in range(r)] for i in range(r)]
+    new = [list(row) for row in e]
+    # the upper triangle, mirrored: -b_ij is the stored b_ji
     for i in range(r):
-        for j in range(r):
-            if i == j:
-                continue
+        for j in range(i + 1, r):
             if i == k or j == k:
-                new[i][j] = -e[i][j]
-            else:
-                bik, bkj = e[i][k], e[k][j]
-                correction = (bik * bkj.abs() + bik.abs() * bkj) * half
-                new[i][j] = e[i][j] + correction
+                new[i][j], new[j][i] = e[j][i], e[i][j]
+                continue
+            # (b_ik|b_kj| + |b_ik|b_kj)/2 is sign(b_ik) b_ik b_kj when the
+            # two signs agree and 0 otherwise
+            s = e[i][k].sign()
+            if s != 0 and s == e[k][j].sign():
+                prod = e[i][k] * e[k][j]
+                new[i][j] = e[i][j] + prod if s > 0 else e[i][j] - prod
+                new[j][i] = -new[i][j]
     return ExchangeMatrix(new)
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from quiverbelt.cycfield import (
@@ -99,6 +100,13 @@ class PlanarChart:
     belt: BeltLine
     t0: FieldElem
 
+    @cached_property
+    def belt_cross_signs(self) -> tuple[int, ...]:
+        """The sign of cross_q(u_m, e) for each side class m in [0, d)."""
+        return tuple(
+            cross_q(unit_dir(self.d, m), self.belt.e).sign() for m in range(self.d)
+        )
+
 
 @dataclass(frozen=True)
 class PlanarSeed:
@@ -149,14 +157,21 @@ class PlanarSeed:
             self._cache["witness"] = w
         return w
 
-    def outward_sign(self, i: int) -> int:
-        """Sign s with s*cross_q(u_m, x - base) < 0 for interior x."""
-        w = self.interior_witness()
-        val = cross_q(unit_dir(self.d, self.side_dirs[i]), w - self.side_base(i))
-        s = val.sign()
-        if s == 0:
-            raise UnsupportedRegion("interior witness landed on a side")
-        return -s
+    def outward_signs(self) -> tuple[int, ...]:
+        """Sign s_i with s_i*cross_q(u_{m_i}, x - base_i) < 0 for interior
+        x, by side.  A mutated seed is built with its parent's signs
+        carried over (see planar_mutate); any other seed reads them off an
+        interior witness."""
+        signs = self._cache.get("outward")
+        if signs is None:
+            signs = _witness_signs(
+                self.d,
+                [self.side_base(i) for i in range(3)],
+                self.side_dirs,
+                self.interior_witness(),
+            )
+            self._cache["outward"] = signs
+        return signs
 
     def endpoints_of_side(self, i: int) -> tuple[PlanarPoint, PlanarPoint]:
         if self.kind == "triangle":
@@ -192,10 +207,18 @@ class PlanarSeed:
             raise ValueError("no finite vertex opposite the finite side")
         # vertex i is the finite-side endpoint on the *other* parallel side
         j = next(j for j in range(3) if j != i and j != f)
-        delta = (self.side_dirs[f] - self.side_dirs[j]) % d
-        lo = min(delta, d - delta)
+        lo = self.transversal_multiple()
         along = dot(d, self.vertices[j] - self.vertices[i], self.ray).sign()
         return lo if along > 0 else d - lo
+
+    def transversal_multiple(self) -> int:
+        """Region only: the smaller of the two angles at the finite side,
+        as a multiple of pi/d.  They are co-interior and sum to d, so it is
+        the class difference of the finite and parallel sides folded into
+        [0, d/2]."""
+        f = self.finite_side_index()
+        delta = (self.side_dirs[f] - self.side_dirs[(f + 1) % 3]) % self.d
+        return min(delta, self.d - delta)
 
     def angle_triple(self) -> tuple[int, ...]:
         """Interior angle multiples by vertex slot; 0 marks the infinite
@@ -385,9 +408,13 @@ def _belt_for_initial(d, vertices, side_dirs, B) -> BeltLine:
     e = unit_dir(d, m)
     sign_needed = None
     centroid = (vertices[0] + vertices[1] + vertices[2]).scale(Fraction(1, 3))
+    src_out, snk_out = _witness_signs(
+        d,
+        [vertices[(i + 1) % 3] for i in (source, sink)],
+        [side_dirs[i] for i in (source, sink)],
+        centroid,
+    )
     for candidate in (e, -e):
-        src_out = _outward(d, vertices, side_dirs, source, centroid)
-        snk_out = _outward(d, vertices, side_dirs, sink, centroid)
         src_val = (
             src_out * cross_q(unit_dir(d, side_dirs[source]), candidate)
         ).sign()
@@ -402,13 +429,16 @@ def _belt_for_initial(d, vertices, side_dirs, B) -> BeltLine:
     return BeltLine(base, m, sign_needed)
 
 
-def _outward(d, vertices, side_dirs, i, witness) -> int:
-    base = vertices[(i + 1) % 3]
-    val = cross_q(unit_dir(d, side_dirs[i]), witness - base)
-    s = val.sign()
-    if s == 0:
-        raise UnsupportedRegion("degenerate witness")
-    return -s
+def _witness_signs(d, bases, side_dirs, witness) -> tuple[int, ...]:
+    """The outward sign of each side (base_i, m_i), read off a point
+    strictly inside the region."""
+    signs = []
+    for base, m in zip(bases, side_dirs):
+        s = cross_q(unit_dir(d, m), witness - base).sign()
+        if s == 0:
+            raise UnsupportedRegion("interior witness landed on a side")
+        signs.append(-s)
+    return tuple(signs)
 
 
 # -- positivity and mutation ------------------------------------------------
@@ -417,15 +447,14 @@ def _outward(d, vertices, side_dirs, i, witness) -> int:
 def positivity(s: PlanarSeed, k: int) -> int:
     """+1 if side k is positive (the reference point at infinity along the
     belt lies in its inner half-plane), -1 otherwise."""
-    d = s.d
-    sigma = s.outward_sign(k)
+    sigma = s.outward_signs()[k]
     if s.flips[k]:
         sigma = -sigma
-    u = unit_dir(d, s.side_dirs[k])
-    val = (sigma * cross_q(u, s.chart.belt.e)).sign()
+    val = s.chart.belt_cross_signs[s.side_dirs[k]]
     if val != 0:
-        return -val
+        return -sigma * val
     # side parallel to the belt: compare against the belt's own offset
+    u = unit_dir(s.d, s.side_dirs[k])
     off = (sigma * cross_q(u, s.chart.belt.base - s.side_base(k))).sign()
     if off == 0:
         raise DegeneratePositivity("side lies on the belt line")
@@ -433,7 +462,22 @@ def positivity(s: PlanarSeed, k: int) -> int:
 
 
 def planar_mutate(s: PlanarSeed, k: int) -> PlanarSeed:
-    """Mutation at side k: an involution on (region, quiver) seeds."""
+    """Mutation at side k: an involution on (region, quiver) seeds.
+
+    The child is derived from what the parent already holds.  Its side
+    orientations are the parent's: side k's flips because the region moves
+    across it, a reflected side's flips with the reflection (and once more
+    when the class representative reverses the direction), and the others
+    keep theirs; `_rebuild` certifies them and stores them in the child.
+
+    Vertex t lies on the two lines other than line t (None where they are
+    parallel).  For t != k one of them is line k, which stays.  The other,
+    line j, either stays or is reflected across line k; the reflection
+    fixes line k pointwise, so it maps the point line_j & line_k to itself,
+    and it maps a line parallel to line k to a parallel line and a
+    non-parallel one to a non-parallel one.  So every vertex slot t != k of
+    the child, finite or not, holds the parent's vertex t, and only slot k
+    needs a new intersection."""
     d = s.d
     pos = positivity(s, k) > 0
     others = [i for i in range(3) if i != k]
@@ -442,6 +486,7 @@ def planar_mutate(s: PlanarSeed, k: int) -> PlanarSeed:
         sb = s.B[i, k].sign()
         reflect_flags[i] = (sb < 0) if pos else (sb > 0)
     new_B = mutate(s.B, k)
+    outward = s.outward_signs()
 
     if not any(reflect_flags.values()):
         # lazy branch: sides unchanged, arrows flip, v_k changes sign
@@ -449,7 +494,8 @@ def planar_mutate(s: PlanarSeed, k: int) -> PlanarSeed:
             f ^ 1 if i == k else f for i, f in enumerate(s.flips)
         )
         return PlanarSeed(
-            s.chart, s.kind, s.vertices, s.side_dirs, s.ray, new_B, new_flips
+            s.chart, s.kind, s.vertices, s.side_dirs, s.ray, new_B, new_flips,
+            _cache={"outward": outward},
         )
 
     mk = s.side_dirs[k]
@@ -459,7 +505,7 @@ def planar_mutate(s: PlanarSeed, k: int) -> PlanarSeed:
     for t in range(3):
         base_t = s.side_base(t)
         m_t = s.side_dirs[t]
-        inner_t = -s.outward_sign(t)
+        inner_t = -outward[t]
         if t == k:
             lines[t] = (base_t, m_t)
             inner[t] = -inner_t  # the region flips across the mutated side
@@ -473,30 +519,35 @@ def planar_mutate(s: PlanarSeed, k: int) -> PlanarSeed:
         else:
             lines[t] = (base_t, m_t)
             inner[t] = inner_t
-    return _rebuild(s.chart, lines, inner, new_B, s.flips)
+    return _rebuild(s.chart, lines, inner, new_B, s.flips, s.vertices, k)
 
 
-def _rebuild(chart, lines, inner, B, flips) -> PlanarSeed:
+def _rebuild(chart, lines, inner, B, flips, kept, k) -> PlanarSeed:
     """Assemble the seed bounded by three oriented lines; the inner sign of
-    line t is the cross_q sign of interior points relative to (base, m)."""
+    line t is the cross_q sign of interior points relative to (base, m).
+    Vertex slots other than k hold `kept[t]` (see planar_mutate); slot k
+    gets the intersection of the other two lines.  The checks below hold
+    every vertex to the inner signs, which the seed then keeps as its
+    outward signs (negated)."""
     d = chart.d
     dirs = tuple(lines[t][1] for t in range(3))
+    a, b = [t for t in range(3) if t != k]
+    verts = list(kept)
+    verts[k] = line_intersect(d, lines[a][0], lines[a][1], lines[b][0], lines[b][1])
+    cache = {"outward": tuple(-inner[t] for t in range(3))}
     parallel_pairs = [
         (i, j) for i in range(3) for j in range(i + 1, 3) if dirs[i] == dirs[j]
     ]
     if not parallel_pairs:
-        verts = []
-        for t in range(3):
-            a, b = [x for x in range(3) if x != t]
-            p = line_intersect(d, lines[a][0], lines[a][1], lines[b][0], lines[b][1])
-            if p is None:
-                raise UnsupportedRegion("unexpected parallel sides")
-            verts.append(p)
+        if None in verts:
+            raise UnsupportedRegion("unexpected parallel sides")
         for t in range(3):
             side = cross_q(unit_dir(d, dirs[t]), verts[t] - lines[t][0]).sign()
             if side != inner[t]:
                 raise UnsupportedRegion("half-planes bound an unbounded cell")
-        return PlanarSeed(chart, "triangle", tuple(verts), dirs, None, B, flips)
+        return PlanarSeed(
+            chart, "triangle", tuple(verts), dirs, None, B, flips, _cache=cache
+        )
     if len(parallel_pairs) > 1:
         raise UnsupportedRegion("degenerate line arrangement")
     p, q = parallel_pairs[0]
@@ -507,16 +558,13 @@ def _rebuild(chart, lines, inner, B, flips) -> PlanarSeed:
         raise UnsupportedRegion("half-planes bound a wedge, not a strip")
     if cross_q(u_par, lines[p][0] - lines[q][0]).sign() != inner[q]:
         raise UnsupportedRegion("half-planes bound a wedge, not a strip")
-    verts: list[Optional[PlanarPoint]] = [None, None, None]
-    verts[p] = line_intersect(d, lines[f][0], lines[f][1], lines[q][0], lines[q][1])
-    verts[q] = line_intersect(d, lines[f][0], lines[f][1], lines[p][0], lines[p][1])
     if verts[p] is None or verts[q] is None:
         raise UnsupportedRegion("finite side parallel to the strip")
     rho = inner[f] * cross_q(unit_dir(d, dirs[f]), u_par).sign()
     if rho == 0:
         raise UnsupportedRegion("ray direction degenerate")
     ray = u_par.scale(rho)
-    return PlanarSeed(chart, "region", tuple(verts), dirs, ray, B, flips)
+    return PlanarSeed(chart, "region", tuple(verts), dirs, ray, B, flips, _cache=cache)
 
 
 # -- invariants ----------------------------------------------------------------
@@ -536,7 +584,8 @@ def t_invariant(s: PlanarSeed) -> FieldElem:
     f = s.finite_side_index()
     e1, e2 = s.endpoints_of_side(f)
     length = length_along(d, e2 - e1, s.side_dirs[f])
-    k = s.angle_multiple(next(i for i in range(3) if i != f))
+    # the two angles are k and d - k, and sin^2 takes one value on both
+    k = s.transversal_multiple()
     return length * sin_product(d, k, k)
 
 
@@ -581,9 +630,9 @@ def designated_feet(s: PlanarSeed) -> list[PlanarPoint]:
             for i in idxs
         ]
     f = s.finite_side_index()
-    par = [i for i in range(3) if i != f]
-    obtuse_end = next(i for i in par if 2 * s.angle_multiple(i) > d)
-    acute_end = next(i for i in par if i != obtuse_end)
+    # the angles at the two parallel ends sum to d: one fixes the other
+    first, second = [i for i in range(3) if i != f]
+    acute_end = second if 2 * s.angle_multiple(first) > d else first
     # the endpoint stored at the obtuse slot lies on the parallel side whose
     # index is the acute slot: the finite designated foot drops onto it
     return [

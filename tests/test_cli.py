@@ -160,6 +160,16 @@ def test_verify_rejects_unknown_check_names(capsys, monkeypatch):
         (["enumerate", "--sph", "1/3"], "--sph needs exactly two values"),
         (["enumerate", "--sph", "1/3,2/5,1"], "--sph needs exactly two values"),
         (["enumerate", "--sph", "x,1/3"], "cannot parse --sph value 'x'"),
+        (["enumerate", "--affine", "0"], "d must be at least 3"),
+        (["classify", "--affine", "0"], "d must be at least 3"),
+        (
+            ["enumerate", "--affine", "5", "--max-vertices", "-3"],
+            "--max-vertices must not be negative, got -3",
+        ),
+        (["enumerate", "--affine", "5", "--depth", "-1"], "--depth must not be negative"),
+        (["classify", "--affine", "5", "--budget", "-1"], "--budget must not be negative"),
+        (["enumerate", "--entries", "1,1,1", "--budget", "-4"], "--budget must not be negative"),
+        (["rank2", "--max-b", "-2"], "--max-b must not be negative"),
     ],
 )
 def test_handled_errors_print_one_line_and_exit_2(

@@ -1,11 +1,12 @@
 """Property tests: mutation is an involution on canonical keys, canonical
 keys do not change under a simultaneous permutation of the indices,
 mutation commutes with relabelling field by field, the stored key
-permutation attains the key, T is conserved along planar walks, planar
-angles sum to d, the field axioms hold across levels, canonical forms are
-unique under lifting, the FieldElem fast paths return canonical
-representations, inverses invert, signs agree with the float embedding
-away from zero, and Galois maps are ring homomorphisms."""
+permutation attains the key, carried side orientations match the interior
+witness, matrix mutation matches the abs/half rule, T is conserved along
+planar walks, planar angles sum to d, the field axioms hold across levels,
+canonical forms are unique under lifting, the FieldElem fast paths return
+canonical representations, inverses invert, signs agree with the float
+embedding away from zero, and Galois maps are ring homomorphisms."""
 
 from fractions import Fraction
 
@@ -185,15 +186,26 @@ def test_spherical_seed_key_is_invariant_under_index_permutation(s, p):
 
 @exact
 @given(st.one_of(planar_walks, spherical_walks), st.integers(0, 2))
+@example(spherical_walk_ends((Fraction(1, 3), Fraction(2, 5)), (1, -1, -1), [2, 1]), 2)
 def test_mutation_commutes_with_relabelling_field_by_field(s, k):
     """With pi the relabelling that moves slot i to slot pi[i] (slot i of
     pi.s holds slot p[i] of s for p the inverse of pi), mutating pi.s at
-    pi(k) gives pi.mu_k(s) as labelled seeds, not only up to keys."""
+    pi(k) gives pi.mu_k(s) as labelled seeds, not only up to keys.  When
+    mu_k(s) is not defined, no relabelled mutation is."""
     mutator = planar_mutate if isinstance(s, PlanarSeed) else seed_mutate
-    image = mutator(s, k)
+    try:
+        image = mutator(s, k)
+    except DegeneratePositivity:
+        image = None
     for index, p in enumerate(PERMS3):
         pi = PERMS3[PERM_INVERSE[index]]
-        assert fields(mutator(relabelled(s, p), pi[k])) == fields(relabelled(image, p))
+        if image is None:
+            with pytest.raises(DegeneratePositivity):
+                mutator(relabelled(s, p), pi[k])
+        else:
+            assert fields(mutator(relabelled(s, p), pi[k])) == fields(
+                relabelled(image, p)
+            )
 
 
 @exact
@@ -204,6 +216,41 @@ def test_the_stored_key_permutation_attains_the_key(s):
     # the identity comes first in PERMS3, so it is the one found when it
     # attains the key
     assert canonical.canonical_key() == key and canonical.key_perm() == 0
+
+
+@exact
+@given(planar_walks)
+def test_carried_outward_signs_match_the_witness(s):
+    """A mutated seed carries its side orientations from its parent; a
+    fresh copy of it reads them off an interior witness."""
+    assert s.outward_signs() == relabelled(s, PERMS3[0]).outward_signs()
+
+
+def abs_half_mutate(B, k):
+    """Matrix mutation by the textbook rule
+    b'_ij = b_ij + (b_ik |b_kj| + |b_ik| b_kj) / 2 on every entry: the
+    reference for the one-product rule of `mutate`."""
+    e = B.entries
+    new = [[e[i][j] for j in range(3)] for i in range(3)]
+    for i in range(3):
+        for j in range(3):
+            if i == j:
+                continue
+            if k in (i, j):
+                new[i][j] = -e[i][j]
+            else:
+                bik, bkj = e[i][k], e[k][j]
+                new[i][j] = e[i][j] + (bik * bkj.abs() + bik.abs() * bkj) * Fraction(1, 2)
+    return ExchangeMatrix(new)
+
+
+@exact
+@given(st.sampled_from(MATRICES), walks)
+def test_matrix_mutation_matches_the_abs_half_rule(B, walk):
+    for k in walk:
+        image = mutate(B, k)
+        assert image.entries == abs_half_mutate(B, k).entries
+        B = image
 
 
 @exact

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -12,6 +13,7 @@ from quiverbelt.exmatrix import (
     affine_normal_form,
     classify,
     markov_matrix,
+    mutate,
     mutation_class,
 )
 from quiverbelt.planegeom import (
@@ -20,10 +22,16 @@ from quiverbelt.planegeom import (
     dot,
     from_rationals,
     length_along,
+    line_intersect,
+    reflect_point,
+    unit_dir,
 )
 from quiverbelt.seedgeom import (
+    DegeneratePositivity,
     NotAcyclic,
+    PlanarSeed,
     UnsupportedClass,
+    UnsupportedRegion,
     _source_sink,
     belt_line,
     designated_feet,
@@ -274,11 +282,19 @@ def _searched_angle_triple(s):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _window(d, offset):
+    """The depth-8 window grown from entry 6*offset of the initial acyclic
+    belt: the initial seed translated by offset * 4T."""
+    steps = 6 * abs(offset)
+    start = exgraph.acyclic_belt(initial_seed(d), steps)[steps + 6 * offset]
+    return tuple(exgraph.bfs(start, depth_limit=8).vertices.values())
+
+
 @pytest.mark.parametrize("d", range(3, 13))
 def test_angles_from_side_classes_match_the_direction_search(d):
-    graph = exgraph.bfs(initial_seed(d), depth_limit=8)
     kinds = set()
-    for seed in graph.vertices.values():
+    for seed in _window(d, 0):
         for s in (seed, reflect_across_belt(seed)):
             kinds.add(s.kind)
             expected = _searched_angle_triple(s)
@@ -289,3 +305,118 @@ def test_angles_from_side_classes_match_the_direction_search(d):
             else:
                 assert exgraph.region_transversal_multiple(s) is None
     assert kinds == {"triangle", "region"}
+
+
+def _fields(s):
+    return s.chart, s.kind, s.vertices, s.side_dirs, s.ray, s.B, s.flips
+
+
+def _witness_outward(s):
+    """Outward sign of each side, read off the interior witness."""
+    w = s.interior_witness()
+    signs = []
+    for i in range(3):
+        val = cross_q(unit_dir(s.d, s.side_dirs[i]), w - s.side_base(i)).sign()
+        if val == 0:
+            raise UnsupportedRegion("interior witness landed on a side")
+        signs.append(-val)
+    return tuple(signs)
+
+
+def _recomputed_positivity(s, k, outward):
+    sigma = -outward[k] if s.flips[k] else outward[k]
+    u = unit_dir(s.d, s.side_dirs[k])
+    val = (sigma * cross_q(u, s.chart.belt.e)).sign()
+    if val != 0:
+        return -val
+    off = (sigma * cross_q(u, s.chart.belt.base - s.side_base(k))).sign()
+    if off == 0:
+        raise DegeneratePositivity("side lies on the belt line")
+    return -off
+
+
+def _recomputed_mutate(s, k):
+    """Planar mutation recomputed from scratch: witness signs for every
+    side, positivity by a cross product with the belt, all three lines
+    intersected again.  The reference for `planar_mutate`, which derives
+    the child from its parent."""
+    d = s.d
+    outward = _witness_outward(s)
+    pos = _recomputed_positivity(s, k, outward) > 0
+    reflect = {}
+    for i in range(3):
+        if i != k:
+            sb = s.B[i, k].sign()
+            reflect[i] = (sb < 0) if pos else (sb > 0)
+    new_B = mutate(s.B, k)
+    if not any(reflect.values()):
+        flips = tuple(f ^ 1 if i == k else f for i, f in enumerate(s.flips))
+        return PlanarSeed(s.chart, s.kind, s.vertices, s.side_dirs, s.ray, new_B, flips)
+    mk = s.side_dirs[k]
+    base_k = s.side_base(k)
+    lines, inner = {}, {}
+    for t in range(3):
+        base_t, m_t, inner_t = s.side_base(t), s.side_dirs[t], -outward[t]
+        if t == k:
+            lines[t], inner[t] = (base_t, m_t), -inner_t
+        elif reflect[t]:
+            raw = 2 * mk - m_t
+            eps = 1 if raw % (2 * d) == raw % d else -1
+            lines[t] = (reflect_point(d, base_t, base_k, mk), raw % d)
+            inner[t] = -eps * inner_t
+        else:
+            lines[t], inner[t] = (base_t, m_t), inner_t
+    dirs = tuple(lines[t][1] for t in range(3))
+    parallel = [(i, j) for i in range(3) for j in range(i + 1, 3) if dirs[i] == dirs[j]]
+
+    def meet(a, b):
+        return line_intersect(d, lines[a][0], lines[a][1], lines[b][0], lines[b][1])
+
+    if not parallel:
+        verts = [meet(*[x for x in range(3) if x != t]) for t in range(3)]
+        if None in verts:
+            raise UnsupportedRegion("unexpected parallel sides")
+        for t in range(3):
+            if cross_q(unit_dir(d, dirs[t]), verts[t] - lines[t][0]).sign() != inner[t]:
+                raise UnsupportedRegion("half-planes bound an unbounded cell")
+        return PlanarSeed(s.chart, "triangle", tuple(verts), dirs, None, new_B, s.flips)
+    if len(parallel) > 1:
+        raise UnsupportedRegion("degenerate line arrangement")
+    p, q = parallel[0]
+    f = 3 - p - q
+    u_par = unit_dir(d, dirs[p])
+    if cross_q(u_par, lines[q][0] - lines[p][0]).sign() != inner[p]:
+        raise UnsupportedRegion("half-planes bound a wedge, not a strip")
+    if cross_q(u_par, lines[p][0] - lines[q][0]).sign() != inner[q]:
+        raise UnsupportedRegion("half-planes bound a wedge, not a strip")
+    verts = [None, None, None]
+    verts[p], verts[q] = meet(f, q), meet(f, p)
+    if verts[p] is None or verts[q] is None:
+        raise UnsupportedRegion("finite side parallel to the strip")
+    rho = inner[f] * cross_q(unit_dir(d, dirs[f]), u_par).sign()
+    if rho == 0:
+        raise UnsupportedRegion("ray direction degenerate")
+    ray = u_par.scale(rho)
+    return PlanarSeed(s.chart, "region", tuple(verts), dirs, ray, new_B, s.flips)
+
+
+@pytest.mark.parametrize("d", range(3, 13))
+def test_planar_mutation_matches_the_full_recompute(d):
+    """Field by field, outward signs included, on every seed of the
+    depth-8 windows from two belt offsets and on each seed's mirror."""
+    compared = 0
+    for offset in (0, 1):
+        for seed in _window(d, offset):
+            for s in (seed, reflect_across_belt(seed)):
+                for k in range(3):
+                    try:
+                        expected = _recomputed_mutate(s, k)
+                    except (DegeneratePositivity, UnsupportedRegion) as exc:
+                        with pytest.raises(type(exc)):
+                            planar_mutate(s, k)
+                        continue
+                    image = planar_mutate(s, k)
+                    assert _fields(image) == _fields(expected)
+                    assert image.outward_signs() == _witness_outward(expected)
+                    compared += 1
+    assert compared
