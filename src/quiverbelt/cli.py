@@ -8,7 +8,9 @@ Subcommands:
 
 Matrix shorthand: entries are given as "cos(a/b)" meaning 2cos(a*pi/b),
 optionally signed, or as exact rationals ("3/2", "-1"); an inline matrix
-spec lists the upper triangle row-major as "b12,b13,b23".
+spec (--entries, or a JSON list in a --matrix file) lists the upper
+triangle of the rank-3 matrix row-major as "b12,b13,b23", exactly three
+entries.
 
 Bad input, unknown check names and exhausted search budgets end the run
 with one line on stderr and exit status 2.
@@ -73,14 +75,11 @@ def _parse_sph_pair(text: str) -> tuple[Fraction, Fraction]:
 
 
 def parse_matrix_spec(text: str) -> ExchangeMatrix:
-    """Upper-triangle spec 'b12,b13,b23' (rank 3) or 'b12' (rank 2)."""
-    parts = [p for p in text.split(",") if p.strip()]
-    entries = [parse_entry(p) for p in parts]
-    if len(entries) == 1:
-        return ExchangeMatrix.from_upper(entries[0])
-    if len(entries) == 3:
-        return ExchangeMatrix.from_upper(*entries)
-    raise ParseError("matrix spec needs 1 or 3 upper-triangle entries")
+    """Upper-triangle spec 'b12,b13,b23' of a rank-3 matrix."""
+    entries = [parse_entry(p) for p in text.split(",") if p.strip()]
+    if len(entries) != 3:
+        raise ParseError("matrix spec needs 3 upper-triangle entries")
+    return ExchangeMatrix.from_upper(*entries)
 
 
 def load_matrix(path: str) -> ExchangeMatrix:

@@ -32,6 +32,7 @@ from quiverbelt.exmatrix import (
     PERMS3,
     BudgetExceeded,
     entry_cosine_form,
+    sources_and_sinks,
 )
 from quiverbelt.intpoly import euler_totient
 from quiverbelt.planegeom import PlanarPoint, length_along
@@ -40,7 +41,6 @@ from quiverbelt.seedgeom import (
     NotAcyclic,
     PlanarSeed,
     SphericalSeed,
-    _source_sink_lists,
     orientation_tag,
     planar_mutate,
     positivity,
@@ -223,12 +223,12 @@ def acyclic_belt(initial: PlanarSeed, steps: int) -> list[PlanarSeed]:
     """The initial acyclic belt truncated to [-steps, steps]; entry `steps`
     is the initial seed, later entries follow source mutations, earlier
     ones sink mutations."""
-    sources, sinks = _source_sink_lists(initial.B)
+    sources, sinks = sources_and_sinks(initial.B)
     if not sources or not sinks:
         raise NotAcyclic("belt requires an acyclic seed")
 
     def step(seed, forward: bool):
-        srcs, snks = _source_sink_lists(seed.B)
+        srcs, snks = sources_and_sinks(seed.B)
         pool = srcs if forward else snks
         want = 1 if forward else -1
         picks = [i for i in sorted(pool) if positivity(seed, i) == want]
@@ -322,7 +322,7 @@ def lattice_report(graph: ExchangeGraphData, d: int) -> LatticeReport:
     # witness each s_k by an explicit infinite-region mutation
     generator_lengths = []
     for k in units:
-        witness = _witness_region_translation(graph, d, k)
+        witness = witness_region_translation(graph, d, k)
         expected = s_k_length(d, k)
         if witness is not None and witness != expected:
             raise RuntimeError("region translation does not match s_k")
@@ -366,7 +366,7 @@ def _common_denominator(lengths) -> Optional[int]:
     return den
 
 
-def _witness_region_translation(
+def witness_region_translation(
     graph: ExchangeGraphData, d: int, k: int
 ) -> Optional[FieldElem]:
     """Mutate an enumerated region with transversal angle k*pi/d at one of
@@ -483,23 +483,32 @@ def alternating_period(seed: SphericalSeed, i: int, j: int, cap: int = 64):
     return None
 
 
+def _link_step(links: dict, x: str, r: int, label: int):
+    """One mutation of a walk along a graph's links, or None where a depth
+    limit left the link out.
+
+    The walk holds the current vertex x and the relabelling r (an index
+    into PERMS3) from walk labels to the labels of x's stored seed.
+    Mutation commutes with relabelling, so the walk's mu_label is the
+    stored seed's mu_{r[label]}, whose link (y, t) moves the walk to y with
+    relabelling t after r."""
+    link = links[x][PERMS3[r][label]]
+    if link is None:
+        return None
+    y, t = link
+    return y, PERM_COMPOSE[t][r]
+
+
 def linked_period(graph: ExchangeGraphData, key: str, i: int, j: int, cap: int = 64):
     """`alternating_period` of the stored seed of `key`, walked along the
-    graph's links with no mutation.
-
-    The walk holds the current vertex and the relabelling r from walk
-    labels to its stored seed's labels.  Mutation commutes with
-    relabelling, so the walk's mu_l is the stored seed's mu_{r[l]}, whose
-    link (y, t) moves the walk to y with relabelling t after r.  The seed
-    returns when the walk is back at `key`, the key comparison of
+    graph's links with no mutation (see `_link_step`).  The seed returns
+    when the walk is back at `key`, the key comparison of
     `SphericalSeed.__eq__`."""
     if not graph.closed:
         raise ValueError("rank-2 periods need a closed exchange graph")
-    links = graph.links
     x, r = key, 0
     for n in range(1, cap + 1):
-        x, t = links[x][PERMS3[r][i if n % 2 == 1 else j]]
-        r = PERM_COMPOSE[t][r]
+        x, r = _link_step(graph.links, x, r, i if n % 2 == 1 else j)
         if x == key:
             return n
     return None
@@ -562,81 +571,43 @@ def _initial_periods_short(seed: SphericalSeed) -> bool:
     return True
 
 
-# -- isomorphism (for reference-point independence checks) ---------------------
+# -- correspondence (for reference-point independence checks) -----------------
 
 
 def graphs_isomorphic(g1: ExchangeGraphData, g2: ExchangeGraphData) -> bool:
-    """Backtracking isomorphism test with distance-profile refinement and a
-    connected search order; meant for the small 3-regular exchange graphs
-    of finite type."""
+    """Whether the same mutation words lead from the two initial seeds to
+    corresponding vertices: a bijection f of vertices such that a word
+    reaching x in g1 reaches f(x) in g2.
+
+    Meant for two graphs grown from the same exchange matrix, such as two
+    draws of a compatible reference point, where this is what independence
+    of the reference point means.  The walk follows the links of both
+    graphs at once (see `_link_step`) and stops at a link present on one
+    side only or at a vertex paired with two partners.  A True result is
+    an isomorphism that maps the initial seed to the initial seed."""
     if g1.order() != g2.order() or g1.size() != g2.size():
         return False
-    adj1 = {k: set(v) for k, v in g1.adjacency().items()}
-    adj2 = {k: set(v) for k, v in g2.adjacency().items()}
-
-    def profile(adj, start):
-        dist = {start: 0}
-        frontier = [start]
-        order = []
-        while frontier:
-            order.append(len(frontier))
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        nxt.append(w)
-            frontier = nxt
-        return tuple(order)
-
-    prof1 = {v: profile(adj1, v) for v in adj1}
-    prof2 = {v: profile(adj2, v) for v in adj2}
-    if sorted(prof1.values()) != sorted(prof2.values()):
-        return False
-
-    # BFS order: every node after the first has a previously-mapped
-    # neighbour, so candidate images come from neighbour intersections
-    start = min(adj1, key=lambda v: (prof1[v], v))
-    nodes1 = [start]
-    seen = {start}
-    q = deque([start])
-    while q:
-        v = q.popleft()
-        for w in sorted(adj1[v]):
-            if w not in seen:
-                seen.add(w)
-                nodes1.append(w)
-                q.append(w)
-
-    mapping: dict = {}
-    used = set()
-
-    def backtrack(idx: int) -> bool:
-        if idx == len(nodes1):
-            return True
-        v = nodes1[idx]
-        mapped_nbrs = [mapping[u] for u in adj1[v] if u in mapping]
-        if mapped_nbrs:
-            candidates = set(adj2[mapped_nbrs[0]])
-            for m in mapped_nbrs[1:]:
-                candidates &= adj2[m]
-        else:
-            candidates = set(adj2)
-        for w in sorted(candidates):
-            if w in used or prof2[w] != prof1[v]:
+    forward = {g1.initial_key: g2.initial_key}
+    backward = {g2.initial_key: g1.initial_key}
+    queue = deque([(g1.initial_key, 0, g2.initial_key, 0)])
+    while queue:
+        x1, r1, x2, r2 = queue.popleft()
+        for label in range(3):
+            step1 = _link_step(g1.links, x1, r1, label)
+            step2 = _link_step(g2.links, x2, r2, label)
+            if step1 is None and step2 is None:
                 continue
-            # adjacency counts must match both ways
-            if sum(1 for x in adj2[w] if x in used) != len(mapped_nbrs):
-                continue
-            mapping[v] = w
-            used.add(w)
-            if backtrack(idx + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    return backtrack(0)
+            if step1 is None or step2 is None:
+                return False
+            (y1, s1), (y2, s2) = step1, step2
+            if y1 not in forward:
+                if y2 in backward:
+                    return False
+                forward[y1], backward[y2] = y2, y1
+                queue.append((y1, s1, y2, s2))
+            elif forward[y1] != y2:
+                return False
+    return len(forward) == g1.order()
 
 
 # -- exports --------------------------------------------------------------------

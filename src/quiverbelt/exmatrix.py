@@ -1,10 +1,12 @@
-"""Skew-symmetric exchange matrices with cosine weights and their mutation.
+"""Skew-symmetric rank-3 exchange matrices with cosine weights and their
+mutation.
 
-Matrices store exact field elements lifted to a common level.  Mutation
-resolves the absolute values in the exchange rule through certified signs,
-classification searches the mutation class (up to simultaneous index
-permutation) for an acyclic representative and compares the Markov
-constant against 4.
+Matrices are 3x3 and store exact field elements lifted to a common level.
+Mutation resolves the absolute values in the exchange rule through
+certified signs; `sources_and_sinks` reads the sources and sinks of the
+sign digraph for every caller; classification searches the mutation class
+(up to simultaneous index permutation) for an acyclic representative and
+compares the Markov constant against 4.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from typing import Optional
 from quiverbelt.cycfield import FieldElem, cos_multiple
 
 PERMS3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-_PERMS2 = ((0, 1), (1, 0))
 # Relabellings as indices into PERMS3 (0 is the identity): PERM_COMPOSE[a][b]
 # is the index of i -> PERMS3[a][PERMS3[b][i]] and PERM_INVERSE[a] that of
 # the inverse of PERMS3[a], so relabellings compose by table lookups.
@@ -44,15 +45,15 @@ class BudgetExceeded(RuntimeError):
 
 
 class ExchangeMatrix:
-    """Immutable skew-symmetric matrix of FieldElems, rank 2 or 3."""
+    """Immutable skew-symmetric 3x3 matrix of FieldElems."""
 
-    __slots__ = ("rank", "level", "entries", "_key")
+    __slots__ = ("level", "entries", "_key")
+    rank = 3
 
     def __init__(self, entries):
         rows = [list(r) for r in entries]
-        rank = len(rows)
-        if rank not in (2, 3) or any(len(r) != rank for r in rows):
-            raise ValueError("entries must form a 2x2 or 3x3 matrix")
+        if len(rows) != 3 or any(len(r) != 3 for r in rows):
+            raise ValueError("entries must form a 3x3 matrix")
         level = 1
         for r in rows:
             for e in r:
@@ -69,24 +70,19 @@ class ExchangeMatrix:
                 else:
                     out.append(FieldElem.from_rational(level, e))
             lifted.append(tuple(out))
-        for i in range(rank):
+        for i in range(3):
             if not lifted[i][i].is_zero():
                 raise ValueError("diagonal entries must vanish")
-            for j in range(i + 1, rank):
+            for j in range(i + 1, 3):
                 if not (lifted[i][j] + lifted[j][i]).is_zero():
                     raise ValueError("matrix must be skew-symmetric")
-        self.rank = rank
         self.level = level
         self.entries = tuple(lifted)
         self._key: Optional[str] = None
 
     @staticmethod
-    def from_upper(b12, b13=None, b23=None) -> "ExchangeMatrix":
-        """Build from upper-triangle entries: (b12,) for rank 2, else
-        (b12, b13, b23)."""
-        if b13 is None and b23 is None:
-            z = 0
-            return ExchangeMatrix([[z, b12], [_neg(b12), z]])
+    def from_upper(b12, b13, b23) -> "ExchangeMatrix":
+        """Build from the upper-triangle entries b12, b13, b23."""
         return ExchangeMatrix(
             [
                 [0, b12, b13],
@@ -102,7 +98,6 @@ class ExchangeMatrix:
     def __eq__(self, other):
         return (
             isinstance(other, ExchangeMatrix)
-            and other.rank == self.rank
             and other.level == self.level
             and other.entries == self.entries
         )
@@ -139,9 +134,8 @@ class ExchangeMatrix:
         permutations; identifies matrices up to reordering of indices."""
         if self._key is None:
             keys = self.entry_keys()
-            perms = PERMS3 if self.rank == 3 else _PERMS2
             self._key = min(
-                ";".join(keys[p[i], p[j]] for i, j in keys) for p in perms
+                ";".join(keys[p[i], p[j]] for i, j in keys) for p in PERMS3
             )
         return self._key
 
@@ -162,14 +156,13 @@ def _neg(x):
 
 def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """Matrix mutation at direction k (0-based); an involution."""
-    r = B.rank
-    if not 0 <= k < r:
+    if not 0 <= k < 3:
         raise IndexError("mutation index out of range")
     e = B.entries
     new = [list(row) for row in e]
     # the upper triangle, mirrored: -b_ij is the stored b_ji
-    for i in range(r):
-        for j in range(i + 1, r):
+    for i in range(3):
+        for j in range(i + 1, 3):
             if i == k or j == k:
                 new[i][j], new[j][i] = e[j][i], e[i][j]
                 continue
@@ -185,20 +178,35 @@ def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
 
 def is_acyclic(B: ExchangeMatrix) -> bool:
     """True iff the sign digraph (arrow i->j when b_ij > 0) has no oriented
-    cycle; rank-2 matrices are always acyclic."""
-    if B.rank == 2:
-        return True
+    cycle."""
     s = B.sign_pattern()
     cycle_a = s[0][1] > 0 and s[1][2] > 0 and s[2][0] > 0
     cycle_b = s[0][1] < 0 and s[1][2] < 0 and s[2][0] < 0
     return not (cycle_a or cycle_b)
 
 
+def sources_and_sinks(B: ExchangeMatrix) -> tuple[list[int], list[int]]:
+    """The sources (every arrow out, b_ij >= 0 with one > 0) and the sinks
+    (every arrow in) of the sign digraph, in index order."""
+    signs = B.sign_pattern()
+    sources = [
+        i
+        for i in range(3)
+        if all(signs[i][j] >= 0 for j in range(3))
+        and any(signs[i][j] > 0 for j in range(3))
+    ]
+    sinks = [
+        i
+        for i in range(3)
+        if all(signs[i][j] <= 0 for j in range(3))
+        and any(signs[i][j] < 0 for j in range(3))
+    ]
+    return sources, sinks
+
+
 def markov_constant(B: ExchangeMatrix) -> FieldElem:
     """C(B): sum of squared off-diagonal entries, plus or minus the absolute
     triple product according to acyclicity."""
-    if B.rank != 3:
-        raise ValueError("the Markov constant is defined for rank 3")
     b12, b13, b23 = B[0, 1], B[0, 2], B[1, 2]
     squares = b12 * b12 + b13 * b13 + b23 * b23
     triple = (b12 * b23 * b13).abs()
@@ -315,7 +323,7 @@ def _class_walk(members: dict, budget: int):
     queue = deque(members.values())
     while queue:
         current = queue.popleft()
-        for k in range(current.rank):
+        for k in range(3):
             nxt = mutate(current, k)
             key = nxt.canonical_key()
             if key not in members:
@@ -356,8 +364,6 @@ def classify(B: ExchangeMatrix, budget: int = 512) -> ClassificationResult:
     denominator of the entry angles), C < 4 closes onto one of the five
     spherical pairs.
     """
-    if B.rank != 3:
-        raise ValueError("classification applies to rank 3")
     for i in range(3):
         for j in range(i + 1, 3):
             entry_cosine_form(B[i, j])

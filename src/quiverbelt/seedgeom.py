@@ -41,6 +41,7 @@ from quiverbelt.exmatrix import (
     classify,
     is_acyclic,
     mutate,
+    sources_and_sinks,
 )
 from quiverbelt.planegeom import (
     PlanarPoint,
@@ -116,10 +117,6 @@ class PlanarSeed:
     side_dirs: tuple[int, int, int]
     ray: Optional[PlanarPoint]
     B: ExchangeMatrix
-    # parity of sign flips per side: the seed vector of side i is
-    # (-1)^flips[i] times the outward normal of the drawn region.  Nonzero
-    # only after a lazy mutation, which keeps the region and flips v_k.
-    flips: tuple[int, int, int] = (0, 0, 0)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     # -- basic structure ---------------------------------------------------
@@ -288,7 +285,7 @@ class PlanarSeed:
     def translate(self, w: PlanarPoint) -> "PlanarSeed":
         verts = tuple(v + w if v is not None else None for v in self.vertices)
         return PlanarSeed(
-            self.chart, self.kind, verts, self.side_dirs, self.ray, self.B, self.flips
+            self.chart, self.kind, verts, self.side_dirs, self.ray, self.B
         )
 
     def to_json(self):
@@ -311,25 +308,8 @@ class PlanarSeed:
 # -- initial seeds --------------------------------------------------------------
 
 
-def _source_sink_lists(B: ExchangeMatrix) -> tuple[list[int], list[int]]:
-    signs = B.sign_pattern()
-    sources = [
-        i
-        for i in range(B.rank)
-        if all(signs[i][j] >= 0 for j in range(B.rank))
-        and any(signs[i][j] > 0 for j in range(B.rank))
-    ]
-    sinks = [
-        i
-        for i in range(B.rank)
-        if all(signs[i][j] <= 0 for j in range(B.rank))
-        and any(signs[i][j] < 0 for j in range(B.rank))
-    ]
-    return sources, sinks
-
-
 def _source_sink(B: ExchangeMatrix) -> tuple[Optional[int], Optional[int]]:
-    sources, sinks = _source_sink_lists(B)
+    sources, sinks = sources_and_sinks(B)
     source = sources[0] if len(sources) == 1 else None
     sink = sinks[0] if len(sinks) == 1 else None
     return source, sink
@@ -448,8 +428,6 @@ def positivity(s: PlanarSeed, k: int) -> int:
     """+1 if side k is positive (the reference point at infinity along the
     belt lies in its inner half-plane), -1 otherwise."""
     sigma = s.outward_signs()[k]
-    if s.flips[k]:
-        sigma = -sigma
     val = s.chart.belt_cross_signs[s.side_dirs[k]]
     if val != 0:
         return -sigma * val
@@ -464,11 +442,26 @@ def positivity(s: PlanarSeed, k: int) -> int:
 def planar_mutate(s: PlanarSeed, k: int) -> PlanarSeed:
     """Mutation at side k: an involution on (region, quiver) seeds.
 
+    Some side other than k is always reflected, so the region always moves
+    across line k.  No side is reflected exactly when k is a positive sink
+    or a negative source, and no seed of an affine exchange graph has one:
+    - A region's quiver is cyclic.  Its parallel sides carry +-2, and an
+      acyclic quiver with an entry +-2 reaches C = 4 only when its other
+      two entries are 0, which makes it decomposable.
+    - A cyclic triangle has no source and no sink.
+    - Acyclic triangles follow the orientation rule that the
+      affine-invariants check verifies: sources are positive and sinks
+      are negative.
+    A triangle handed such a side anyway (say, with B negated) keeps its
+    vertex opposite k on the wrong side of the flipped line k, and
+    `_rebuild`'s vertex-side check raises UnsupportedRegion.
+
     The child is derived from what the parent already holds.  Its side
-    orientations are the parent's: side k's flips because the region moves
-    across it, a reflected side's flips with the reflection (and once more
-    when the class representative reverses the direction), and the others
-    keep theirs; `_rebuild` certifies them and stores them in the child.
+    orientations are the parent's: side k's reverses because the region
+    moves across it, a reflected side's reverses with the reflection (and
+    once more when the class representative reverses the direction), and
+    the others keep theirs; `_rebuild` certifies them and stores them in
+    the child.
 
     Vertex t lies on the two lines other than line t (None where they are
     parallel).  For t != k one of them is line k, which stays.  The other,
@@ -487,17 +480,6 @@ def planar_mutate(s: PlanarSeed, k: int) -> PlanarSeed:
         reflect_flags[i] = (sb < 0) if pos else (sb > 0)
     new_B = mutate(s.B, k)
     outward = s.outward_signs()
-
-    if not any(reflect_flags.values()):
-        # lazy branch: sides unchanged, arrows flip, v_k changes sign
-        new_flips = tuple(
-            f ^ 1 if i == k else f for i, f in enumerate(s.flips)
-        )
-        return PlanarSeed(
-            s.chart, s.kind, s.vertices, s.side_dirs, s.ray, new_B, new_flips,
-            _cache={"outward": outward},
-        )
-
     mk = s.side_dirs[k]
     base_k = s.side_base(k)
     lines = {}
@@ -508,7 +490,7 @@ def planar_mutate(s: PlanarSeed, k: int) -> PlanarSeed:
         inner_t = -outward[t]
         if t == k:
             lines[t] = (base_t, m_t)
-            inner[t] = -inner_t  # the region flips across the mutated side
+            inner[t] = -inner_t  # the region moves across the mutated side
         elif reflect_flags[t]:
             raw = 2 * mk - m_t
             m2 = raw % d
@@ -519,10 +501,10 @@ def planar_mutate(s: PlanarSeed, k: int) -> PlanarSeed:
         else:
             lines[t] = (base_t, m_t)
             inner[t] = inner_t
-    return _rebuild(s.chart, lines, inner, new_B, s.flips, s.vertices, k)
+    return _rebuild(s.chart, lines, inner, new_B, s.vertices, k)
 
 
-def _rebuild(chart, lines, inner, B, flips, kept, k) -> PlanarSeed:
+def _rebuild(chart, lines, inner, B, kept, k) -> PlanarSeed:
     """Assemble the seed bounded by three oriented lines; the inner sign of
     line t is the cross_q sign of interior points relative to (base, m).
     Vertex slots other than k hold `kept[t]` (see planar_mutate); slot k
@@ -545,9 +527,7 @@ def _rebuild(chart, lines, inner, B, flips, kept, k) -> PlanarSeed:
             side = cross_q(unit_dir(d, dirs[t]), verts[t] - lines[t][0]).sign()
             if side != inner[t]:
                 raise UnsupportedRegion("half-planes bound an unbounded cell")
-        return PlanarSeed(
-            chart, "triangle", tuple(verts), dirs, None, B, flips, _cache=cache
-        )
+        return PlanarSeed(chart, "triangle", tuple(verts), dirs, None, B, _cache=cache)
     if len(parallel_pairs) > 1:
         raise UnsupportedRegion("degenerate line arrangement")
     p, q = parallel_pairs[0]
@@ -564,7 +544,7 @@ def _rebuild(chart, lines, inner, B, flips, kept, k) -> PlanarSeed:
     if rho == 0:
         raise UnsupportedRegion("ray direction degenerate")
     ray = u_par.scale(rho)
-    return PlanarSeed(chart, "region", tuple(verts), dirs, ray, B, flips, _cache=cache)
+    return PlanarSeed(chart, "region", tuple(verts), dirs, ray, B, _cache=cache)
 
 
 # -- invariants ----------------------------------------------------------------
@@ -615,7 +595,7 @@ def designated_feet(s: PlanarSeed) -> list[PlanarPoint]:
     """
     d = s.d
     if s.kind == "triangle":
-        sources, sinks = _source_sink_lists(s.B)
+        sources, sinks = sources_and_sinks(s.B)
         if sources or sinks:
             # acyclic: the source- and sink-side feet (a right angle makes
             # one of the lists ambiguous; all named feet lie on the belt)
@@ -851,8 +831,6 @@ def realize_classified(
 def spherical_seed(B: ExchangeMatrix, reference=None) -> SphericalSeed:
     """Quasi-Cartan realisation of a finite-type matrix with the canonical
     interior reference point (v_i, u) = -ref_i < 0."""
-    if B.rank != 3:
-        raise ValueError("spherical seeds have rank 3")
     level = B.level
     acyclic = is_acyclic(B)
     gram_rows = []

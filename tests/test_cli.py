@@ -170,6 +170,7 @@ def test_verify_rejects_unknown_check_names(capsys, monkeypatch):
         (["classify", "--affine", "5", "--budget", "-1"], "--budget must not be negative"),
         (["enumerate", "--entries", "1,1,1", "--budget", "-4"], "--budget must not be negative"),
         (["rank2", "--max-b", "-2"], "--max-b must not be negative"),
+        (["classify", "--entries", "cos(1/3)"], "matrix spec needs 3 upper-triangle entries"),
     ],
 )
 def test_handled_errors_print_one_line_and_exit_2(

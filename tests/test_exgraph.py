@@ -117,7 +117,6 @@ def labelled_fields(seed, p):
             tuple(seed.side_dirs[p[i]] for i in range(3)),
             seed.ray,
             B,
-            tuple(seed.flips[p[i]] for i in range(3)),
         )
     return seed.space, tuple(seed.vectors[p[i]] for i in range(3)), B, seed.ref
 
@@ -302,3 +301,20 @@ def test_graph_isomorphism_checker():
     assert exgraph.graphs_isomorphic(g1, g2)
     g3 = exgraph.bfs(initial_seed(5), depth_limit=5)
     assert not exgraph.graphs_isomorphic(g1, g3)
+    # same order and size, and isomorphic as bare graphs, but the same
+    # mutation words do not lead to corresponding seeds
+    belt = exgraph.acyclic_belt(initial_seed(3), 3)
+    g4 = exgraph.bfs(belt[1], depth_limit=5)
+    g5 = exgraph.bfs(belt[3], depth_limit=5)
+    assert (g4.order(), g4.size()) == (g5.order(), g5.size()) == (30, 40)
+    assert not exgraph.graphs_isomorphic(g4, g5)
+
+
+@pytest.mark.parametrize("pair", SPHERICAL_PAIRS)
+def test_two_compatible_draws_correspond(pair):
+    rng = random.Random(3)
+    B = spherical_matrix(*pair)
+    _, g1 = exgraph.compatible_spherical_graph(B, rng)
+    _, g2 = exgraph.compatible_spherical_graph(B, rng)
+    assert g1.vertices.keys() != g2.vertices.keys()
+    assert exgraph.graphs_isomorphic(g1, g2) and exgraph.graphs_isomorphic(g2, g1)

@@ -18,7 +18,6 @@ from quiverbelt.cycfield import (
     FieldElem,
     GaloisMap,
     InvalidMultiplier,
-    cos_multiple,
     level_context,
 )
 from quiverbelt.exmatrix import (
@@ -101,22 +100,7 @@ def walk_from(start, mutator, walk):
 
 def permuted_matrix(B, p):
     """Entry (i, j) of the result is entry (p[i], p[j]) of B."""
-    n = B.rank
-    return ExchangeMatrix([[B[p[i], p[j]] for j in range(n)] for i in range(n)])
-
-
-rank2_matrices = st.builds(
-    lambda d, k, sign: ExchangeMatrix.from_upper(sign * cos_multiple(d, k)),
-    st.integers(3, 12),
-    st.integers(1, 2),
-    st.sampled_from((1, -1)),
-)
-
-
-@exact
-@given(rank2_matrices)
-def test_rank2_matrix_key_is_invariant_under_index_permutation(B):
-    assert permuted_matrix(B, (1, 0)).canonical_key() == B.canonical_key()
+    return ExchangeMatrix([[B[p[i], p[j]] for j in range(3)] for i in range(3)])
 
 
 @exact
@@ -136,7 +120,6 @@ def relabelled(s, p):
             tuple(s.side_dirs[p[i]] for i in range(3)),
             s.ray,
             permuted_matrix(s.B, p),
-            tuple(s.flips[p[i]] for i in range(3)),
         )
     return SphericalSeed(
         s.space, tuple(s.vectors[p[i]] for i in range(3)), permuted_matrix(s.B, p), s.ref
@@ -146,7 +129,7 @@ def relabelled(s, p):
 def fields(s):
     """Every field of a seed, as a labelled seed (not up to relabelling)."""
     if isinstance(s, PlanarSeed):
-        return s.chart, s.kind, s.vertices, s.side_dirs, s.ray, s.B, s.flips
+        return s.chart, s.kind, s.vertices, s.side_dirs, s.ray, s.B
     return s.space, s.vectors, s.B, s.ref
 
 

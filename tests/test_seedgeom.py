@@ -12,9 +12,11 @@ from quiverbelt.exmatrix import (
     _lift_matrix,
     affine_normal_form,
     classify,
+    is_acyclic,
     markov_matrix,
     mutate,
     mutation_class,
+    sources_and_sinks,
 )
 from quiverbelt.planegeom import (
     cross_q,
@@ -308,7 +310,7 @@ def test_angles_from_side_classes_match_the_direction_search(d):
 
 
 def _fields(s):
-    return s.chart, s.kind, s.vertices, s.side_dirs, s.ray, s.B, s.flips
+    return s.chart, s.kind, s.vertices, s.side_dirs, s.ray, s.B
 
 
 def _witness_outward(s):
@@ -324,7 +326,7 @@ def _witness_outward(s):
 
 
 def _recomputed_positivity(s, k, outward):
-    sigma = -outward[k] if s.flips[k] else outward[k]
+    sigma = outward[k]
     u = unit_dir(s.d, s.side_dirs[k])
     val = (sigma * cross_q(u, s.chart.belt.e)).sign()
     if val != 0:
@@ -349,9 +351,6 @@ def _recomputed_mutate(s, k):
             sb = s.B[i, k].sign()
             reflect[i] = (sb < 0) if pos else (sb > 0)
     new_B = mutate(s.B, k)
-    if not any(reflect.values()):
-        flips = tuple(f ^ 1 if i == k else f for i, f in enumerate(s.flips))
-        return PlanarSeed(s.chart, s.kind, s.vertices, s.side_dirs, s.ray, new_B, flips)
     mk = s.side_dirs[k]
     base_k = s.side_base(k)
     lines, inner = {}, {}
@@ -379,7 +378,7 @@ def _recomputed_mutate(s, k):
         for t in range(3):
             if cross_q(unit_dir(d, dirs[t]), verts[t] - lines[t][0]).sign() != inner[t]:
                 raise UnsupportedRegion("half-planes bound an unbounded cell")
-        return PlanarSeed(s.chart, "triangle", tuple(verts), dirs, None, new_B, s.flips)
+        return PlanarSeed(s.chart, "triangle", tuple(verts), dirs, None, new_B)
     if len(parallel) > 1:
         raise UnsupportedRegion("degenerate line arrangement")
     p, q = parallel[0]
@@ -397,7 +396,7 @@ def _recomputed_mutate(s, k):
     if rho == 0:
         raise UnsupportedRegion("ray direction degenerate")
     ray = u_par.scale(rho)
-    return PlanarSeed(s.chart, "region", tuple(verts), dirs, ray, new_B, s.flips)
+    return PlanarSeed(s.chart, "region", tuple(verts), dirs, ray, new_B)
 
 
 @pytest.mark.parametrize("d", range(3, 13))
@@ -420,3 +419,49 @@ def test_planar_mutation_matches_the_full_recompute(d):
                     assert image.outward_signs() == _witness_outward(expected)
                     compared += 1
     assert compared
+
+
+@pytest.mark.parametrize("d", range(3, 13))
+def test_window_seeds_have_no_side_that_reflects_nothing(d):
+    """planar_mutate reflects no side exactly at a positive sink or a
+    negative source; no seed of the window or its belt mirror has one.
+    Sources are positive and sinks negative, and a region's quiver is
+    cyclic (so it has neither) with +-2 on its parallel pair."""
+    regions = 0
+    for seed in _window(d, 0):
+        for s in (seed, reflect_across_belt(seed)):
+            sources, sinks = sources_and_sinks(s.B)
+            assert all(positivity(s, i) == 1 for i in sources)
+            assert all(positivity(s, i) == -1 for i in sinks)
+            if s.kind == "region":
+                regions += 1
+                p, q = (i for i in range(3) if i != s.finite_side_index())
+                assert s.side_dirs[p] == s.side_dirs[q]
+                assert not is_acyclic(s.B)
+                assert s.B[p, q].abs() == 2
+    assert regions
+
+
+def _negated(s):
+    """The seed's region with every arrow reversed."""
+    B = ExchangeMatrix([[-e for e in row] for row in s.B.entries])
+    return PlanarSeed(s.chart, s.kind, s.vertices, s.side_dirs, s.ray, B)
+
+
+@pytest.mark.parametrize("d", (3, 4, 5, 7))
+def test_a_side_that_reflects_nothing_is_unsupported(d):
+    """Negating an acyclic triangle's arrows makes its sources sinks and
+    its sinks sources with their positivity unchanged: mutation there
+    reflects no side, and planar_mutate refuses it."""
+    refused = 0
+    for seed in _window(d, 0):
+        if seed.kind != "triangle":
+            continue
+        s = _negated(seed)
+        sources, sinks = sources_and_sinks(s.B)
+        for k in sources + sinks:
+            if positivity(s, k) == (1 if k in sinks else -1):
+                with pytest.raises(UnsupportedRegion):
+                    planar_mutate(s, k)
+                refused += 1
+    assert refused

@@ -1,7 +1,9 @@
 """Every name a quiverbelt module imports is used in that module, no
 function imports locally from a quiverbelt module that its file already
-imports from at the top, and every module-level function and class of a
-quiverbelt module is referenced somewhere in src/, tests/ or perfbench/.
+imports from at the top, every module-level function and class of a
+quiverbelt module is referenced somewhere in src/, tests/ or perfbench/,
+and no quiverbelt module imports or reads an underscore name of another
+quiverbelt module (tests and perfbench may).
 
 A stdlib-ast scan standing in for pyflakes' unused-import rule: an import
 binds a name, and the name must be read somewhere in the module, listed in
@@ -203,4 +205,77 @@ def references():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unreferenced_definitions(path, references):
     found = unreferenced_definitions(path.read_text(encoding="utf-8"), references)
+    assert not found, ", ".join(f"{path.name}:{line} {name}" for line, name in found)
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _dotted(node):
+    """'a.b.c' for a chain of attribute reads on a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return None if base is None else f"{base}.{node.attr}"
+    return None
+
+
+def private_reads(source: str):
+    """(line, name) for each underscore name that a module imports from a
+    quiverbelt module, or reads as an attribute of a quiverbelt module it
+    imported.  A private module's public names (the kernels re-export)
+    do not count."""
+    tree = ast.parse(source)
+    modules = set()  # names and dotted paths bound to quiverbelt modules
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] != "quiverbelt":
+                continue
+            for alias in node.names:
+                if _is_private(alias.name):
+                    found.add((node.lineno, alias.name))
+                if node.module == "quiverbelt":
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "quiverbelt":
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and _is_private(node.attr)
+            and _dotted(node.value) in modules
+        ):
+            found.add((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_scanner_reports_underscore_names_of_other_modules():
+    source = (
+        "from quiverbelt import exgraph, seedgeom as sg\n"
+        "from quiverbelt.cycfield import FieldElem, _initial_sign_bits\n"
+        "from quiverbelt.exmatrix import _lift_matrix as lift\n"
+        "from quiverbelt._kernels_py import content\n"
+        "import quiverbelt.rank2\n"
+        "from math import gcd as _gcd\n"
+        "def f(seed):\n"
+        "    exgraph.bfs(seed)._cache\n"
+        "    sg._source_sink(seed.B)\n"
+        "    quiverbelt.rank2._helper()\n"
+        "    return exgraph.__name__, lift, FieldElem, content, _gcd, seed._cache\n"
+    )
+    assert private_reads(source) == [
+        (2, "_initial_sign_bits"),
+        (3, "_lift_matrix"),
+        (9, "_source_sink"),
+        (10, "_helper"),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_underscore_names_from_other_modules(path):
+    found = private_reads(path.read_text(encoding="utf-8"))
     assert not found, ", ".join(f"{path.name}:{line} {name}" for line, name in found)
