@@ -12,11 +12,18 @@ precision until the resulting interval excludes zero.  Zero is decided
 symbolically first, which makes the loop terminate: a nonzero reduced
 vector of degree below deg(mu_d) cannot vanish at c.  The enclosure is
 refined by bisection on integer numerators over a power of two, reading
-the sign of mu_d at each midpoint by integer Horner.
+the sign of mu_d at each midpoint by integer Horner.  Float values come
+from the same enclosure, narrowed on a local copy until the bounds on the
+value agree to a relative 2^-60.
 
-Inverses, Q-ranks and the integral-basis solve use fraction-free
-(Bareiss) elimination on integer matrices: every division in it is exact,
-so these paths run on Python ints alone.
+Inverses run the extended Euclidean algorithm on the numerator and mu_d
+with primitive pseudo-remainders, so their integers stay near the size of
+the answer.  Determinants of field matrices use Gaussian elimination with
+one inverse per pivot.  Q-ranks and the integral-basis solve use
+fraction-free (Bareiss) elimination on integer matrices, whose divisions
+are all exact.  All of these run on Python ints alone.  The integer rows of
+2cos(t*pi/d), t = 0..d, come from one table per level, built on first use
+by the Chebyshev recurrence.
 
 Elements of different levels never compare equal silently; binary
 arithmetic lifts both operands to the lcm level via c_d = C_{L/d}(c_L),
@@ -32,7 +39,7 @@ from math import cos, gcd, lcm, pi
 from operator import mul
 
 from quiverbelt import kernels
-from quiverbelt.intpoly import IntPoly, cos2_poly, euler_totient, real_min_poly, sinq_poly
+from quiverbelt.intpoly import IntPoly, euler_totient, real_min_poly, sinq_poly
 
 _INITIAL_SIGN_BITS = 64
 _MAX_SIGN_BITS = 1 << 20
@@ -93,23 +100,8 @@ class LevelContext:
             self._seed_enclosure()
         if self._lo == self._hi or self._bits >= bits:
             return self._lo, self._hi, self._shift
-        lo, hi, s = self._lo, self._hi, self._shift
-        slo = _dyadic_sign(self.mu, lo, s)
-        # each step keeps hi - lo and halves the interval by raising s
-        gap = hi - lo
-        while gap << bits > 1 << s:
-            mid = lo + hi
-            lo, hi, s = lo << 1, hi << 1, s + 1
-            smid = _dyadic_sign(self.mu, mid, s)
-            if smid == 0:
-                lo = hi = mid
-                break
-            if smid == slo:
-                lo = mid
-            else:
-                hi = mid
-        self._lo, self._hi, self._shift = _reduce_dyadic(lo, hi, s)
-        self._bits = max(self._bits, bits)
+        self._lo, self._hi, self._shift = _bisect(self.mu, self._lo, self._hi, self._shift, bits)
+        self._bits = bits
         return self._lo, self._hi, self._shift
 
     def _seed_enclosure(self) -> None:
@@ -144,6 +136,77 @@ def _times_c(vec, mu) -> list:
     return shifted
 
 
+def _inverse_cofactor(num, mu) -> tuple[list, int]:
+    """(s, r) with s * num == r modulo mu, r a nonzero integer, for a
+    nonzero `num` of degree below that of the irreducible `mu`.
+
+    Extended Euclid on (mu, num) with primitive pseudo-remainders.  Each
+    remainder r_i carries a cofactor s_i with s_i * num == r_i (mod mu),
+    starting from (mu, 0) and (num, 1).  A step replaces r_0 by
+    f0 * r_0 - f1 * x^shift * r_1, where f0 : f1 is the ratio of the
+    leading coefficients of r_1 and r_0 in lowest terms, and s_0 alike; the
+    congruence holds and the leading term cancels.  A remainder and its
+    cofactor are divided by their common content, which keeps the integers
+    near the size of the answer.  mu is irreducible, so the last nonzero
+    remainder is a constant.  That is O(deg^2) integer operations, against
+    O(deg^3) for elimination on the multiplication matrix, whose minors
+    grow to about deg times the coefficient size."""
+    r0, s0 = list(mu), []
+    r1, s1 = list(num), [1]
+    while not r1[-1]:
+        r1.pop()
+    while len(r1) > 1:
+        n1, lead = len(r1), r1[-1]
+        while len(r0) >= n1:
+            shift = len(r0) - n1
+            g = gcd(lead, r0[-1])
+            f0, f1 = lead // g, r0[-1] // g
+            r0 = _combine(f0, r0, f1, r1, shift)
+            s0 = _combine(f0, s0, f1, s1, shift)
+        g = gcd(*r0, *s0)
+        if g > 1:
+            r0 = [v // g for v in r0]
+            s0 = [v // g for v in s0]
+        r0, s0, r1, s1 = r1, s1, r0, s0
+    return s1, r1[0]
+
+
+def _combine(f0: int, u, f1: int, v, shift: int) -> list:
+    """f0 * u - f1 * x^shift * v on coefficient lists, lowest degree first,
+    without trailing zeros."""
+    out = [f0 * a for a in u] if f0 != 1 else list(u)
+    if len(out) < len(v) + shift:
+        out.extend([0] * (len(v) + shift - len(out)))
+    for i, b in enumerate(v, shift):
+        out[i] -= f1 * b
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _bisect(mu, lo: int, hi: int, s: int, bits: int) -> tuple[int, int, int]:
+    """The dyadic interval [lo/2^s, hi/2^s] around a root of `mu`, across
+    which mu changes sign, narrowed to width <= 2^-bits and reduced (see
+    LevelContext.enclosure)."""
+    if lo == hi:
+        return lo, hi, s
+    slo = _dyadic_sign(mu, lo, s)
+    # each step keeps hi - lo and halves the interval by raising s
+    gap = hi - lo
+    while gap << bits > 1 << s:
+        mid = lo + hi
+        lo, hi, s = lo << 1, hi << 1, s + 1
+        smid = _dyadic_sign(mu, mid, s)
+        if smid == 0:
+            lo = hi = mid
+            break
+        if smid == slo:
+            lo = mid
+        else:
+            hi = mid
+    return _reduce_dyadic(lo, hi, s)
+
+
 def _dyadic_sign(coeffs, x: int, s: int) -> int:
     """Sign of the polynomial at x/2^s, by integer Horner on the value
     scaled by 2^(s*degree)."""
@@ -167,10 +230,10 @@ def level_context(d: int) -> LevelContext:
     return LevelContext(d)
 
 
-def _interval_sign_dyadic(coeffs, lo: int, hi: int, s: int) -> int:
-    """Sign of the polynomial over [lo/2^s, hi/2^s] via exact integer
-    interval Horner at scale 2^(s*step); a point interval gives the exact
-    sign.  Returns 0 when the interval straddles zero."""
+def _interval_horner(coeffs, lo: int, hi: int, s: int) -> tuple[int, int]:
+    """Integer bounds (al, ah) on the polynomial over [lo/2^s, hi/2^s], at
+    scale 2^(s*(len(coeffs) - 1)), by exact interval Horner; a point
+    interval gives al == ah, the exact value."""
     scale = 1 << s
     al = ah = coeffs[-1]
     norm = 1
@@ -179,11 +242,7 @@ def _interval_sign_dyadic(coeffs, lo: int, hi: int, s: int) -> int:
         norm *= scale
         al = min(p1, p2, p3, p4) + c * norm
         ah = max(p1, p2, p3, p4) + c * norm
-    if al > 0:
-        return 1
-    if ah < 0:
-        return -1
-    return 0
+    return al, ah
 
 
 class FieldElem:
@@ -372,17 +431,13 @@ class FieldElem:
         return result
 
     def inv(self) -> "FieldElem":
-        """Multiplicative inverse by fraction-free elimination.  Column j
-        of the integer matrix M holds num * c^j reduced mod mu, so M y = e_0
-        gives 1/num = sum y_j c^j; the solve returns det * y in integers."""
+        """Multiplicative inverse by the extended Euclidean algorithm on
+        num and mu (see `_inverse_cofactor`): s * num == r mod mu with r a
+        nonzero integer, so 1/(num/den) = den * s / r."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        ctx = level_context(self.level)
-        cols = [list(self.num)]
-        for _ in range(ctx.deg - 1):
-            cols.append(_times_c(cols[-1], ctx.mu))
-        x, det = _int_solve(list(zip(*cols)), [1] + [0] * (ctx.deg - 1))
-        return FieldElem(self.level, [self.den * v for v in x], det)
+        s, r = _inverse_cofactor(self.num, level_context(self.level).mu)
+        return FieldElem(self.level, [self.den * v for v in s], r)
 
     # -- level handling ------------------------------------------------------
 
@@ -407,10 +462,10 @@ class FieldElem:
         bits = _INITIAL_SIGN_BITS
         while bits <= _MAX_SIGN_BITS:
             lo, hi, shift = ctx.enclosure(bits)
-            s = _interval_sign_dyadic(self.num, lo, hi, shift)
-            if s != 0:
-                self._sign = s
-                return s
+            al, ah = _interval_horner(self.num, lo, hi, shift)
+            if al > 0 or ah < 0:
+                self._sign = 1 if al > 0 else -1
+                return self._sign
             if lo == hi:
                 break
             bits *= 2
@@ -420,11 +475,26 @@ class FieldElem:
         return -self if self.sign() < 0 else self
 
     def to_float(self) -> float:
-        acc = 0.0
-        c = level_context(self.level).c_float
-        for n in reversed(self.num):
-            acc = acc * c + n
-        return acc / self.den
+        """The value, rounded from integer bounds that agree to a relative
+        2^-60.  The numerator is evaluated by integer interval Horner over
+        a certified dyadic enclosure of c and divided exactly, so large
+        coefficients do not cancel as they do in double Horner, which
+        reads 0.0 for F(90)*c - F(91) at d = 5.  The first enclosure is
+        2^-(64 + log2 deg) wide, which bounds the error by 2^-60 times the
+        coefficient scale sum |num_i| 2^i; the precision doubles until the
+        bounds agree.  The level's enclosure is narrowed on a local copy,
+        so a float read leaves the sign oracle's precision where it was."""
+        if self.is_zero():
+            return 0.0
+        ctx = level_context(self.level)
+        lo, hi, s = ctx.enclosure(0)  # the current enclosure, seeded if new
+        bits = 64 + ctx.deg.bit_length()
+        while True:
+            lo, hi, s = _bisect(ctx.mu, lo, hi, s, bits)
+            al, ah = _interval_horner(self.num, lo, hi, s)
+            if (al > 0 and (ah - al) << 60 <= al) or (ah < 0 and (ah - al) << 60 <= -ah):
+                return al / (self.den << (s * (ctx.deg - 1)))
+            bits *= 2
 
     # -- serialisation -------------------------------------------------------
 
@@ -494,10 +564,26 @@ def _fold(d: int, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _cos_columns(d: int) -> tuple:
+    """The integer vectors C_t of 2cos(t*pi/d), t = 0..d, stored by
+    column: column i holds coefficient i of C_0, ..., C_d.  The vectors
+    come from the recurrence C_{t+1} = c * C_t - C_{t-1}, C_0 = 2 and
+    C_1 = c: one multiplication by c per vector."""
+    ctx = level_context(d)
+    unit = [1] + [0] * (ctx.deg - 1)
+    rows = [[2 * v for v in unit], _times_c(unit, ctx.mu)]
+    for _ in range(d - 1):
+        rows.append([a - b for a, b in zip(_times_c(rows[-1], ctx.mu), rows[-2])])
+    return tuple(zip(*rows))
+
+
+@lru_cache(maxsize=None)
 def cos_multiple(d: int, k: int) -> FieldElem:
-    """2 cos(k*pi/d) as an element of F_d.  Folding k into [0, d] first
-    keeps the Chebyshev polynomial at degree <= d."""
-    return FieldElem.from_intpoly(d, cos2_poly(_fold(d, k)))
+    """2 cos(k*pi/d) as an element of F_d: entry _fold(d, k) of each column
+    of the level's cosine table, an integer vector and so already
+    canonical."""
+    t = _fold(d, k)
+    return _canonical(d, tuple(col[t] for col in _cos_columns(d)), 1)
 
 
 @lru_cache(maxsize=None)
@@ -546,15 +632,16 @@ def inv_sin_sq(d: int, k: int) -> FieldElem:
 
         1 / sin^2 a = -(1/m) sum_{j=1}^{m-1} j(m - j) 2cos(2jk*pi/d),
 
-    one integer combination of `cos_multiple` numerators over m."""
+    one integer combination of the vectors C_t over m.  The weights are
+    gathered per folded index t = _fold(d, 2jk), and each coefficient of the
+    sum is one integer dot product with a column of the cosine table."""
     m = d // gcd(k, d)
     if m == 1:
         raise ZeroDivisionError(f"sin({k}*pi/{d}) vanishes")
-    acc = [0] * level_context(d).deg
+    weights = [0] * (d + 1)
     for j in range(1, m):
-        w = j * (m - j)
-        acc = [a - w * c for a, c in zip(acc, cos_multiple(d, _fold(d, 2 * j * k)).num)]
-    return FieldElem(d, acc, m)
+        weights[_fold(d, 2 * j * k)] -= j * (m - j)
+    return FieldElem(d, [sum(map(mul, weights, col)) for col in _cos_columns(d)], m)
 
 
 # -- Galois action -------------------------------------------------------------
@@ -682,29 +769,33 @@ def _int_solve(rows, rhs) -> tuple[list[int], int]:
 
 
 def field_det(rows) -> FieldElem:
-    """Determinant of a square FieldElem matrix by fraction-free elimination."""
+    """Determinant of a square FieldElem matrix by Gaussian elimination: one
+    inverse per pivot, one product per eliminated entry, and the signed
+    product of the pivots at the end."""
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix")
-    level = rows[0][0].level
-    m = [[e for e in row] for row in rows]
-    sign = 1
-    prev = FieldElem.one(level)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if swap is None:
-                return FieldElem.zero(level)
-            m[k], m[swap] = m[swap], m[k]
+    m = [list(row) for row in rows]
+    sign, det = 1, None
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if not m[i][k].is_zero()), None)
+        if pivot is None:
+            return FieldElem.zero(rows[0][0].level)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
-        inv_prev = prev.inv()
-        for i in range(k + 1, n):
+        top = m[k]
+        det = top[k] if det is None else det * top[k]
+        if k == n - 1:
+            break
+        top_inv = top[k].inv()
+        for row in m[k + 1 :]:
+            if row[k].is_zero():
+                continue
+            f = row[k] * top_inv
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) * inv_prev
-            m[i][k] = FieldElem.zero(level)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+                row[j] = row[j] - f * top[j]
+    return det if sign > 0 else -det
 
 
 # -- number-theoretic verification operations ----------------------------------

@@ -496,7 +496,11 @@ def planar_mutate(s: PlanarSeed, k: int) -> PlanarSeed:
             m2 = raw % d
             # whether the class representative keeps the reflected direction
             eps = 1 if raw % (2 * d) == m2 else -1
-            lines[t] = (reflect_point(d, base_t, base_k, mk), m2)
+            # vertex 3 - t - k is line_t & line_k: fixed by the reflection,
+            # so when finite it lies on the reflected line
+            meet = s.vertices[3 - t - k]
+            base = meet if meet is not None else reflect_point(d, base_t, base_k, mk)
+            lines[t] = (base, m2)
             inner[t] = -eps * inner_t  # reflections reverse cross products
         else:
             lines[t] = (base_t, m_t)

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import reduce
 
@@ -12,10 +13,13 @@ from quiverbelt.cycfield import (
     GaloisMap,
     InvalidMultiplier,
     LevelContext,
+    _int_solve,
+    _times_c,
     conjugate_basis_rank,
     cos_multiple,
     dedekind_det,
     estimate_check,
+    field_det,
     integrality_check,
     inv_sin_sq,
     level_context,
@@ -75,6 +79,32 @@ def test_arithmetic_against_numeric_oracle():
                 assert abs(embed(a / b) - embed(a) / embed(b)) < 1e-7
 
 
+def bareiss_inverse(x):
+    """1/x by fraction-free elimination on the multiplication matrix: column
+    j holds num * c^j reduced mod mu, and M y = e_0 gives 1/num."""
+    ctx = level_context(x.level)
+    cols = [list(x.num)]
+    for _ in range(ctx.deg - 1):
+        cols.append(_times_c(cols[-1], ctx.mu))
+    y, det = _int_solve(list(zip(*cols)), [1] + [0] * (ctx.deg - 1))
+    return FieldElem(x.level, [x.den * v for v in y], det)
+
+
+def test_inverse_matches_the_bareiss_solve_at_every_level():
+    rng = random.Random(5)
+    for d in range(2, 61):
+        deg = level_context(d).deg
+        draws = [
+            [rng.randint(-99, 99) for _ in range(deg)],
+            [rng.choice((0, 0, rng.randint(-99, 99))) for _ in range(deg - 1)] + [1],
+            [rng.randint(-3, 3)] + [0] * (deg - 1),
+        ]
+        for num in draws:
+            if any(num):
+                x = FieldElem(d, num, rng.randint(1, 99))
+                assert x.inv() == bareiss_inverse(x)
+
+
 def test_field_axioms():
     c = cos_multiple(5, 1)
     assert c + 0 == c
@@ -91,6 +121,37 @@ def test_product_to_sum_identity_grid():
                 lhs = cos_multiple(d, a) * cos_multiple(d, b)
                 rhs = cos_multiple(d, a + b) + cos_multiple(d, a - b)
                 assert lhs == rhs
+
+
+def fibonacci(n: int) -> int:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+@pytest.mark.parametrize("n", [40, 90])
+def test_to_float_survives_cancellation(n):
+    """F(n) * c - F(n+1) at d = 5 is -phi^-n for even n: double Horner
+    cancels it to 0.0, the enclosure keeps its sign and value."""
+    x = FieldElem(5, [-fibonacci(n + 1), fibonacci(n)])
+    with localcontext() as ctx:
+        ctx.prec = 60
+        phi = (1 + Decimal(5).sqrt()) / 2
+        exact = -(phi ** -n)
+    value = x.to_float()
+    assert x.sign() == -1 and value < 0
+    assert abs(Decimal(value) / exact - 1) < Decimal("1e-12")
+
+
+def test_to_float_leaves_the_sign_oracle_precision_alone():
+    # -phi^-1400: about 1900 bits of cancellation, far past any sign this
+    # suite asks for at d = 5, and still a normal float
+    x = FieldElem(5, [-fibonacci(1401), fibonacci(1400)])
+    ctx = level_context(5)
+    before = ctx.enclosure(0)
+    assert x.to_float() < 0
+    assert ctx.enclosure(0) == before
 
 
 def test_sign_frozen_values():
@@ -251,6 +312,92 @@ def test_dedekind_determinants():
     assert dedekind_det(1) == Fraction(4, 3)
     for n in range(1, 9):
         assert not dedekind_det(n).is_zero()
+
+
+# the keys the fraction-free elimination gave before Gaussian elimination
+# replaced it
+DEDEKIND_KEYS = {
+    1: "4/3",
+    2: "-16,32/5",
+    3: "128,0,0/1",
+    4: "576,0,0/1",
+    5: "281600,0,0,0,0/1",
+    6: "-35409920,-28327936,56655872,14163968,-14163968,0/1",
+    7: "-122880,-737280,0,245760/1",
+    8: "398192541696,-1327308472320,-2389155250176,2654616944640,"
+    "1592770166784,-1592770166784,-265461694464,265461694464/1",
+    9: "118212514283520,0,0,0,0,0,0,0,0/1",
+}
+
+
+@pytest.mark.parametrize("n", sorted(DEDEKIND_KEYS))
+def test_dedekind_det_keys_are_pinned(n):
+    assert dedekind_det(n).key() == DEDEKIND_KEYS[n]
+
+
+def bareiss_field_det(rows):
+    """Determinant by fraction-free elimination over F_d: each entry is
+    m[i][j] * m[k][k] - m[i][k] * m[k][j], divided by the previous pivot."""
+    n = len(rows)
+    level = rows[0][0].level
+    m = [list(row) for row in rows]
+    sign = 1
+    prev = FieldElem.one(level)
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+            if swap is None:
+                return FieldElem.zero(level)
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        inv_prev = prev.inv()
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) * inv_prev
+            m[i][k] = FieldElem.zero(level)
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return -det if sign < 0 else det
+
+
+def random_matrix(rng, level, n):
+    """An n x n matrix at `level`.  Zero entries are common; some draws zero
+    the top-left entry, which forces a row swap; some make a row a
+    combination of two others or zero a column, which makes it singular."""
+    deg = level_context(level).deg
+
+    def entry():
+        if rng.random() < 0.3:
+            return FieldElem.zero(level)
+        num = [rng.randint(-9, 9) for _ in range(deg)]
+        return FieldElem(level, num, rng.randint(1, 5))
+
+    m = [[entry() for _ in range(n)] for _ in range(n)]
+    shape = rng.choice(("plain", "swap", "combination", "zero-column"))
+    if shape == "swap":
+        m[0][0] = FieldElem.zero(level)
+    elif shape == "combination" and n >= 3:
+        a, b = entry(), entry()
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    elif shape == "zero-column":
+        col = rng.randrange(n)
+        for row in m:
+            row[col] = FieldElem.zero(level)
+    return m
+
+
+def test_field_det_matches_fraction_free_elimination():
+    rng = random.Random(11)
+    singular = swapped = 0
+    for level in (2, 5, 7, 12, 17):
+        for n in range(1, 6):
+            for _ in range(8):
+                m = random_matrix(rng, level, n)
+                det = field_det(m)
+                assert det == bareiss_field_det(m)
+                singular += det.is_zero()
+                swapped += m[0][0].is_zero() and not det.is_zero()
+    assert singular > 10 and swapped > 10
 
 
 def test_integrality_frozen_verdicts():

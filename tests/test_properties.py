@@ -281,11 +281,18 @@ def test_arithmetic_results_are_canonical(pair):
 
 @st.composite
 def nonzero_elements(draw, levels=st.integers(2, 60)):
-    """Nonzero elements with signed coefficients and denominators 1 to 20."""
+    """Nonzero elements with coefficients in -99..99 and denominators 1 to
+    99."""
     level = draw(levels)
     deg = level_context(level).deg
-    num = draw(st.lists(st.integers(-20, 20), min_size=deg, max_size=deg).filter(any))
-    return FieldElem(level, num, draw(st.integers(1, 20)))
+    num = draw(st.lists(st.integers(-99, 99), min_size=deg, max_size=deg).filter(any))
+    return FieldElem(level, num, draw(st.integers(1, 99)))
+
+
+def _full_element(level: int, seed: int) -> FieldElem:
+    """A level-`level` element whose coefficients run through -99..99."""
+    deg = level_context(level).deg
+    return FieldElem(level, [(seed * (7 * i + 3)) % 199 - 99 for i in range(deg)], 97)
 
 
 @exact
@@ -293,6 +300,11 @@ def nonzero_elements(draw, levels=st.integers(2, 60)):
 @example(FieldElem(2, [-3], 4))
 @example(FieldElem(3, [5], 7))
 @example(FieldElem(5, [-2, 7], 9))
+@example(_full_element(29, 5))
+@example(_full_element(41, 11))
+@example(_full_element(53, 13))
+@example(_full_element(59, 17))
+@example(_full_element(60, 19))
 def test_inverse_inverts(x):
     y = x.inv()
     assert x * y == 1
