@@ -13,8 +13,8 @@ symbolically first, which makes the loop terminate: a nonzero reduced
 vector of degree below deg(mu_d) cannot vanish at c.  The enclosure is
 refined by bisection on integer numerators over a power of two, reading
 the sign of mu_d at each midpoint by integer Horner.  Float values come
-from the same enclosure, narrowed on a local copy until the bounds on the
-value agree to a relative 2^-60.
+from the same enclosure, narrowed until the bounds on the value agree to
+a relative 2^-60.
 
 Inverses run the extended Euclidean algorithm on the numerator and mu_d
 with primitive pseudo-remainders, so their integers stay near the size of
@@ -100,8 +100,23 @@ class LevelContext:
             self._seed_enclosure()
         if self._lo == self._hi or self._bits >= bits:
             return self._lo, self._hi, self._shift
-        self._lo, self._hi, self._shift = _bisect(self.mu, self._lo, self._hi, self._shift, bits)
-        self._bits = bits
+        lo, hi, s = self._lo, self._hi, self._shift
+        slo = _dyadic_sign(self.mu, lo, s)
+        # each step keeps hi - lo and halves the interval by raising s
+        gap = hi - lo
+        while gap << bits > 1 << s:
+            mid = lo + hi
+            lo, hi, s = lo << 1, hi << 1, s + 1
+            smid = _dyadic_sign(self.mu, mid, s)
+            if smid == 0:
+                lo = hi = mid
+                break
+            if smid == slo:
+                lo = mid
+            else:
+                hi = mid
+        self._lo, self._hi, self._shift = _reduce_dyadic(lo, hi, s)
+        self._bits = max(self._bits, bits)
         return self._lo, self._hi, self._shift
 
     def _seed_enclosure(self) -> None:
@@ -182,29 +197,6 @@ def _combine(f0: int, u, f1: int, v, shift: int) -> list:
     while out and not out[-1]:
         out.pop()
     return out
-
-
-def _bisect(mu, lo: int, hi: int, s: int, bits: int) -> tuple[int, int, int]:
-    """The dyadic interval [lo/2^s, hi/2^s] around a root of `mu`, across
-    which mu changes sign, narrowed to width <= 2^-bits and reduced (see
-    LevelContext.enclosure)."""
-    if lo == hi:
-        return lo, hi, s
-    slo = _dyadic_sign(mu, lo, s)
-    # each step keeps hi - lo and halves the interval by raising s
-    gap = hi - lo
-    while gap << bits > 1 << s:
-        mid = lo + hi
-        lo, hi, s = lo << 1, hi << 1, s + 1
-        smid = _dyadic_sign(mu, mid, s)
-        if smid == 0:
-            lo = hi = mid
-            break
-        if smid == slo:
-            lo = mid
-        else:
-            hi = mid
-    return _reduce_dyadic(lo, hi, s)
 
 
 def _dyadic_sign(coeffs, x: int, s: int) -> int:
@@ -482,15 +474,13 @@ class FieldElem:
         reads 0.0 for F(90)*c - F(91) at d = 5.  The first enclosure is
         2^-(64 + log2 deg) wide, which bounds the error by 2^-60 times the
         coefficient scale sum |num_i| 2^i; the precision doubles until the
-        bounds agree.  The level's enclosure is narrowed on a local copy,
-        so a float read leaves the sign oracle's precision where it was."""
+        bounds agree."""
         if self.is_zero():
             return 0.0
         ctx = level_context(self.level)
-        lo, hi, s = ctx.enclosure(0)  # the current enclosure, seeded if new
         bits = 64 + ctx.deg.bit_length()
         while True:
-            lo, hi, s = _bisect(ctx.mu, lo, hi, s, bits)
+            lo, hi, s = ctx.enclosure(bits)
             al, ah = _interval_horner(self.num, lo, hi, s)
             if (al > 0 and (ah - al) << 60 <= al) or (ah < 0 and (ah - al) << 60 <= -ah):
                 return al / (self.den << (s * (ctx.deg - 1)))

@@ -144,16 +144,6 @@ def test_to_float_survives_cancellation(n):
     assert abs(Decimal(value) / exact - 1) < Decimal("1e-12")
 
 
-def test_to_float_leaves_the_sign_oracle_precision_alone():
-    # -phi^-1400: about 1900 bits of cancellation, far past any sign this
-    # suite asks for at d = 5, and still a normal float
-    x = FieldElem(5, [-fibonacci(1401), fibonacci(1400)])
-    ctx = level_context(5)
-    before = ctx.enclosure(0)
-    assert x.to_float() < 0
-    assert ctx.enclosure(0) == before
-
-
 def test_sign_frozen_values():
     # 2cos(2pi/5) = 0.618..., so subtracting 1 goes negative
     assert (cos_multiple(5, 2) - 1).sign() == -1
