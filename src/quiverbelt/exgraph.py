@@ -8,6 +8,10 @@ distinct vertices labelled by the mutation index.  The graph also keeps,
 per stored seed and direction, the neighbour's key and the relabelling
 that carries the mutated seed onto the neighbour's stored seed, so walks
 along the graph follow labelled seeds without mutating again.
+
+Whether two planar seeds are translates, and by which vector, is decided
+by `seedgeom.translation_class` alone: lattice reports, the reflection
+witness and the quotient census group seeds by its shape.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from quiverbelt.seedgeom import (
     seed_mutate,
     spherical_seed,
     translation_between,
+    translation_class,
 )
 
 
@@ -257,7 +262,7 @@ class LatticeReport:
     predicted_rank_r: int
     predicted_l_ranks: tuple[int, ...]
     reflection_witness: bool
-    common_denominator: Optional[int] = None
+    common_denominator: int
 
     def summary(self) -> str:
         return (
@@ -265,27 +270,6 @@ class LatticeReport:
             f"(predicted {self.predicted_rank_r}), observed L-rank = "
             f"{self.rank_observed} (allowed {self.predicted_l_ranks})"
         )
-
-
-def _shape_key(seed: PlanarSeed) -> str:
-    """Canonical key of the seed translated so its anchor vertex sits at
-    the origin: constant on translation classes.  The anchor is the
-    coordinatewise-smallest vertex, which is translation-equivariant."""
-    verts = [v for v in seed.vertices if v is not None]
-    anchor = verts[0]
-    for v in verts[1:]:
-        s = (v.x - anchor.x).sign()
-        if s < 0 or (s == 0 and (v.y - anchor.y).sign() < 0):
-            anchor = v
-    return seed.translate(-anchor).canonical_key()
-
-
-def region_transversal_multiple(seed: PlanarSeed) -> Optional[int]:
-    """For a region: the k with ray/finite-side angle k*pi/d, folded below
-    d/2 (see PlanarSeed.transversal_multiple); None for a triangle."""
-    if seed.kind != "region":
-        return None
-    return seed.transversal_multiple()
 
 
 def s_k_length(d: int, k: int) -> FieldElem:
@@ -302,19 +286,16 @@ def lattice_report(graph: ExchangeGraphData, d: int) -> LatticeReport:
     seeds = list(graph.vertices.values())
     belt_e_class = seeds[0].chart.belt.dir_class if seeds else None
 
-    # group by translation-invariant shape and collect pairwise witnesses
+    # group by translation class and collect pairwise witnesses: distinct
+    # vertices of one class differ by a nonzero translation
     groups: dict[str, list[PlanarSeed]] = {}
     for s in seeds:
-        groups.setdefault(_shape_key(s), []).append(s)
+        groups.setdefault(translation_class(s)[0], []).append(s)
     observed: list[FieldElem] = []
     seen = set()
-    for members in groups.values():
-        base = members[0]
-        for other in members[1:]:
-            w = translation_between(base, other)
-            if w is None or w.is_zero():
-                continue
-            L = length_along(d, w, belt_e_class)
+    for base, *others in groups.values():
+        for other in others:
+            L = length_along(d, translation_between(base, other), belt_e_class)
             if L.key() not in seen:
                 seen.add(L.key())
                 observed.append(L)
@@ -334,7 +315,7 @@ def lattice_report(graph: ExchangeGraphData, d: int) -> LatticeReport:
     # some seed's mirror across the belt is enumerated too, up to a
     # lattice translation
     reflection_witness = any(
-        _shape_key(reflect_across_belt(s)) in groups for s in seeds
+        translation_class(reflect_across_belt(s))[0] in groups for s in seeds
     )
 
     rank_r = rational_rank(generator_lengths) if generator_lengths else 0
@@ -356,9 +337,7 @@ def lattice_report(graph: ExchangeGraphData, d: int) -> LatticeReport:
     )
 
 
-def _common_denominator(lengths) -> Optional[int]:
-    if not lengths:
-        return None
+def _common_denominator(lengths) -> int:
     den = 1
     for L in lengths:
         for c in L.coeffs:
@@ -372,7 +351,7 @@ def witness_region_translation(
     """Mutate an enumerated region with transversal angle k*pi/d at one of
     its parallel sides and return the exact translation length."""
     for seed in graph.vertices.values():
-        if region_transversal_multiple(seed) != k:
+        if seed.kind != "region" or seed.transversal_multiple() != k:
             continue
         f = seed.finite_side_index()
         for side in range(3):
@@ -410,7 +389,7 @@ def quotient_census(graph: ExchangeGraphData):
             for p in PERMS3
         )
         triples.add(tuple(sorted(angle)))
-        shape = _shape_key(seed)
+        shape = translation_class(seed)[0]
         tag = orientation_tag(seed)
         bucket = census.setdefault(cls, {})
         bucket.setdefault(tag, set()).add(shape)
@@ -526,9 +505,10 @@ def all_periods_short(graph: ExchangeGraphData) -> bool:
     return True
 
 
-def compatible_spherical_graph(
-    B, rng, vertex_cap: int = 256, attempts: int = 64
-):
+SPHERICAL_ATTEMPTS = 64  # reference-point draws before giving up
+
+
+def compatible_spherical_graph(B, rng, vertex_cap: int = 256):
     """Sample reference points until the exchange graph closes with every
     rank-2 orbit short; returns (seed, graph).
 
@@ -541,7 +521,7 @@ def compatible_spherical_graph(
     `all_periods_short` would reject its closure too, and the graph is
     never built."""
     last = None
-    for _ in range(attempts):
+    for _ in range(SPHERICAL_ATTEMPTS):
         lam = tuple(
             Fraction(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(3)
         )
@@ -637,16 +617,19 @@ def export_json(graph: ExchangeGraphData) -> str:
     return json.dumps(graph.to_json(), indent=1, sort_keys=True)
 
 
-def export_svg(graph: ExchangeGraphData, width: int = 640, height: int = 640) -> str:
+SVG_SIZE = 640  # width and height of an SVG export, in pixels
+
+
+def export_svg(graph: ExchangeGraphData) -> str:
     """SVG render: planar seeds are drawn geometrically with the belt line;
     other seed types fall back to a circular graph layout."""
     seeds = list(graph.vertices.values())
     if seeds and isinstance(seeds[0], PlanarSeed):
-        return _svg_planar(graph, width, height)
-    return _svg_circle(graph, width, height)
+        return _svg_planar(graph)
+    return _svg_circle(graph)
 
 
-def _svg_planar(graph: ExchangeGraphData, width: int, height: int) -> str:
+def _svg_planar(graph: ExchangeGraphData) -> str:
     d = next(iter(graph.vertices.values())).chart.d
     shapes = []
     pts = []
@@ -667,7 +650,7 @@ def _svg_planar(graph: ExchangeGraphData, width: int, height: int) -> str:
             pts.extend(ends)
             shapes.append(("polyline", coords, False))
     if not pts:
-        return _svg_document(width, height, [])
+        return _svg_document([])
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     initial = graph.vertices[graph.initial_key]
@@ -684,12 +667,12 @@ def _svg_planar(graph: ExchangeGraphData, width: int, height: int) -> str:
     lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
     pad = 0.05 * max(hi_x - lo_x, hi_y - lo_y, 1e-9)
     lo_x, hi_x, lo_y, hi_y = lo_x - pad, hi_x + pad, lo_y - pad, hi_y + pad
-    scale = min(width / (hi_x - lo_x), height / (hi_y - lo_y))
+    scale = SVG_SIZE / max(hi_x - lo_x, hi_y - lo_y)
 
     def tx(p):
         return (
             round((p[0] - lo_x) * scale, 2),
-            round(height - (p[1] - lo_y) * scale, 2),
+            round(SVG_SIZE - (p[1] - lo_y) * scale, 2),
         )
 
     elements = []
@@ -709,19 +692,20 @@ def _svg_planar(graph: ExchangeGraphData, width: int, height: int) -> str:
         f'<line x1="{b1[0]}" y1="{b1[1]}" x2="{b2[0]}" y2="{b2[1]}" '
         'stroke="#c0392b" stroke-width="1.5" stroke-dasharray="6,3"/>'
     )
-    return _svg_document(width, height, elements)
+    return _svg_document(elements)
 
 
-def _svg_circle(graph: ExchangeGraphData, width: int, height: int) -> str:
+def _svg_circle(graph: ExchangeGraphData) -> str:
     from math import cos, pi, sin
 
     keys = list(graph.vertices)
     n = len(keys)
-    cx, cy, r = width / 2, height / 2, min(width, height) / 2 - 20
+    c = SVG_SIZE / 2
+    r = c - 20
     pos = {
         key: (
-            round(cx + r * cos(2 * pi * i / max(n, 1)), 2),
-            round(cy + r * sin(2 * pi * i / max(n, 1)), 2),
+            round(c + r * cos(2 * pi * i / max(n, 1)), 2),
+            round(c + r * sin(2 * pi * i / max(n, 1)), 2),
         )
         for i, key in enumerate(keys)
     }
@@ -736,12 +720,12 @@ def _svg_circle(graph: ExchangeGraphData, width: int, height: int) -> str:
         elements.append(
             f'<circle cx="{pos[key][0]}" cy="{pos[key][1]}" r="3" fill="#3b6ea5"/>'
         )
-    return _svg_document(width, height, elements)
+    return _svg_document(elements)
 
 
-def _svg_document(width: int, height: int, elements) -> str:
+def _svg_document(elements) -> str:
     body = "\n".join(f"  {e}" for e in elements)
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">\n{body}\n</svg>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
+        f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">\n{body}\n</svg>\n'
     )

@@ -626,52 +626,49 @@ def designated_feet(s: PlanarSeed) -> list[PlanarPoint]:
     ]
 
 
-def feet_on_belt(s: PlanarSeed, belt: Optional[BeltLine] = None) -> bool:
+def feet_on_belt(s: PlanarSeed) -> bool:
     """Whether every designated altitude foot lies exactly on the belt; for
     regions the finite side must also be parallel to it."""
-    if belt is None:
-        belt = s.chart.belt
-    d = s.d
+    belt = s.chart.belt
     if s.kind == "region":
         f = s.finite_side_index()
-        if (s.side_dirs[f] - belt.dir_class) % d != 0:
+        if (s.side_dirs[f] - belt.dir_class) % s.d != 0:
             return False
     return all(belt.contains(p) for p in designated_feet(s))
 
 
+def translation_class(s: PlanarSeed) -> tuple[str, PlanarPoint]:
+    """(shape, anchor): the anchor is the lexicographically smallest finite
+    vertex, and the shape is the canonical key of the seed translated so
+    its anchor sits at the origin.  The anchor moves with a translation and
+    ignores relabelling, so two seeds of one level are translates exactly
+    when their shapes agree, by the difference of their anchors."""
+    cls = s._cache.get("class")
+    if cls is None:
+        verts = [v for v in s.vertices if v is not None]
+        anchor = verts[0]
+        for v in verts[1:]:
+            sx = (v.x - anchor.x).sign()
+            if sx < 0 or (sx == 0 and (v.y - anchor.y).sign() < 0):
+                anchor = v
+        cls = s._cache["class"] = (s.translate(-anchor).canonical_key(), anchor)
+    return cls
+
+
 def translation_between(s1: PlanarSeed, s2: PlanarSeed) -> Optional[PlanarPoint]:
-    """The unique w with s2 = w + s1 (up to relabelling), or None.  A found
-    w is checked to be parallel to the belt."""
-    if s1.kind != s2.kind or s1.chart.d != s2.chart.d:
+    """The unique w with s2 = w + s1 (up to relabelling), or None: the
+    difference of the anchors when the translation classes' shapes agree.
+    A found w is checked to be parallel to the belt."""
+    if s1.d != s2.d:
         return None
-    for p in PERMS3:
-        if any(
-            (s1.vertices[p[i]] is None) != (s2.vertices[i] is None) for i in range(3)
-        ):
-            continue
-        if any(s1.side_dirs[p[i]] != s2.side_dirs[i] for i in range(3)):
-            continue
-        if any(
-            s1.B[p[i], p[j]] != s2.B[i, j]
-            for i in range(3)
-            for j in range(3)
-            if i != j
-        ):
-            continue
-        if s1.kind == "region" and s1.ray != s2.ray:
-            continue
-        diffs = [
-            s2.vertices[i] - s1.vertices[p[i]]
-            for i in range(3)
-            if s1.vertices[p[i]] is not None
-        ]
-        if any(diff != diffs[0] for diff in diffs[1:]):
-            continue
-        w = diffs[0]
-        if not w.is_zero() and not cross_q(s1.chart.belt.e, w).is_zero():
-            raise RuntimeError("translation witness not parallel to the belt")
-        return w
-    return None
+    shape1, a1 = translation_class(s1)
+    shape2, a2 = translation_class(s2)
+    if shape1 != shape2:
+        return None
+    w = a2 - a1
+    if not w.is_zero() and not cross_q(s1.chart.belt.e, w).is_zero():
+        raise RuntimeError("translation witness not parallel to the belt")
+    return w
 
 
 def reflect_across_belt(s: PlanarSeed) -> PlanarSeed:

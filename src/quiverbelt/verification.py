@@ -528,9 +528,9 @@ def run_checks(
     """Run the named checks (all when names is empty) in CHECKS order.
 
     Levels, when given, go to every selected check that takes them;
-    otherwise each check runs its own default levels.  Unknown names and
-    levels a selected check cannot take raise ValueError before any check
-    runs."""
+    otherwise each check runs its own default levels.  Unknown names,
+    levels when no selected check takes them, and levels a selected check
+    cannot take raise ValueError before any check runs."""
     unknown = [n for n in names or () if n not in CHECKS]
     if unknown:
         raise ValueError(
@@ -539,6 +539,11 @@ def run_checks(
         )
     selected = [name for name in CHECKS if not names or name in names]
     levels = tuple(levels or ())
+    if levels and not any(name in LEVEL_CHECKS for name in selected):
+        raise ValueError(
+            "no selected check takes levels; checks that take levels: "
+            f"{', '.join(LEVEL_CHECKS)}"
+        )
     for name in selected:
         if name not in LEVEL_CHECKS:
             continue

@@ -272,19 +272,42 @@ def test_verify_runs_the_requested_level(capsys):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, message",
     [
-        ["verify", "--checks", "belt-periodicity", "--levels", "4"],
-        ["verify", "--checks", "verlinde,quotient-census", "--levels", "5,6"],
-        ["verify", "--checks", "affine-invariants", "--levels", "2"],
+        pytest.param(
+            ["verify", "--checks", "belt-periodicity", "--levels", "4"],
+            "levels d >= 3, not",
+            id="args0",
+        ),
+        pytest.param(
+            ["verify", "--checks", "verlinde,quotient-census", "--levels", "5,6"],
+            "levels d >= 3, not",
+            id="args1",
+        ),
+        pytest.param(
+            ["verify", "--checks", "affine-invariants", "--levels", "2"],
+            "levels d >= 3, not",
+            id="args2",
+        ),
+        # no selected check takes levels at all
+        pytest.param(
+            ["verify", "--checks", "verlinde", "--levels", "2"],
+            "no selected check takes levels",
+            id="args3",
+        ),
+        pytest.param(
+            ["verify", "--checks", "growth", "--levels", "5"],
+            "no selected check takes levels",
+            id="args4",
+        ),
     ],
 )
-def test_verify_rejects_levels_a_check_cannot_take(args, capsys, monkeypatch):
+def test_verify_rejects_levels_a_check_cannot_take(args, message, capsys, monkeypatch):
     calls = record_checks(monkeypatch)
     code, out, err = run(args, capsys)
     assert code == 2 and out == "" and not calls
     assert len(err.splitlines()) == 1 and "Traceback" not in err
-    assert "levels d >= 3, not" in err
+    assert message in err
 
 
 @pytest.mark.parametrize("value", ["abc", "3"])

@@ -6,8 +6,9 @@ from functools import lru_cache
 import pytest
 
 from quiverbelt import exgraph
-from quiverbelt.cycfield import FieldElem, cos_multiple, sin_product
+from quiverbelt.cycfield import FieldElem, cos_multiple, sin_product, units_up_to_half
 from quiverbelt.exmatrix import (
+    PERMS3,
     ExchangeMatrix,
     _lift_matrix,
     affine_normal_form,
@@ -48,6 +49,7 @@ from quiverbelt.seedgeom import (
     side_length,
     t_invariant,
     translation_between,
+    translation_class,
 )
 
 
@@ -215,7 +217,7 @@ def test_regions_appear_and_translate():
     for region in regions[:4]:
         f = region.finite_side_index()
         assert region.side_dirs[f] == region.chart.belt.dir_class
-        k = exgraph.region_transversal_multiple(region)
+        k = region.transversal_multiple()
         assert 1 <= k < 5
         # mutation at a parallel side translates the region along its
         # finite side by exactly s_k
@@ -303,9 +305,7 @@ def test_angles_from_side_classes_match_the_direction_search(d):
             assert s.angle_triple() == expected
             if s.kind == "region":
                 finite = [a for a in expected if a]
-                assert exgraph.region_transversal_multiple(s) == min(finite)
-            else:
-                assert exgraph.region_transversal_multiple(s) is None
+                assert s.transversal_multiple() == min(finite)
     assert kinds == {"triangle", "region"}
 
 
@@ -465,3 +465,157 @@ def test_a_side_that_reflects_nothing_is_unsupported(d):
                     planar_mutate(s, k)
                 refused += 1
     assert refused
+
+
+def _searched_translation(s1, s2):
+    """The w with s2 = w + s1 up to relabelling, or None, found by trying
+    the six relabellings field by field: the reference for the anchored
+    translation classes behind translation_between."""
+    if s1.kind != s2.kind or s1.chart.d != s2.chart.d:
+        return None
+    for p in PERMS3:
+        if any(
+            (s1.vertices[p[i]] is None) != (s2.vertices[i] is None) for i in range(3)
+        ):
+            continue
+        if any(s1.side_dirs[p[i]] != s2.side_dirs[i] for i in range(3)):
+            continue
+        if any(
+            s1.B[p[i], p[j]] != s2.B[i, j]
+            for i in range(3)
+            for j in range(3)
+            if i != j
+        ):
+            continue
+        if s1.kind == "region" and s1.ray != s2.ray:
+            continue
+        diffs = [
+            s2.vertices[i] - s1.vertices[p[i]]
+            for i in range(3)
+            if s1.vertices[p[i]] is not None
+        ]
+        if any(diff != diffs[0] for diff in diffs[1:]):
+            continue
+        w = diffs[0]
+        if not w.is_zero() and not cross_q(s1.chart.belt.e, w).is_zero():
+            raise RuntimeError("translation witness not parallel to the belt")
+        return w
+    return None
+
+
+def _anchored_key(seed):
+    """Canonical key of the seed translated so its coordinatewise-smallest
+    vertex sits at the origin: the shape key the lattice report and the
+    quotient census used before translation_class."""
+    verts = [v for v in seed.vertices if v is not None]
+    anchor = verts[0]
+    for v in verts[1:]:
+        s = (v.x - anchor.x).sign()
+        if s < 0 or (s == 0 and (v.y - anchor.y).sign() < 0):
+            anchor = v
+    return seed.translate(-anchor).canonical_key()
+
+
+def _same_translation(s1, s2):
+    """Both answers for the pair, raising alike when either raises."""
+    try:
+        expected = _searched_translation(s1, s2)
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            translation_between(s1, s2)
+        return "raised"
+    w = translation_between(s1, s2)
+    assert (w is None) == (expected is None)
+    assert w is None or w == expected
+    return w
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_translation_between_matches_the_relabelling_search(d):
+    """On the depth-8 window and its belt mirrors: every pair inside a
+    translation class, a seeded sample of pairs across classes, and each
+    seed against a translate off the belt."""
+    seeds = [t for seed in _window(d, 0) for t in (seed, reflect_across_belt(seed))]
+    classes = {}
+    for s in seeds:
+        classes.setdefault(_anchored_key(s), []).append(s)
+    assert all(translation_class(m[0])[0] == key for key, m in classes.items())
+    translated = 0
+    for members in classes.values():
+        for a in members:
+            for b in members:
+                w = _same_translation(a, b)
+                assert w is not None
+                translated += not w.is_zero()
+    assert translated
+    rng = random.Random(d)
+    results = [_same_translation(*rng.sample(seeds, 2)) for _ in range(400)]
+    assert 0 < results.count(None) < len(results)
+    belt = seeds[0].chart.belt
+    off = from_rationals(d, 0, 1)
+    assert not cross_q(belt.e, off).is_zero()
+    for s in rng.sample(seeds, 20):
+        assert _same_translation(s, s.translate(off)) == "raised"
+        assert _same_translation(s.translate(off), s) == "raised"
+
+
+@lru_cache(maxsize=None)
+def _deep_window(d):
+    return exgraph.bfs(initial_seed(d), depth_limit=10)
+
+
+def _searched_census(graph):
+    """quotient_census with its shapes read from the anchored key."""
+    census, triples = {}, set()
+    for seed in graph.vertices.values():
+        if seed.kind != "triangle":
+            continue
+        angle = seed.angle_triple()
+        signs = seed.B.sign_pattern()
+        cls = min(
+            (
+                tuple(angle[p[i]] for i in range(3)),
+                tuple(signs[p[i]][p[j]] for i in range(3) for j in range(3) if i != j),
+            )
+            for p in PERMS3
+        )
+        triples.add(tuple(sorted(angle)))
+        tags = census.setdefault(cls, {})
+        tags.setdefault(orientation_tag(seed), set()).add(_anchored_key(seed))
+    counts = {
+        cls: {tag: len(shapes) for tag, shapes in tags.items()}
+        for cls, tags in census.items()
+    }
+    return counts, triples
+
+
+@pytest.mark.parametrize("d", (3, 4, 5, 7, 8))
+def test_lattice_report_and_census_match_the_relabelling_search(d):
+    """The observed lengths and the census of the depth-10 window, against
+    anchored-key groups witnessed by the relabelling search."""
+    graph = _deep_window(d)
+    groups = {}
+    for s in graph.vertices.values():
+        groups.setdefault(_anchored_key(s), []).append(s)
+    belt_class = graph.vertices[graph.initial_key].chart.belt.dir_class
+    expected, seen = [], set()
+    lengths = [
+        length_along(d, _searched_translation(base, other), belt_class)
+        for base, *others in groups.values()
+        for other in others
+    ]
+    lengths += [exgraph.s_k_length(d, k) for k in units_up_to_half(d)]
+    for L in lengths:
+        if L.key() not in seen:
+            seen.add(L.key())
+            expected.append(L)
+    report = exgraph.lattice_report(graph, d)
+    assert [L.key() for L in report.observed_lengths] == [L.key() for L in expected]
+    try:
+        census = _searched_census(graph)
+    except UnsupportedRegion:
+        # an orientation tag degenerates (d = 4), before any shape is read
+        with pytest.raises(UnsupportedRegion):
+            exgraph.quotient_census(graph)
+        return
+    assert exgraph.quotient_census(graph) == census
