@@ -151,7 +151,9 @@ def cmd_enumerate(args) -> int:
         result = classify(B, budget=args.budget)
         seed = realize_classified(B, result) if result.kind == "affine" else None
     if seed is not None:
-        depth = args.depth or (14 if seed.d <= 7 else 10)
+        depth = args.depth
+        if depth is None:
+            depth = 14 if seed.d <= 7 else 10
         try:
             graph = exgraph.bfs(
                 seed, depth_limit=depth, vertex_limit=args.max_vertices or None
@@ -163,7 +165,7 @@ def cmd_enumerate(args) -> int:
     else:
         graph = exgraph.bfs(
             spherical_seed(B),
-            depth_limit=args.depth or None,
+            depth_limit=args.depth,
             vertex_limit=args.max_vertices or 4096,
         )
     summary = {
@@ -226,7 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--entries", help="inline upper-triangle spec, e.g. 'cos(1/3),0,cos(2/5)'"
         )
-        p.add_argument("--budget", type=int, default=512)
+        p.add_argument(
+            "--budget",
+            type=int,
+            default=512,
+            help="mutation-class search budget for classification (default 512)",
+        )
 
     pc = sub.add_parser("classify", help="classify an exchange matrix")
     add_matrix_opts(pc)
@@ -236,8 +243,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("enumerate", help="enumerate an exchange graph")
     add_matrix_opts(pe)
-    pe.add_argument("--depth", type=int, default=0)
-    pe.add_argument("--max-vertices", type=int, default=0)
+    pe.add_argument(
+        "--depth",
+        type=int,
+        help="BFS depth limit; 0 gives the initial seed alone (default: 14 for "
+        "affine d <= 7, 10 for larger d, none for non-affine classes)",
+    )
+    pe.add_argument(
+        "--max-vertices",
+        type=int,
+        default=0,
+        help="vertex limit of the BFS; 0 means the default (none for affine "
+        "classes, 4096 for infinite non-affine classes)",
+    )
     pe.add_argument(
         "--format", choices=("text", "json", "dot", "svg"), default="text"
     )

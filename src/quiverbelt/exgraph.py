@@ -12,6 +12,13 @@ along the graph follow labelled seeds without mutating again.
 Whether two planar seeds are translates, and by which vector, is decided
 by `seedgeom.translation_class` alone: lattice reports, the reflection
 witness and the quotient census group seeds by its shape.
+
+The planar BFS mutates once per translation class, canonical direction and
+positivity, the key of its table: `planar_mutate` reads only data a
+translation keeps, plus the positivity of the mutated side, and every point
+it builds moves with the seed, so every other seed's mutation is the table
+entry translated (see `_planar_steps`).  `tests/test_exgraph.py` keeps the
+plain BFS that mutates every vertex as the oracle.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ from quiverbelt.seedgeom import (
     reflect_across_belt,
     seed_mutate,
     spherical_seed,
+    translate_relabelled,
     translation_between,
     translation_class,
 )
@@ -105,8 +113,9 @@ def bfs(
 
     A limit of None means unbounded.  The result's `closed` flag records
     whether the frontier was exhausted before any limit.  Vertices at the
-    depth limit are mutated too, but only record edges to vertices already
-    known, so depth-limited graphs are honest induced subgraphs.
+    depth limit look up their neighbours too, but only record edges to
+    vertices already known, so depth-limited graphs are honest induced
+    subgraphs.
 
     Mutation is an involution: the stored seed of a vertex first reached
     as mu_k(parent) gives back the parent under mu_k, an edge already
@@ -115,12 +124,22 @@ def bfs(
     does not carry over to another seed with the same key, because keys
     are minimised over index permutations.
 
-    Every other link's relabelling comes from the two keys' attaining
-    permutations: q on mu_k(X) and p on the stored seed Y give mu_k(X)'s
-    slot a = Y's slot p[q^-1[a]]."""
-    mutator = planar_mutate if isinstance(initial, PlanarSeed) else seed_mutate
+    Each other direction asks a step function for the neighbour: either
+    the link (key, relabelling) of a stored vertex, or a function that
+    builds the new seed.  Spherical seeds are mutated (`_spherical_steps`).
+    Planar seeds are mutated once per table key (shape of
+    `translation_class(s)`, canonical slot of k, `positivity(s, k)`), and
+    every other seed under that key takes the stored mutation translated
+    (`_planar_steps`).  That is exact: mutation reads nothing a translation
+    changes but the positivity, which is in the key, and every point it
+    builds moves with the seed.  The plain BFS that mutates every vertex
+    stays in `tests/test_exgraph.py` as the oracle for both."""
     key0 = initial.canonical_key()
     vertices = {key0: initial}
+    if isinstance(initial, PlanarSeed):
+        step = _planar_steps(initial)
+    else:
+        step = _spherical_steps(vertices)
     depth = {key0: 0}
     came_by = {key0: None}  # the direction that first reached each vertex
     links = {key0: [None, None, None]}
@@ -138,10 +157,8 @@ def bfs(
         for k in range(3):
             if k == came_by[key]:
                 continue
-            nxt = mutator(seed, k)
-            nkey = nxt.canonical_key()
-            stored = vertices.get(nkey)
-            if stored is None:
+            link, build = step(seed, k)
+            if link is None:
                 if at_limit:
                     continue
                 if vertex_limit is not None and len(vertices) >= vertex_limit:
@@ -151,18 +168,97 @@ def bfs(
                             vertices, edges, depth, False, key0, links
                         ),
                     )
-                vertices[nkey] = stored = nxt
+                nxt = build()
+                nkey = nxt.canonical_key()
+                vertices[nkey] = nxt
                 depth[nkey] = level + 1
                 came_by[nkey] = k
                 back = [None, None, None]
                 back[k] = (key, 0)
                 links[nkey] = back
                 queue.append(nxt)
-            relabel = PERM_COMPOSE[stored.key_perm()][PERM_INVERSE[nxt.key_perm()]]
-            out[k] = (nkey, relabel)
-            if nkey != key:
-                edges.setdefault(frozenset((key, nkey)), k)
+                link = (nkey, 0)
+            out[k] = link
+            if link[0] != key:
+                edges.setdefault(frozenset((key, link[0])), k)
     return ExchangeGraphData(vertices, edges, depth, closed, key0, links)
+
+
+def _spherical_steps(vertices: dict):
+    """The BFS step for spherical seeds: mutate and look the key up.  A
+    stored neighbour's relabelling comes from the two keys' attaining
+    permutations: q on mu_k(X) and p on the stored seed Y give mu_k(X)'s
+    slot a = Y's slot p[q^-1[a]]."""
+
+    def step(seed, k):
+        nxt = seed_mutate(seed, k)
+        nkey = nxt.canonical_key()
+        stored = vertices.get(nkey)
+        if stored is None:
+            return None, lambda: nxt
+        return (nkey, PERM_COMPOSE[stored.key_perm()][PERM_INVERSE[nxt.key_perm()]]), None
+
+    return step
+
+
+def _planar_steps(initial: PlanarSeed):
+    """The BFS step for planar seeds: one `planar_mutate` per translation
+    class, canonical direction and positivity.
+
+    Exactness: `planar_mutate(s, k)` reads the side directions, the matrix,
+    the outward signs and differences of points, all unchanged by a
+    translation, plus `positivity(s, k)`, which a translation not parallel
+    to the belt can change.  Every point it builds (the kept vertices,
+    `reflect_point`, `line_intersect`) moves with the seed, and every check
+    that bounds the new region compares differences.  So if s = X + w with
+    slot p[i] of s matching slot p'[i] of X (p and p' their class perms),
+    and k' = p'[p^-1[k]], then mu_k(s) and mu_{k'}(X) + w match slot for
+    slot in the same way, field by field, whenever the two positivities
+    agree; and where mu_{k'}(X) raised, X's mutation stopped the BFS
+    before s was reached.
+
+    The table is keyed by (shape, canonical slot p^-1[k], positivity) and
+    holds the first mutation made under its key, with that parent's class
+    perm and the child's anchor offset from the parent's.  A stored
+    neighbour is found without building anything: the index maps (shape,
+    anchor key) to the vertex key and class perm, and the link's
+    relabelling is composed from the class perms.  Only a new vertex is
+    built, as the table child relabelled and translated by w
+    (`translate_relabelled`)."""
+    children = {}  # (shape, slot, positivity) -> (child, parent perm, parent anchor, offset)
+    index = {}  # (shape, anchor key) -> (vertex key, class perm)
+    shape0, anchor0, perm0 = translation_class(initial)
+    index[shape0, anchor0.key()] = (initial.canonical_key(), perm0)
+
+    def step(seed, k):
+        shape, anchor, perm = translation_class(seed)
+        inverse = PERM_INVERSE[perm]
+        table_key = (shape, PERMS3[inverse][k], positivity(seed, k))
+        entry = children.get(table_key)
+        if entry is None:
+            child = planar_mutate(seed, k)
+            offset = translation_class(child)[1] - anchor
+            entry = children[table_key] = (child, perm, anchor, offset)
+        child, rep_perm, rep_anchor, offset = entry
+        cshape, _, cperm = translation_class(child)
+        # slot a of mu_k(seed) is slot r[a] of the stored child, moved by w
+        r = PERM_COMPOSE[rep_perm][inverse]
+        target = (cshape, (anchor + offset).key())
+        found = index.get(target)
+        if found is not None:
+            # slot r[a] of the child is slot nperm[cperm^-1[r[a]]] of nkey's seed
+            nkey, nperm = found
+            return (nkey, PERM_COMPOSE[PERM_COMPOSE[nperm][PERM_INVERSE[cperm]]][r]), None
+
+        def build():
+            w = anchor - rep_anchor  # zero only for the seed that made the entry
+            nxt = child if w.is_zero() else translate_relabelled(child, r, w)
+            index[target] = (nxt.canonical_key(), translation_class(nxt)[2])
+            return nxt
+
+        return None, build
+
+    return step
 
 
 @dataclass

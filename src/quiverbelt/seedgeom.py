@@ -35,6 +35,8 @@ from quiverbelt.cycfield import (
     sin_product,
 )
 from quiverbelt.exmatrix import (
+    PERM_COMPOSE,
+    PERM_INVERSE,
     PERMS3,
     ClassificationResult,
     ExchangeMatrix,
@@ -637,12 +639,15 @@ def feet_on_belt(s: PlanarSeed) -> bool:
     return all(belt.contains(p) for p in designated_feet(s))
 
 
-def translation_class(s: PlanarSeed) -> tuple[str, PlanarPoint]:
-    """(shape, anchor): the anchor is the lexicographically smallest finite
-    vertex, and the shape is the canonical key of the seed translated so
-    its anchor sits at the origin.  The anchor moves with a translation and
-    ignores relabelling, so two seeds of one level are translates exactly
-    when their shapes agree, by the difference of their anchors."""
+def translation_class(s: PlanarSeed) -> tuple[str, PlanarPoint, int]:
+    """(shape, anchor, perm): the anchor is the lexicographically smallest
+    finite vertex, and the shape is the canonical key of the seed translated
+    so its anchor sits at the origin; perm indexes the p in PERMS3 that
+    attains it, so slot i of the shape holds slot p[i] of s.  The anchor
+    moves with a translation and ignores relabelling, so two seeds of one
+    level are translates exactly when their shapes agree, by the difference
+    of their anchors, and p[i] of one and p[i] of the other are then
+    corresponding slots."""
     cls = s._cache.get("class")
     if cls is None:
         verts = [v for v in s.vertices if v is not None]
@@ -651,8 +656,36 @@ def translation_class(s: PlanarSeed) -> tuple[str, PlanarPoint]:
             sx = (v.x - anchor.x).sign()
             if sx < 0 or (sx == 0 and (v.y - anchor.y).sign() < 0):
                 anchor = v
-        cls = s._cache["class"] = (s.translate(-anchor).canonical_key(), anchor)
+        moved = s.translate(-anchor)
+        cls = s._cache["class"] = (moved.canonical_key(), anchor, moved.key_perm())
     return cls
+
+
+def translate_relabelled(s: PlanarSeed, r: int, w: PlanarPoint) -> PlanarSeed:
+    """s relabelled by p = PERMS3[r] (slot a takes slot p[a]'s data) and
+    translated by w.  Outward signs and the translation class are carried
+    over, not recomputed: a translation keeps both, and the class's perm
+    becomes p^-1 after it.  The relabelled matrix does not depend on w, so
+    it is built once per seed and relabelling and shared."""
+    p = PERMS3[r]
+    shape, anchor, perm = translation_class(s)
+    matrices = s._cache.setdefault("relabelled", {0: s.B})
+    B = matrices.get(r)
+    if B is None:
+        B = matrices[r] = ExchangeMatrix(
+            [[s.B[p[i], p[j]] for j in range(3)] for i in range(3)]
+        )
+    kept = [s.vertices[p[a]] for a in range(3)]
+    verts = tuple(None if v is None else v + w for v in kept)
+    # the anchor is one of the vertices, so it moved with them
+    moved_anchor = next(verts[a] for a in range(3) if kept[a] is anchor)
+    outward = s.outward_signs()
+    cache = {
+        "outward": tuple(outward[p[a]] for a in range(3)),
+        "class": (shape, moved_anchor, PERM_COMPOSE[PERM_INVERSE[r]][perm]),
+    }
+    dirs = tuple(s.side_dirs[p[a]] for a in range(3))
+    return PlanarSeed(s.chart, s.kind, verts, dirs, s.ray, B, _cache=cache)
 
 
 def translation_between(s1: PlanarSeed, s2: PlanarSeed) -> Optional[PlanarPoint]:
@@ -661,8 +694,8 @@ def translation_between(s1: PlanarSeed, s2: PlanarSeed) -> Optional[PlanarPoint]
     A found w is checked to be parallel to the belt."""
     if s1.d != s2.d:
         return None
-    shape1, a1 = translation_class(s1)
-    shape2, a2 = translation_class(s2)
+    shape1, a1, _ = translation_class(s1)
+    shape2, a2, _ = translation_class(s2)
     if shape1 != shape2:
         return None
     w = a2 - a1

@@ -193,6 +193,24 @@ def test_affine_enumeration_reports_the_partial_graph_on_budget(capsys):
     assert "enumerated 30 seeds" in err
 
 
+def test_enumerate_depth_zero_is_the_one_seed_window(capsys):
+    code, out, err = run(["enumerate", "--affine", "3", "--depth", "0"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"vertices": 1, "edges": 0, "closed": False, "depth": 0}
+    assert "enumerated 1 seeds" in err
+    code, out, _ = run(["enumerate", "--affine", "3"], capsys)
+    assert json.loads(out)["depth"] == 14
+
+
+def test_enumerate_help_names_the_defaults(capsys):
+    with pytest.raises(SystemExit):
+        main(["enumerate", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "0 gives the initial seed alone (default: 14 for affine d <= 7" in text
+    assert "0 means the default (none for affine classes, 4096" in text
+    assert "(default 512)" in text
+
+
 @pytest.mark.parametrize(
     "entries, level",
     [("2,-cos(1/5),cos(1/5)", 5), ("cos(1/3),cos(1/3),cos(1/3)", 3)],

@@ -1,12 +1,13 @@
 import json
 import random
+import re
 from collections import deque
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from quiverbelt import exgraph
+from quiverbelt import exgraph, seedgeom
 from quiverbelt.exmatrix import (
     PERMS3,
     SPHERICAL_PAIRS,
@@ -18,10 +19,13 @@ from quiverbelt.exmatrix import (
 from quiverbelt.intpoly import euler_totient
 from quiverbelt.planegeom import length_along
 from quiverbelt.seedgeom import (
+    DegeneratePositivity,
     NotAcyclic,
     PlanarSeed,
+    UnsupportedRegion,
     initial_seed,
     planar_mutate,
+    reflect_across_belt,
     seed_mutate,
     spherical_seed,
     t_invariant,
@@ -52,8 +56,10 @@ def test_bfs_depths_and_edges_are_consistent():
         assert planar_mutate(g.vertices[a], k) == g.vertices[b]
 
 
-def reference_bfs(initial, mutate, depth_limit=None):
-    """Plain BFS that mutates every vertex in all three directions."""
+def reference_bfs(initial, mutate, depth_limit=None, vertex_limit=None):
+    """Plain BFS that mutates every vertex in all three directions.  At a
+    vertex limit it stops where the next new vertex would pass the limit,
+    as `bfs` raises there."""
     key0 = initial.canonical_key()
     vertices, depth, edges, frontier = {key0: initial}, {key0: 0}, {}, []
     queue = deque([initial])
@@ -67,6 +73,8 @@ def reference_bfs(initial, mutate, depth_limit=None):
             nxt = mutate(seed, k)
             nkey = nxt.canonical_key()
             if nkey not in vertices:
+                if vertex_limit is not None and len(vertices) >= vertex_limit:
+                    return vertices, depth, edges
                 vertices[nkey] = nxt
                 depth[nkey] = depth[key] + 1
                 queue.append(nxt)
@@ -81,21 +89,127 @@ def reference_bfs(initial, mutate, depth_limit=None):
     return vertices, depth, edges
 
 
+def stored_fields(seed):
+    """A stored seed field by field, with a planar seed's outward signs."""
+    if isinstance(seed, PlanarSeed):
+        return seed.vertices, seed.side_dirs, seed.ray, seed.B, seed.outward_signs()
+    return seed.vectors, seed.B
+
+
 def assert_same_graph(g, reference):
     vertices, depth, edges = reference
     assert list(g.vertices) == list(vertices)
     assert list(g.depth.items()) == list(depth.items())
     assert list(g.edges.items()) == list(edges.items())
+    for key, seed in g.vertices.items():
+        assert stored_fields(seed) == stored_fields(vertices[key])
 
 
-@pytest.mark.parametrize("d, depth", [(3, 14), (4, 12), (5, 10), (7, 8), (8, 8)])
-@pytest.mark.parametrize("offset", [-1, 0, 2])
+def affine_start(d, offset):
+    """Entry `offset` of the initial belt, or with "mirror" the initial
+    seed's mirror across the belt."""
+    if offset == "mirror":
+        return reflect_across_belt(initial_seed(d))
+    return exgraph.acyclic_belt(initial_seed(d), 2)[2 + offset]
+
+
+@pytest.mark.parametrize(
+    "d, depth", [(3, 14), (4, 12), (5, 10), (6, 10), (7, 8), (8, 8), (9, 7)]
+)
+@pytest.mark.parametrize("offset", [-1, 0, 2, "mirror"])
 def test_bfs_matches_the_plain_bfs_on_affine_windows(d, depth, offset):
-    # bfs skips the direction back to each vertex's parent
-    start = exgraph.acyclic_belt(initial_seed(d), 2)[2 + offset]
+    # bfs skips the direction back to each vertex's parent and mutates
+    # once per translation class, direction and positivity
+    start = affine_start(d, offset)
     g = exgraph.bfs(start, depth_limit=depth)
     assert not g.closed
     assert_same_graph(g, reference_bfs(start, planar_mutate, depth))
+
+
+@pytest.mark.parametrize("d, limit", [(3, 40), (5, 150), (7, 300)])
+@pytest.mark.parametrize("offset", [2, "mirror"])
+def test_budget_partial_graph_matches_the_plain_bfs(d, limit, offset):
+    start = affine_start(d, offset)
+    with pytest.raises(BudgetExceeded) as err:
+        exgraph.bfs(start, vertex_limit=limit)
+    partial = err.value.partial
+    assert partial.order() == limit and not partial.closed
+    assert_same_graph(partial, reference_bfs(start, planar_mutate, vertex_limit=limit))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 7])
+def test_the_planar_step_keys_its_table_on_positivity(d, monkeypatch):
+    """A translate along the belt reuses the table's mutation.  A translate
+    across it flips the positivity of a side parallel to the belt, so that
+    side is mutated afresh and gets its own mutation or its own error."""
+    belt = initial_seed(d).chart.belt
+    cases = [
+        (seed, k)
+        for seed in graph(d, 6).vertices.values()
+        for k in range(3)
+        if seed.side_dirs[k] == belt.dir_class
+    ]
+    assert cases
+    made = []
+    monkeypatch.setattr(
+        exgraph, "planar_mutate", lambda s, k: made.append(k) or planar_mutate(s, k)
+    )
+    for seed, k in cases:
+        step = exgraph._planar_steps(seed)
+        step(seed, k)
+        across = seed.translate((belt.base - seed.side_base(k)).scale(2))
+        for moved, fresh in ((seed.translate(belt.e), 0), (across, 1)):
+            made.clear()
+            try:
+                expected = planar_mutate(moved, k)
+            except UnsupportedRegion:
+                with pytest.raises(UnsupportedRegion):
+                    step(moved, k)
+                continue
+            link, build = step(moved, k)
+            assert link is None
+            assert stored_fields(build()) == stored_fields(expected)
+            assert len(made) == fresh
+
+
+def negated_quiver(d):
+    """The initial triangle with its matrix negated: a positive sink."""
+    s = initial_seed(d)
+    B = ExchangeMatrix([[-s.B[i, j] for j in range(3)] for i in range(3)])
+    return PlanarSeed(s.chart, s.kind, s.vertices, s.side_dirs, s.ray, B)
+
+
+def off_belt(d, i):
+    """The initial triangle moved so that vertex i sits on the belt's base
+    point: some seeds of its window have a side on the belt line."""
+    s = initial_seed(d)
+    return s.translate(s.chart.belt.base - s.vertices[i])
+
+
+@pytest.mark.parametrize(
+    "start",
+    [negated_quiver(5), off_belt(3, 0), off_belt(5, 1), off_belt(8, 0), off_belt(9, 0)],
+    ids=["negated-d5", "off-belt-d3", "off-belt-d5", "off-belt-d8", "off-belt-d9"],
+)
+def test_bfs_raises_where_the_plain_bfs_raises(start, monkeypatch):
+    """The same exception at the same (seed, direction): the last
+    positivity asked for before it."""
+    asked = []
+    real = seedgeom.positivity
+
+    def recording(seed, k):
+        asked.append((seed.canonical_key(), k))
+        return real(seed, k)
+
+    monkeypatch.setattr(seedgeom, "positivity", recording)
+    monkeypatch.setattr(exgraph, "positivity", recording)
+    with pytest.raises((UnsupportedRegion, DegeneratePositivity)) as expected:
+        reference_bfs(start, planar_mutate, 8)
+    where = asked[-1]
+    asked.clear()
+    with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+        exgraph.bfs(start, depth_limit=8)
+    assert asked[-1] == where
 
 
 @pytest.mark.parametrize("pair", SPHERICAL_PAIRS)
@@ -126,10 +240,12 @@ def labelled_fields(seed, p):
     [
         (initial_seed(5), planar_mutate),
         (initial_seed(4), planar_mutate),
+        (initial_seed(7), planar_mutate),
+        (reflect_across_belt(initial_seed(5)), planar_mutate),
         (spherical_seed(spherical_matrix(*SPHERICAL_PAIRS[3]), (4, 2, 1)), seed_mutate),
         (spherical_seed(spherical_matrix(*SPHERICAL_PAIRS[0]), (-3, -3, 1)), seed_mutate),
     ],
-    ids=["planar-d5", "planar-d4", "compatible-1/3,2/5", "incompatible-1/3,1/3"],
+    ids=["planar-d5", "planar-d4", "planar-d7", "planar-d5-mirror", "compatible-1/3,2/5", "incompatible-1/3,1/3"],
 )
 def test_links_carry_each_mutation_onto_the_stored_neighbour(start, mutate):
     """links[key][k] = (nkey, t): mu_k of the stored seed is the stored seed

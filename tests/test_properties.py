@@ -6,9 +6,11 @@ witness, matrix mutation matches the abs/half rule, T is conserved along
 planar walks, planar angles sum to d, the field axioms hold across levels,
 canonical forms are unique under lifting, the FieldElem fast paths return
 canonical representations, inverses invert, signs agree with the float
-embedding away from zero, and Galois maps are ring homomorphisms."""
+embedding away from zero, Galois maps are ring homomorphisms, and planar
+positivity and mutation commute with the belt's lattice translations."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import assume, example, given, reject, settings
@@ -20,6 +22,7 @@ from quiverbelt.cycfield import (
     InvalidMultiplier,
     level_context,
 )
+from quiverbelt.exgraph import acyclic_belt, bfs
 from quiverbelt.exmatrix import (
     PERM_INVERSE,
     PERMS3,
@@ -36,9 +39,13 @@ from quiverbelt.seedgeom import (
     SphericalSeed,
     initial_seed,
     planar_mutate,
+    positivity,
     seed_mutate,
     spherical_seed,
     t_invariant,
+    translate_relabelled,
+    translation_between,
+    translation_class,
 )
 
 walks = st.lists(st.integers(0, 2), min_size=1, max_size=10)
@@ -207,6 +214,60 @@ def test_carried_outward_signs_match_the_witness(s):
     """A mutated seed carries its side orientations from its parent; a
     fresh copy of it reads them off an interior witness."""
     assert s.outward_signs() == relabelled(s, PERMS3[0]).outward_signs()
+
+
+@cache
+def window_and_period(d):
+    """The seeds of the depth-6 window at level d, and the translation
+    between belt entries -6 and 0, a period of the lattice."""
+    belt = acyclic_belt(initial_seed(d), 6)
+    window = bfs(initial_seed(d), depth_limit=6)
+    return list(window.vertices.values()), translation_between(belt[0], belt[6])
+
+
+def window_seed(d, pick, sign):
+    """A seed of the depth-6 window at level d and plus or minus its period."""
+    seeds, period = window_and_period(d)
+    return seeds[pick % len(seeds)], period.scale(sign)
+
+
+window_seeds = st.builds(
+    window_seed, st.sampled_from((3, 4, 5, 7, 8)), st.integers(0, 10**6), st.sampled_from((1, -1))
+)
+
+
+@exact
+@given(window_seeds, st.integers(0, 2))
+def test_planar_mutation_commutes_with_lattice_translation(seed_and_period, k):
+    """mu_k(s + w) = mu_k(s) + w field by field, outward signs included,
+    and positivity(s + w, k) = positivity(s, k), for a lattice period w:
+    what lets the BFS mutate once per translation class."""
+    s, w = seed_and_period
+    moved = s.translate(w)
+    try:
+        sign = positivity(s, k)
+    except DegeneratePositivity:
+        with pytest.raises(DegeneratePositivity):
+            positivity(moved, k)
+        return
+    assert positivity(moved, k) == sign
+    image = planar_mutate(s, k)
+    moved_image = planar_mutate(moved, k)
+    assert fields(moved_image) == fields(image.translate(w))
+    assert moved_image.outward_signs() == image.outward_signs()
+
+
+@exact
+@given(window_seeds, st.sampled_from(range(len(PERMS3))))
+def test_translate_relabelled_carries_what_a_fresh_seed_computes(seed_and_period, r):
+    """The outward signs and translation class that `translate_relabelled`
+    carries equal those a fresh copy of its result reads off itself."""
+    s, w = seed_and_period
+    moved = translate_relabelled(s, r, w)
+    fresh = relabelled(s, PERMS3[r]).translate(w)
+    assert fields(moved) == fields(fresh)
+    assert moved.outward_signs() == fresh.outward_signs()
+    assert translation_class(moved) == translation_class(fresh)
 
 
 def abs_half_mutate(B, k):
