@@ -35,7 +35,7 @@ from quiverbelt.exmatrix import (
     weight_label,
 )
 from quiverbelt.rank2 import period_grid
-from quiverbelt.seedgeom import initial_seed, realize_classified, spherical_seed
+from quiverbelt.seedgeom import initial_seed, spherical_seed
 
 
 class ParseError(ValueError):
@@ -53,6 +53,9 @@ def parse_entry(text: str) -> FieldElem | Fraction:
         k, l = int(m.group(2)), int(m.group(3))
         if l < 1:
             raise ParseError(f"bad cosine denominator in {text!r}")
+        if l == 1:
+            # 2cos(k*pi) = 2(-1)^k; field levels start at 2
+            return Fraction(2 * sign * (-1) ** k)
         return cos_multiple(l, k) * sign
     return _parse_rational(text, "entry")
 
@@ -149,7 +152,7 @@ def cmd_enumerate(args) -> int:
     else:
         B = _matrix_from_args(args)
         result = classify(B, budget=args.budget)
-        seed = realize_classified(B, result) if result.kind == "affine" else None
+        seed = initial_seed(result.level) if result.kind == "affine" else None
     if seed is not None:
         depth = args.depth
         if depth is None:
@@ -161,6 +164,12 @@ def cmd_enumerate(args) -> int:
         except BudgetExceeded as exc:
             graph = exc.partial
     elif result.kind == "finite":
+        # the compatibility check needs the closed graph: no window of it
+        if args.depth is not None or args.max_vertices:
+            raise ParseError(
+                "--depth and --max-vertices do not apply to finite-type "
+                "classes, whose graph is always the full closure"
+            )
         _, graph = exgraph.compatible_spherical_graph(B, random.Random(args.seed))
     else:
         graph = exgraph.bfs(
@@ -247,14 +256,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--depth",
         type=int,
         help="BFS depth limit; 0 gives the initial seed alone (default: 14 for "
-        "affine d <= 7, 10 for larger d, none for non-affine classes)",
+        "affine d <= 7, 10 for larger d, none for infinite non-affine classes; "
+        "rejected for classes of finite type, which are always closed)",
     )
     pe.add_argument(
         "--max-vertices",
         type=int,
         default=0,
         help="vertex limit of the BFS; 0 means the default (none for affine "
-        "classes, 4096 for infinite non-affine classes)",
+        "classes, 4096 for infinite non-affine classes; rejected for classes "
+        "of finite type, which are always closed)",
     )
     pe.add_argument(
         "--format", choices=("text", "json", "dot", "svg"), default="text"

@@ -218,9 +218,13 @@ def markov_constant(B: ExchangeMatrix) -> FieldElem:
 def entry_cosine_form(e: FieldElem) -> tuple[int, int]:
     """Match |e| against 2cos(pi k / l); returns (k, l) in lowest terms or
     raises NotCosineForm.  Rational values are settled by Niven's theorem
-    (2cos of a rational angle is rational only for 0, +-1, +-2); irrational
-    ones are scanned over the angle denominators representable inside the
-    entry's field."""
+    (2cos of a rational angle is rational only for 0, +-1, +-2).  An
+    irrational 2cos(pi k/l) with gcd(k, l) = 1 generates the real subfield
+    of Q(zeta_2l), whose conductor is 2l for even l and l for odd l.  It
+    lies in the entry's field F_d, inside Q(zeta_2d), only if that
+    conductor divides 2d, that is only if l divides d; then pi k/l is a
+    multiple of pi/d, and comparing against 2cos(pi j/d) for j = 1..d
+    settles it."""
     return _cosine_form_cached(e.abs())
 
 
@@ -248,14 +252,6 @@ def _cosine_form_cached(a: FieldElem) -> tuple[int, int]:
         if a == cos_multiple(d, k):
             g = gcd(k, d)
             return (k // g, d // g)
-    # entries may live at a coarser angle denominator than the ambient level
-    for l in range(3, 2 * d + 4):
-        for k in range(1, (l + 1) // 2):
-            if gcd(k, l) != 1:
-                continue
-            target_level = lcm(d, l)
-            if a.lift(target_level) == cos_multiple(l, k).lift(target_level):
-                return (k, l)
     raise NotCosineForm(f"entry {a!r} is not of the form 2cos(pi k/l)")
 
 

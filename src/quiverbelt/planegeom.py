@@ -160,15 +160,6 @@ def length_along(d: int, v: PlanarPoint, m: int) -> FieldElem:
     return val.abs()
 
 
-def direction_class(d: int, v: PlanarPoint) -> int | None:
-    """The m with v parallel to angle m*pi/d, or None if no grid direction
-    matches."""
-    for m in range(d):
-        if cross_q(unit_dir(d, m), v).is_zero():
-            return m
-    return None
-
-
 def midpoint(p: PlanarPoint, q: PlanarPoint) -> PlanarPoint:
     return (p + q).scale(Fraction(1, 2))
 

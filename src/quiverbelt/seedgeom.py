@@ -4,8 +4,9 @@ Affine case: a seed is an exact triangle or infinite region in the plane
 (module coordinates over F_d, see planegeom) together with its exchange
 matrix.  The reference point sits infinitely far along the belt line b, the
 line through the altitude feet of the initial triangle's source and sink
-sides; a side is positive when the belt direction points against its
-outward normal.  A mutation at side k keeps side k's line, reflects across
+sides, which initial_seed names in closed form for both initial triangles;
+a side is positive when the belt direction points against its outward
+normal.  A mutation at side k keeps side k's line, reflects across
 it every other side whose matrix entry matches the positivity branch, and
 rebuilds the region on the far side of k.
 
@@ -38,9 +39,7 @@ from quiverbelt.exmatrix import (
     PERM_COMPOSE,
     PERM_INVERSE,
     PERMS3,
-    ClassificationResult,
     ExchangeMatrix,
-    classify,
     is_acyclic,
     mutate,
     sources_and_sinks,
@@ -48,7 +47,6 @@ from quiverbelt.exmatrix import (
 from quiverbelt.planegeom import (
     PlanarPoint,
     cross_q,
-    direction_class,
     dot,
     foot_of_perpendicular,
     length_along,
@@ -59,10 +57,6 @@ from quiverbelt.planegeom import (
     reflect_vector,
     unit_dir,
 )
-
-
-class UnsupportedClass(ValueError):
-    """No geometric realisation for this mutation class."""
 
 
 class NotAcyclic(ValueError):
@@ -79,8 +73,8 @@ class UnsupportedRegion(RuntimeError):
 
 @dataclass(frozen=True)
 class BeltLine:
-    """The belt line: base point, direction class, and the oriented unit
-    direction towards the reference point."""
+    """The belt line: base point, direction class m, and the oriented unit
+    direction e = -u_m towards the reference point (see initial_seed)."""
 
     base: PlanarPoint
     dir_class: int
@@ -99,16 +93,15 @@ class PlanarChart:
     """Ambient data shared by every seed of one realisation."""
 
     d: int
-    n: int
     belt: BeltLine
     t0: FieldElem
 
     @cached_property
     def belt_cross_signs(self) -> tuple[int, ...]:
-        """The sign of cross_q(u_m, e) for each side class m in [0, d)."""
-        return tuple(
-            cross_q(unit_dir(self.d, m), self.belt.e).sign() for m in range(self.d)
-        )
+        """The sign of cross_q(u_j, e) for each side class j in [0, d): the
+        sign of j - m for the belt's class m (see initial_seed)."""
+        m = self.belt.dir_class
+        return tuple((j > m) - (j < m) for j in range(self.d))
 
 
 @dataclass(frozen=True)
@@ -319,96 +312,56 @@ def _source_sink(B: ExchangeMatrix) -> tuple[Optional[int], Optional[int]]:
 
 def initial_seed(d: int) -> PlanarSeed:
     """The initial triangle with unit d1 side, base on the x-axis, and the
-    standard acyclic quiver; odd d gives the isosceles (a, na, na) triangle,
-    even d the (a, (n-1)a, na) right triangle."""
+    standard acyclic quiver; with n = d // 2, odd d gives the isosceles
+    (a, na, na) triangle, even d the (a, (n-1)a, na) right triangle.
+
+    Its chart names the belt, the line through the altitude feet on the
+    source and sink sides.  Put a = pi/d, m = (d - 1) // 2 and u_j for the
+    unit vector at angle j*a; vertex 0 = (0, 0) is the source.
+    - Odd d: the sink is vertex 2 = (cos a, sin a), and vertex 1 = (1, 0).
+      As |p0 p1| = |p0 p2| = 1, the source side's foot is the midpoint of
+      vertices 1 and 2, the base; the sink side's is (cos a, 0).  They
+      differ by ((1 - cos a)/2, sin a / 2), a positive multiple of
+      (sin(a/2), cos(a/2)), at angle pi/2 - a/2 = m*a.
+    - Even d: the sink is vertex 1 = (1, tan a), and both feet sit at the
+      right angle, vertex 2 = (1, 0), the base.  The source mutation
+      reflects vertex 0 across x = 1 and makes vertex 2 the single source;
+      its foot lies on the perpendicular from vertex 2 to the mirrored
+      hypotenuse (at angle pi - a), at angle pi/2 - a = m*a.
+    - e = -u_m, at angle m*a + pi, orients the belt towards the reference
+      point: as 0 < m*a < pi/2, it makes an obtuse angle with the source
+      side's outward normal (at angle a/2 for odd d, 0 for even d) and an
+      acute one with the sink side's (at -pi/2), so the source side is
+      positive and the sink side negative.
+    So cross_q(u_j, e) = -sin((m - j) a) / sin a has the sign of j - m for
+    every side class j in [0, d), as (j - m) a lies in (-pi, pi)."""
     if d < 3:
         raise ValueError("d must be at least 3")
     one = FieldElem.one(d)
     zero = FieldElem.zero(d)
     p0 = planar_zero(d)
     p1 = PlanarPoint(one, zero)
+    n = d // 2
+    m = (d - 1) // 2
     if d % 2 == 1:
-        n = (d - 1) // 2
         apex = PlanarPoint(cos_value(d, 1), one)
         vertices = (p0, p1, apex)
-        side_dirs = (((d + 1) // 2) % d, 1, 0)
+        side_dirs = (n + 1, 1, 0)
         B = ExchangeMatrix.from_upper(
-            cos_multiple(d, n), cos_multiple(d, n), cos_multiple(d, 1)
+            cos_multiple(d, m), cos_multiple(d, m), cos_multiple(d, 1)
         )
+        base = midpoint(p1, apex)
     else:
-        n = d // 2
         top = PlanarPoint(one, cos_value(d, 1).inv())
         vertices = (p0, top, p1)
         side_dirs = (n, 0, 1)
         B = ExchangeMatrix.from_upper(
-            zero, cos_multiple(d, n - 1), -cos_multiple(d, 1)
+            zero, cos_multiple(d, m), -cos_multiple(d, 1)
         )
-    t0 = sin_product(d, 1, n)
-    chart = PlanarChart(d, n, _belt_for_initial(d, vertices, side_dirs, B), t0)
+        base = p1
+    belt = BeltLine(base, m, -unit_dir(d, m))
+    chart = PlanarChart(d, belt, sin_product(d, 1, n))
     return PlanarSeed(chart, "triangle", vertices, side_dirs, None, B)
-
-
-def _triangle_feet(d, vertices, side_dirs, idx) -> PlanarPoint:
-    base = vertices[(idx + 1) % 3]
-    return foot_of_perpendicular(d, vertices[idx], base, side_dirs[idx])
-
-
-def _belt_for_initial(d, vertices, side_dirs, B) -> BeltLine:
-    source, sink = _source_sink(B)
-    points = [
-        _triangle_feet(d, vertices, side_dirs, source),
-        _triangle_feet(d, vertices, side_dirs, sink),
-    ]
-    # A right-angled initial triangle (even d) has both feet on the
-    # right-angle vertex; walk the belt by source reflections until a
-    # second point on the line shows up.
-    cur_v, cur_d, cur_B = list(vertices), list(side_dirs), B
-    for _ in range(4):
-        if any(p != points[0] for p in points):
-            break
-        src, snk = _source_sink(cur_B)
-        if src is None:
-            break
-        base_pt = cur_v[(src + 1) % 3]
-        mirror = cur_d[src]
-        cur_v[src] = reflect_point(d, cur_v[src], base_pt, mirror)
-        for i in range(3):
-            if i != src:
-                cur_d[i] = (2 * mirror - cur_d[i]) % d
-        cur_B = mutate(cur_B, src)
-        s2, k2 = _source_sink(cur_B)
-        if s2 is not None:
-            points.append(_triangle_feet(d, tuple(cur_v), tuple(cur_d), s2))
-        if k2 is not None:
-            points.append(_triangle_feet(d, tuple(cur_v), tuple(cur_d), k2))
-    base = points[0]
-    other = next(p for p in points if p != base)
-    m = direction_class(d, other - base)
-    if m is None:
-        raise RuntimeError("belt direction is not a grid direction")
-    # orient e so that the source side is positive and the sink negative
-    e = unit_dir(d, m)
-    sign_needed = None
-    centroid = (vertices[0] + vertices[1] + vertices[2]).scale(Fraction(1, 3))
-    src_out, snk_out = _witness_signs(
-        d,
-        [vertices[(i + 1) % 3] for i in (source, sink)],
-        [side_dirs[i] for i in (source, sink)],
-        centroid,
-    )
-    for candidate in (e, -e):
-        src_val = (
-            src_out * cross_q(unit_dir(d, side_dirs[source]), candidate)
-        ).sign()
-        snk_val = (
-            snk_out * cross_q(unit_dir(d, side_dirs[sink]), candidate)
-        ).sign()
-        if src_val < 0 and snk_val > 0:
-            sign_needed = candidate
-            break
-    if sign_needed is None:
-        raise RuntimeError("belt orientation is inconsistent")
-    return BeltLine(base, m, sign_needed)
 
 
 def _witness_signs(d, bases, side_dirs, witness) -> tuple[int, ...]:
@@ -579,15 +532,6 @@ def side_length(s: PlanarSeed, k: int) -> FieldElem:
     """Exact Euclidean length of a finite side."""
     a, b = s.endpoints_of_side(k)
     return length_along(s.d, b - a, s.side_dirs[k])
-
-
-def belt_line(s0: PlanarSeed) -> BeltLine:
-    """The belt line of an acyclic seed: through the altitude feet of the
-    source and sink sides, oriented towards the reference point."""
-    source, sink = _source_sink(s0.B)
-    if source is None or sink is None:
-        raise NotAcyclic("belt line requires a seed with source and sink")
-    return _belt_for_initial(s0.d, s0.vertices, s0.side_dirs, s0.B)
 
 
 def designated_feet(s: PlanarSeed) -> list[PlanarPoint]:
@@ -843,23 +787,6 @@ def gram_invariants_ok(s: SphericalSeed) -> bool:
         elif positives % 2 != 1:
             return False
     return True
-
-
-def realize(B: ExchangeMatrix, reference=None):
-    """Geometric realisation of a classified matrix: finite type gives a
-    spherical seed, affine type the initial planar seed."""
-    result = classify(B)
-    return realize_classified(B, result, reference)
-
-
-def realize_classified(
-    B: ExchangeMatrix, result: ClassificationResult, reference=None
-):
-    if result.kind == "finite":
-        return spherical_seed(B, reference)
-    if result.kind == "affine":
-        return initial_seed(result.level)
-    raise UnsupportedClass(f"no geometric realisation for {result.kind}")
 
 
 def spherical_seed(B: ExchangeMatrix, reference=None) -> SphericalSeed:

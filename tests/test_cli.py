@@ -67,6 +67,15 @@ def test_classify_reports_an_isolated_vertex_as_decomposable(entries, weight, ca
     assert code == 0 and data["kind"] == "decomposable" and data["weight"] == weight
 
 
+@pytest.mark.parametrize("entry, value", [("cos(0/1)", "2"), ("cos(1/1)", "-2")])
+def test_classify_reads_cosines_of_whole_multiples_of_pi(entry, value, capsys):
+    # 2cos(k*pi) = 2(-1)^k, an entry like any other
+    for fmt in ("text", "json"):
+        by_cos = run(["classify", f"--entries={entry},0,0", "--format", fmt], capsys)
+        by_value = run(["classify", f"--entries={value},0,0", "--format", fmt], capsys)
+        assert by_cos == by_value and by_cos[0] == 0 and by_cos[2] == ""
+
+
 def test_enumerate_sph_counts(capsys):
     code, out, err = run(["enumerate", "--sph", "1/5,2/5"], capsys)
     assert code == 0
@@ -171,6 +180,18 @@ def test_verify_rejects_unknown_check_names(capsys, monkeypatch):
         (["enumerate", "--entries", "1,1,1", "--budget", "-4"], "--budget must not be negative"),
         (["rank2", "--max-b", "-2"], "--max-b must not be negative"),
         (["classify", "--entries", "cos(1/3)"], "matrix spec needs 3 upper-triangle entries"),
+        (
+            ["enumerate", "--sph", "1/3,2/5", "--depth", "1"],
+            "--depth and --max-vertices do not apply to finite-type classes",
+        ),
+        (
+            ["enumerate", "--sph", "1/3,2/5", "--max-vertices", "5"],
+            "--depth and --max-vertices do not apply to finite-type classes",
+        ),
+        (
+            ["enumerate", "--entries", "cos(1/3),cos(1/3),0", "--depth", "0"],
+            "--depth and --max-vertices do not apply to finite-type classes",
+        ),
     ],
 )
 def test_handled_errors_print_one_line_and_exit_2(
@@ -208,6 +229,7 @@ def test_enumerate_help_names_the_defaults(capsys):
     text = " ".join(capsys.readouterr().out.split())
     assert "0 gives the initial seed alone (default: 14 for affine d <= 7" in text
     assert "0 means the default (none for affine classes, 4096" in text
+    assert text.count("rejected for classes of finite type") == 2
     assert "(default 512)" in text
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -156,6 +157,50 @@ def test_entry_cosine_form():
     assert entry_cosine_form(cos_multiple(15, 6)) == (2, 5)
     with pytest.raises(NotCosineForm):
         entry_cosine_form(FieldElem.from_rational(5, Fraction(1, 2)))
+
+
+def _scanned_cosine_form(a):
+    """The former entry_cosine_form on |e|: after the multiples of pi/d it
+    scanned every angle denominator l <= 2d + 3 at the common level
+    lcm(d, l).  The oracle for dropping that scan."""
+    a = a.abs()
+    if a.is_zero():
+        return (1, 2)
+    if a.is_rational():
+        q = a.as_rational()
+        if q == 1:
+            return (1, 3)
+        if q == 2:
+            return (0, 1)
+        raise NotCosineForm(f"rational entry {q} is not 2cos(pi k/l)")
+    d = a.level
+    for k in range(1, d + 1):
+        if a == cos_multiple(d, k):
+            g = gcd(k, d)
+            return (k // g, d // g)
+    for l in range(3, 2 * d + 4):
+        for k in range(1, (l + 1) // 2):
+            if gcd(k, l) != 1:
+                continue
+            target_level = lcm(d, l)
+            if a.lift(target_level) == cos_multiple(l, k).lift(target_level):
+                return (k, l)
+    raise NotCosineForm(f"entry {a!r} is not of the form 2cos(pi k/l)")
+
+
+def test_entry_cosine_form_needs_no_scan_over_angle_denominators():
+    for d in range(2, 31):
+        for k in range(2 * d + 1):
+            for e in (cos_multiple(d, k), -cos_multiple(d, k)):
+                assert entry_cosine_form(e) == _scanned_cosine_form(e)
+    # not algebraic integers, or beyond 2: no cosine, and neither form finds one
+    for d in (4, 5, 7, 9, 12):
+        c1, c2 = cos_multiple(d, 1), cos_multiple(d, 2)
+        for e in (c1 + Fraction(1, 3), c1 * Fraction(1, 2), 2 * c1, c2 + 3):
+            with pytest.raises(NotCosineForm):
+                _scanned_cosine_form(e)
+            with pytest.raises(NotCosineForm):
+                entry_cosine_form(e)
 
 
 def test_all_class_entries_are_cosines():

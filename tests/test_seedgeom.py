@@ -14,15 +14,14 @@ from quiverbelt.exmatrix import (
     affine_normal_form,
     classify,
     is_acyclic,
-    markov_matrix,
     mutate,
     mutation_class,
     sources_and_sinks,
 )
 from quiverbelt.planegeom import (
     cross_q,
-    direction_class,
     dot,
+    foot_of_perpendicular,
     from_rationals,
     length_along,
     line_intersect,
@@ -31,20 +30,16 @@ from quiverbelt.planegeom import (
 )
 from quiverbelt.seedgeom import (
     DegeneratePositivity,
-    NotAcyclic,
     PlanarSeed,
-    UnsupportedClass,
     UnsupportedRegion,
     _source_sink,
-    belt_line,
+    _witness_signs,
     designated_feet,
     feet_on_belt,
     initial_seed,
     orientation_tag,
     planar_mutate,
     positivity,
-    realize,
-    realize_classified,
     reflect_across_belt,
     side_length,
     t_invariant,
@@ -107,28 +102,88 @@ def test_t_conserved_and_involution_along_random_walks():
             s = s2
 
 
-def test_belt_line_contains_the_named_feet():
-    for d in (3, 5, 7, 6):
-        s = initial_seed(d)
-        belt = belt_line(s)
+def _direction_class(d, v):
+    """The m with v parallel to angle m*pi/d, or None: a search over the
+    direction classes, for the oracles below."""
+    for m in range(d):
+        if cross_q(unit_dir(d, m), v).is_zero():
+            return m
+    return None
+
+
+def _foot(d, vertices, side_dirs, idx):
+    return foot_of_perpendicular(
+        d, vertices[idx], vertices[(idx + 1) % 3], side_dirs[idx]
+    )
+
+
+def _walked_belt(s):
+    """The belt of an initial seed found by search: the feet on the source
+    and sink sides, then (when both sit on one point, as at a right angle)
+    those of the seeds reached by up to four source reflections, the
+    direction class of the first two distinct feet, and the orientation
+    that makes the source side positive and the sink side negative.
+    Returns (base, class, e); the oracle for the belt initial_seed names."""
+    d, vertices, side_dirs = s.d, s.vertices, s.side_dirs
+    source, sink = _source_sink(s.B)
+    points = [_foot(d, vertices, side_dirs, i) for i in (source, sink)]
+    cur_v, cur_d, cur_B = list(vertices), list(side_dirs), s.B
+    for _ in range(4):
+        if any(p != points[0] for p in points):
+            break
+        src, _ = _source_sink(cur_B)
+        if src is None:
+            break
+        base_pt = cur_v[(src + 1) % 3]
+        mirror = cur_d[src]
+        cur_v[src] = reflect_point(d, cur_v[src], base_pt, mirror)
+        for i in range(3):
+            if i != src:
+                cur_d[i] = (2 * mirror - cur_d[i]) % d
+        cur_B = mutate(cur_B, src)
+        for i in _source_sink(cur_B):
+            if i is not None:
+                points.append(_foot(d, cur_v, cur_d, i))
+    base = points[0]
+    other = next(p for p in points if p != base)
+    m = _direction_class(d, other - base)
+    centroid = (vertices[0] + vertices[1] + vertices[2]).scale(Fraction(1, 3))
+    src_out, snk_out = _witness_signs(
+        d,
+        [vertices[(i + 1) % 3] for i in (source, sink)],
+        [side_dirs[i] for i in (source, sink)],
+        centroid,
+    )
+    for e in (unit_dir(d, m), -unit_dir(d, m)):
+        src_val = (src_out * cross_q(unit_dir(d, side_dirs[source]), e)).sign()
+        snk_val = (snk_out * cross_q(unit_dir(d, side_dirs[sink]), e)).sign()
+        if src_val < 0 and snk_val > 0:
+            return base, m, e
+    raise AssertionError("no orientation makes the source positive")
+
+
+@pytest.mark.parametrize("d", range(3, 61))
+def test_named_belt_matches_the_walked_belt(d):
+    s = initial_seed(d)
+    base, m, e = _walked_belt(s)
+    belt = s.chart.belt
+    assert (belt.base, belt.dir_class, belt.e) == (base, m, e)
+    assert s.chart.belt_cross_signs == tuple(
+        cross_q(unit_dir(d, j), e).sign() for j in range(d)
+    )
+
+
+@pytest.mark.parametrize("d", range(3, 41))
+def test_designated_feet_of_the_depth3_window_lie_on_the_belt(d):
+    graph = exgraph.bfs(initial_seed(d), depth_limit=3)
+    for s in graph.vertices.values():
         for foot in designated_feet(s):
-            assert belt.contains(foot)
+            assert s.chart.belt.contains(foot)
         assert feet_on_belt(s)
 
 
-def test_belt_line_requires_acyclicity():
-    s = initial_seed(5)
-    obtuse = next(
-        x
-        for x in (planar_mutate(s, k) for k in range(3))
-        if x.kind == "triangle" and x.is_obtuse()
-    )
-    with pytest.raises(NotAcyclic):
-        belt_line(obtuse)
-
-
 def test_positivity_signs_at_the_initial_seed():
-    for d in (3, 5, 7, 9, 6, 8):
+    for d in range(3, 61):
         s = initial_seed(d)
         src, snk = _source_sink(s.B)
         assert positivity(s, src) == 1
@@ -176,19 +231,11 @@ def test_reflect_across_belt_preserves_structure():
         assert orientation_tag(r) == -orientation_tag(s)
 
 
-def test_realize_affine_and_unsupported():
-    B = affine_normal_form(5)
-    seed = realize(B)
-    assert seed.kind == "triangle" and seed.chart.d == 5
-    with pytest.raises(UnsupportedClass):
-        realize(markov_matrix())
-
-
 @pytest.mark.parametrize("d", range(3, 13))
 def test_initial_seed_lies_in_the_affine_class_of_its_level(d):
-    # realize_classified and `enumerate --entries` realise every affine
-    # class by initial_seed(level): that matrix must classify as affine at
-    # its own level and lie in the class of affine_normal_form(d)
+    # `enumerate --entries` realises every affine class by
+    # initial_seed(level): that matrix must classify as affine at its own
+    # level and lie in the class of affine_normal_form(d)
     B = initial_seed(d).B
     result = classify(B)
     assert result.kind == "affine" and result.level == d
@@ -206,8 +253,6 @@ def test_decomposable_classes_have_no_realisation():
     result = classify(B)
     assert result.kind == "decomposable" and result.weight == w
     assert str(result) == "Decomposable(weight=cos(1/7))"
-    with pytest.raises(UnsupportedClass, match="decomposable"):
-        realize_classified(B, result)
 
 
 def test_regions_appear_and_translate():
@@ -248,8 +293,8 @@ def _angle_multiple_between(d, u, v):
     """The angle between two grid vectors as a multiple of pi/d, found by
     searching each vector's direction class: the reference for angles read
     off the side classes."""
-    mu = direction_class(d, u)
-    mv = direction_class(d, v)
+    mu = _direction_class(d, u)
+    mv = _direction_class(d, v)
     if mu is None or mv is None:
         raise ValueError("vector is not parallel to a grid direction")
     delta = (mu - mv) % d
