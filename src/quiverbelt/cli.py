@@ -12,8 +12,11 @@ spec (--entries, or a JSON list in a --matrix file) lists the upper
 triangle of the rank-3 matrix row-major as "b12,b13,b23", exactly three
 entries.
 
-Bad input, unknown check names and exhausted search budgets end the run
-with one line on stderr and exit status 2.
+A spec whose first entry is negative must be attached with "=", as in
+--entries=-2,0,0: argparse reads a separate "-2,0,0" as an option.
+
+Bad input, unknown check names and a BFS that reaches its vertex limit
+end the run with one line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ def _write_out(args, payload: str) -> None:
 
 
 def cmd_classify(args) -> int:
-    result = classify(_matrix_from_args(args), budget=args.budget)
+    result = classify(_matrix_from_args(args))
     payload = {
         "class": str(result),
         "kind": result.kind,
@@ -151,7 +154,7 @@ def cmd_enumerate(args) -> int:
         result, seed = None, initial_seed(args.affine)
     else:
         B = _matrix_from_args(args)
-        result = classify(B, budget=args.budget)
+        result = classify(B)
         seed = initial_seed(result.level) if result.kind == "affine" else None
     if seed is not None:
         depth = args.depth
@@ -235,13 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--affine", type=int, help="affine level d")
         p.add_argument("--matrix", help="path to a matrix JSON file")
         p.add_argument(
-            "--entries", help="inline upper-triangle spec, e.g. 'cos(1/3),0,cos(2/5)'"
-        )
-        p.add_argument(
-            "--budget",
-            type=int,
-            default=512,
-            help="mutation-class search budget for classification (default 512)",
+            "--entries",
+            help="inline upper-triangle spec, e.g. 'cos(1/3),0,cos(2/5)'; attach "
+            "a spec with a negative first entry by '=', as in --entries=-2,0,0",
         )
 
     pc = sub.add_parser("classify", help="classify an exchange matrix")
@@ -292,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_counts(args) -> None:
-    """Depths, caps and budgets are counts: a negative one is bad input."""
-    for name in ("depth", "max_vertices", "budget", "max_b"):
+    """Depths and caps are counts: a negative one is bad input."""
+    for name in ("depth", "max_vertices", "max_b"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             option = "--" + name.replace("_", "-")

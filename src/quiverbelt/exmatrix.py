@@ -4,9 +4,10 @@ mutation.
 Matrices are 3x3 and store exact field elements lifted to a common level.
 Mutation resolves the absolute values in the exchange rule through
 certified signs; `sources_and_sinks` reads the sources and sinks of the
-sign digraph for every caller; classification searches the mutation class
-(up to simultaneous index permutation) for an acyclic representative and
-compares the Markov constant against 4.
+sign digraph for every caller.  Classification walks the mutation class
+(up to simultaneous index permutation) until it closes or meets an entry
+that is not +-2cos(pi k/l), which certifies an infinite class; a closed
+class is then named by its Markov constant and acyclic members.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ class NotCosineForm(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """A search (mutation class, exchange-graph BFS) hit its limit;
-    .partial carries what was built so far."""
+    """An exchange-graph BFS hit its vertex limit; .partial carries the
+    graph built so far."""
 
     def __init__(self, message, partial=None):
         super().__init__(message)
@@ -311,112 +312,93 @@ def affine_normal_form(d: int) -> ExchangeMatrix:
     return ExchangeMatrix.from_upper(two, -w, w)
 
 
-def _class_walk(members: dict, budget: int):
-    """Breadth-first walk of a mutation class up to simultaneous
-    permutation, from the matrices already in `members` (canonical key ->
-    representative).  Each new member is recorded in `members` and yielded;
-    a new member beyond `budget` raises BudgetExceeded carrying `members`."""
-    queue = deque(members.values())
+def mutation_class(B: ExchangeMatrix):
+    """Breadth-first walk of the mutation class up to simultaneous
+    permutation, checking each member's entries with `entry_cosine_form`.
+
+    Returns (members, witness): members maps canonical key to a
+    representative in BFS order.  The walk stops at the first member with
+    an entry that is not +-2cos(pi k/l) and returns that entry as the
+    witness; a class that closes without one has witness None.  `classify`
+    derives why the walk always ends and why a witness certifies an
+    infinite class.
+    """
+    members: dict[str, ExchangeMatrix] = {}
+    queue = deque([B])
     while queue:
         current = queue.popleft()
-        for k in range(3):
-            nxt = mutate(current, k)
-            key = nxt.canonical_key()
-            if key not in members:
-                if len(members) >= budget:
-                    raise BudgetExceeded(
-                        f"mutation class exceeded budget {budget}", partial=members
-                    )
-                members[key] = nxt
-                queue.append(nxt)
-                yield nxt
+        key = current.canonical_key()
+        if key in members:
+            continue
+        members[key] = current
+        for e in (current[0, 1], current[0, 2], current[1, 2]):
+            try:
+                entry_cosine_form(e)
+            except NotCosineForm:
+                return members, e
+        queue.extend(mutate(current, k) for k in range(3))
+    return members, None
 
 
-def mutation_class(B: ExchangeMatrix, budget: int = 512):
-    """BFS closure of the mutation class up to simultaneous permutation.
-
-    Returns (members, closed) where members maps canonical key to a
-    representative, in deterministic BFS order.  Raises BudgetExceeded
-    (carrying the partial map) when the closure is not reached within
-    `budget` matrices.
-    """
-    if budget < 1:
-        raise ValueError("budget must be positive")
-    members: dict[str, ExchangeMatrix] = {B.canonical_key(): B}
-    for _ in _class_walk(members, budget):
-        pass
-    return members, True
-
-
-def classify(B: ExchangeMatrix, budget: int = 512) -> ClassificationResult:
-    """Finite-mutation-type trichotomy for rank-3 cosine matrices.
+def classify(B: ExchangeMatrix) -> ClassificationResult:
+    """Finite-mutation-type trichotomy for rank-3 matrices.
 
     A quiver with an isolated vertex is `decomposable`, a rank-1 factor
-    next to a rank-2 factor whose weight is reported; no search runs.  For
-    the others, the search walks the mutation class for an acyclic
-    representative.  A class that closes without one is the Markov class.
-    Otherwise the Markov constant C of the representative decides: C > 4
-    certifies infinite type, C = 4 is affine (with d the least common
-    denominator of the entry angles), C < 4 closes onto one of the five
-    spherical pairs.
+    next to a rank-2 factor whose weight is reported (and must be
+    +-2cos(pi k/l)); no walk runs.  For the others `mutation_class` walks
+    the class.  A witness, an entry of B or of a later member that is not
+    +-2cos(pi k/l), makes it `mutation_infinite`.  A class that closes
+    without an acyclic member is the Markov class.  Otherwise the Markov
+    constant C, a mutation invariant read off B, decides: C = 4 is affine,
+    with d the least common denominator of B's entry angles, and C < 4 is
+    the spherical pair whose normal form lies in the class.
+
+    Termination.  Mutation keeps the entries in F_L, L = B.level: each
+    changed entry gains a product of two entries or nothing.  By the
+    conductor argument in `entry_cosine_form`, an irrational +-2cos(pi k/l)
+    with gcd(k, l) = 1 lies in F_L only if l divides L, and by Niven's
+    theorem the rational ones are 0, +-1, +-2.  So F_L holds finitely many
+    such values, finitely many matrices have only such entries, and the
+    walk, which visits each at most once up to permutation, either closes
+    or meets a witness.
+
+    Soundness.  In a mutation-finite class every entry of every member is
+    +-2cos(pi k/l).  An integer class has |b_ij| <= 2, and 0, 1, 2 are
+    2cos(pi/2), 2cos(pi/3), 2cos(0).  A non-integer class is realised by
+    partial reflections (Felikson-Tumarkin).  For finite type the entries
+    pair roots of a finite reflection group on the sphere; the product of
+    two of its reflections has finite order m, so they pair to
+    +-2cos(pi k/m).  For affine type they pair lines in the plane at
+    multiples of pi/d: lines at angle pi k/d pair to +-2cos(pi k/d), and
+    parallel lines to +-2.  So a witness certifies an infinite class, a
+    closed class is mutation-finite, and by the same classification an
+    acyclic one has C <= 4.
     """
-    for i in range(3):
-        for j in range(i + 1, 3):
-            entry_cosine_form(B[i, j])
     for v in range(3):
         j, k = (x for x in range(3) if x != v)
         if B[v, j].is_zero() and B[v, k].is_zero():
             # mutation keeps a vertex isolated and the other pair's weight
             # up to sign, and rank 2 is always mutation-finite
+            entry_cosine_form(B[j, k])
             return ClassificationResult(kind="decomposable", weight=B[j, k].abs())
 
-    members: dict[str, ExchangeMatrix] = {B.canonical_key(): B}
-    acyclic_rep: Optional[ExchangeMatrix] = B if is_acyclic(B) else None
-    blowup = False
-    closed = True
-    try:
-        for nxt in _class_walk(members, budget):
-            if acyclic_rep is None and is_acyclic(nxt):
-                acyclic_rep = nxt
-            if any(
-                (nxt[i, j] * nxt[i, j] - 4).sign() > 0
-                for i in range(3)
-                for j in range(i + 1, 3)
-            ):
-                # an entry beyond 2 in absolute value: hyperbolic blow-up
-                blowup = True
-                closed = False
-                break
-    except BudgetExceeded:
-        closed = False
-
-    if acyclic_rep is None:
-        if closed:
-            return ClassificationResult(
-                kind="markov",
-                markov=markov_constant(B),
-                class_size=len(members),
-                closed=True,
-            )
-        raise BudgetExceeded(
-            "no acyclic representative within budget", partial=members
-        )
-
-    c = markov_constant(acyclic_rep)
-    four = FieldElem.from_rational(c.level, 4)
-    comparison = (c - four).sign()
-    if comparison > 0 or (blowup and comparison != 0):
+    members, witness = mutation_class(B)
+    c = markov_constant(B)
+    if witness is not None:
         return ClassificationResult(
-            kind="mutation_infinite",
-            markov=c,
-            class_size=len(members),
-            closed=closed,
+            kind="mutation_infinite", markov=c, class_size=len(members)
         )
+    acyclic_rep = next((m for m in members.values() if is_acyclic(m)), None)
+    if acyclic_rep is None:
+        return ClassificationResult(
+            kind="markov", markov=c, class_size=len(members), closed=True
+        )
+    comparison = (c - 4).sign()
+    if comparison > 0:
+        raise RuntimeError("closed acyclic class with C > 4")
     if comparison == 0:
-        level = 1
-        for i in range(3):
-            for j in range(i + 1, 3):
-                level = lcm(level, entry_cosine_form(B[i, j])[1])
+        upper = (B[0, 1], B[0, 2], B[1, 2])
+        level = lcm(*(entry_cosine_form(e)[1] for e in upper))
         if level == 1:
             level = 3  # all entries in {0, +-2}: the equilateral class
         return ClassificationResult(
@@ -425,32 +407,25 @@ def classify(B: ExchangeMatrix, budget: int = 512) -> ClassificationResult:
             level=level,
             normal_form=acyclic_rep,
             class_size=len(members),
-            closed=closed,
-        )
-    if not closed:
-        raise BudgetExceeded(
-            "C < 4 but class not closed within budget", partial=members
+            closed=True,
         )
     for t1, t2 in SPHERICAL_PAIRS:
         candidate = spherical_matrix(t1, t2)
-        if candidate.level % B.level == 0 or B.level % candidate.level == 0:
-            target_level = lcm(candidate.level, B.level)
-            cand_key = _lift_matrix(candidate, target_level).canonical_key()
-            if any(
-                _lift_matrix(m, target_level).canonical_key() == cand_key
-                for m in members.values()
-            ):
-                return ClassificationResult(
-                    kind="finite",
-                    markov=c,
-                    pair=(t1, t2),
-                    normal_form=candidate,
-                    class_size=len(members),
-                    closed=True,
-                )
-    raise NotCosineForm(
-        "closed class with C < 4 matches no spherical normal form"
-    )
+        target_level = lcm(candidate.level, B.level)
+        cand_key = _lift_matrix(candidate, target_level).canonical_key()
+        if any(
+            _lift_matrix(m, target_level).canonical_key() == cand_key
+            for m in members.values()
+        ):
+            return ClassificationResult(
+                kind="finite",
+                markov=c,
+                pair=(t1, t2),
+                normal_form=candidate,
+                class_size=len(members),
+                closed=True,
+            )
+    raise NotCosineForm("closed class with C < 4 matches no spherical normal form")
 
 
 def _lift_matrix(B: ExchangeMatrix, level: int) -> ExchangeMatrix:

@@ -76,6 +76,34 @@ def test_classify_reads_cosines_of_whole_multiples_of_pi(entry, value, capsys):
         assert by_cos == by_value and by_cos[0] == 0 and by_cos[2] == ""
 
 
+def test_classify_takes_a_negative_first_entry_after_an_equals_sign(capsys):
+    code, out, err = run(["classify", "--entries=-2,0,0"], capsys)
+    assert code == 0 and err == ""
+    assert "Decomposable(weight=2)" in out
+
+
+@pytest.mark.parametrize(
+    "entries, pair",
+    [
+        ("cos(2/10),-cos(2/10),cos(2/10)", "t1=1/3, t2=1/5"),
+        ("cos(1/5),-cos(1/5),cos(1/5)", "t1=1/3, t2=1/5"),
+        ("cos(4/10),cos(4/10),cos(4/10)", "t1=1/3, t2=2/5"),
+    ],
+)
+def test_classify_finds_the_spherical_pair_at_any_entry_level(entries, pair, capsys):
+    code, out, err = run(["classify", "--entries", entries], capsys)
+    assert code == 0 and err == ""
+    assert f"class: FiniteType({pair})" in out
+
+
+@pytest.mark.parametrize("entries", ["cos(2/5),0,cos(2/5)", "3,cos(1/3),0"])
+def test_classify_certifies_an_infinite_class(entries, capsys):
+    # (2/5, 2/5) has C < 4 and is infinite; an entry 3 is its own witness
+    code, out, err = run(["classify", "--entries", entries], capsys)
+    assert code == 0 and err == ""
+    assert "class: MutationInfinite" in out
+
+
 def test_enumerate_sph_counts(capsys):
     code, out, err = run(["enumerate", "--sph", "1/5,2/5"], capsys)
     assert code == 0
@@ -176,8 +204,8 @@ def test_verify_rejects_unknown_check_names(capsys, monkeypatch):
             "--max-vertices must not be negative, got -3",
         ),
         (["enumerate", "--affine", "5", "--depth", "-1"], "--depth must not be negative"),
-        (["classify", "--affine", "5", "--budget", "-1"], "--budget must not be negative"),
-        (["enumerate", "--entries", "1,1,1", "--budget", "-4"], "--budget must not be negative"),
+        (["classify", "--entries", "0,0,3"], "rational entry 3 is not 2cos(pi k/l)"),
+        (["enumerate", "--entries", "0,1/2,0"], "rational entry 1/2 is not 2cos(pi k/l)"),
         (["rank2", "--max-b", "-2"], "--max-b must not be negative"),
         (["classify", "--entries", "cos(1/3)"], "matrix spec needs 3 upper-triangle entries"),
         (
@@ -230,7 +258,7 @@ def test_enumerate_help_names_the_defaults(capsys):
     assert "0 gives the initial seed alone (default: 14 for affine d <= 7" in text
     assert "0 means the default (none for affine classes, 4096" in text
     assert text.count("rejected for classes of finite type") == 2
-    assert "(default 512)" in text
+    assert "as in --entries=-2,0,0" in text and "--budget" not in text
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,15 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 import pytest
 
 from quiverbelt.cycfield import FieldElem, cos_multiple
 from quiverbelt.exmatrix import (
+    PERMS3,
     SPHERICAL_PAIRS,
-    BudgetExceeded,
     ExchangeMatrix,
     NotCosineForm,
     affine_normal_form,
@@ -20,6 +22,7 @@ from quiverbelt.exmatrix import (
     mutation_class,
     spherical_matrix,
 )
+from quiverbelt.seedgeom import initial_seed
 
 
 def float_mutate(rows, k):
@@ -103,8 +106,8 @@ def test_markov_constant_is_mutation_invariant():
 
 
 def test_markov_class_is_a_single_point():
-    members, closed = mutation_class(markov_matrix())
-    assert closed and len(members) == 1
+    members, witness = mutation_class(markov_matrix())
+    assert witness is None and len(members) == 1
     assert (
         mutate(markov_matrix(), 0).canonical_key() == markov_matrix().canonical_key()
     )
@@ -141,13 +144,69 @@ def test_hyperbolic_certificate():
     assert (res.markov - 4).sign() > 0
 
 
-def test_budget_exhaustion_reports_partial():
+def test_a_witness_ends_the_walk_of_an_infinite_class():
     big = ExchangeMatrix.from_upper(
         cos_multiple(7, 1), cos_multiple(7, 2), cos_multiple(7, 3)
     )
-    with pytest.raises(BudgetExceeded) as err:
-        mutation_class(big, budget=16)
-    assert len(err.value.partial) == 16
+    members, witness = mutation_class(big)
+    assert witness is not None and len(members) <= 6
+    with pytest.raises(NotCosineForm):
+        entry_cosine_form(witness)
+    last = list(members.values())[-1]
+    assert witness in (last[0, 1], last[0, 2], last[1, 2])
+    res = classify(big)
+    assert res.kind == "mutation_infinite" and not res.closed
+    assert res.class_size == len(members)
+
+
+# (mutation_infinite, finite, affine) matrices of the census at each d
+CENSUS_COUNTS = {
+    3: (15, 4, 2),
+    4: (17, 0, 4),
+    5: (46, 6, 6),
+    6: (46, 4, 8),
+    7: (111, 0, 12),
+    8: (107, 0, 16),
+}
+
+
+def census_matrices(d):
+    """Every matrix with upper-triangle entries in {0, 2, 2cos(k pi/d)},
+    with the sign of the third entry varied, once per canonical key and
+    without the decomposable ones."""
+    values = [FieldElem.zero(d), FieldElem.from_rational(d, 2)]
+    values += [cos_multiple(d, k) for k in range(1, d)]
+    found = {}
+    for a, b, c, sign in product(values, values, values, (1, -1)):
+        B = ExchangeMatrix.from_upper(a, b, sign * c)
+        isolated = any(
+            B[v, w].is_zero() and B[v, x].is_zero()
+            for v, w, x in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+        )
+        if not isolated:
+            found.setdefault(B.canonical_key(), B)
+    return list(found.values())
+
+
+@pytest.mark.parametrize("d", sorted(CENSUS_COUNTS))
+def test_census_decides_every_class(d):
+    rng = random.Random(d)
+    counts = Counter()
+    for B in census_matrices(d):
+        res = classify(B)
+        counts[res.kind] += 1
+        p = PERMS3[rng.randrange(1, 6)]
+        relabelled = ExchangeMatrix(
+            [[B[p[i], p[j]] for j in range(3)] for i in range(3)]
+        )
+        for other in (mutate(B, rng.randrange(3)), relabelled):
+            again = classify(other)
+            assert (again.kind, again.pair, again.level, again.markov) == (
+                res.kind, res.pair, res.level, res.markov
+            )
+    assert sum(counts.values()) == sum(CENSUS_COUNTS[d])
+    kinds = ("mutation_infinite", "finite", "affine")
+    assert tuple(counts[kind] for kind in kinds) == CENSUS_COUNTS[d]
 
 
 def test_entry_cosine_form():
@@ -204,13 +263,17 @@ def test_entry_cosine_form_needs_no_scan_over_angle_denominators():
 
 
 def test_all_class_entries_are_cosines():
-    for pair in SPHERICAL_PAIRS[:3]:
-        members, closed = mutation_class(spherical_matrix(*pair))
-        assert closed
+    finite = [spherical_matrix(*pair) for pair in SPHERICAL_PAIRS]
+    for B in finite + [initial_seed(d).B for d in range(3, 61)]:
+        members, witness = mutation_class(B)
+        assert witness is None
         for m in members.values():
             for i in range(3):
                 for j in range(i + 1, 3):
                     entry_cosine_form(m[i, j])
+    # d = 60 closes beyond the former 512-member budget
+    result = classify(initial_seed(60).B)
+    assert result.class_size == 576 and result.closed
 
 
 @pytest.mark.parametrize("pair", SPHERICAL_PAIRS, ids=str)
@@ -224,8 +287,8 @@ def test_mutation_class_builds_one_matrix_per_mutation(pair, monkeypatch):
         init(self, entries)
 
     monkeypatch.setattr(ExchangeMatrix, "__init__", counting_init)
-    members, closed = mutation_class(B)
-    assert closed and len(members) in (4, 5, 6, 10)
+    members, witness = mutation_class(B)
+    assert witness is None and len(members) in (4, 5, 6, 10)
     assert len(built) == 3 * len(members)
 
 
