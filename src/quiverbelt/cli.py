@@ -2,7 +2,7 @@
 
 Subcommands:
   classify    classify a rank-3 exchange matrix
-  enumerate   BFS a mutation class and export the exchange graph
+  enumerate   export the exchange graph of a finite or affine class
   rank2       periods of the rank-2 sector orbits as CSV
   verify      run the named verification suites
 
@@ -15,7 +15,12 @@ entries.
 A spec whose first entry is negative must be attached with "=", as in
 --entries=-2,0,0: argparse reads a separate "-2,0,0" as an option.
 
-Bad input, unknown check names and a BFS that reaches its vertex limit
+enumerate realises finite-type classes on the sphere, always closed, and
+affine classes in the plane, as a window that --depth and --max-vertices
+bound.  Every other class (mutation-infinite, Markov or decomposable) has
+no such realisation, and enumerate rejects it.
+
+Bad input, unknown check names and classes that enumerate cannot realise
 end the run with one line on stderr and exit status 2.
 """
 
@@ -38,7 +43,7 @@ from quiverbelt.exmatrix import (
     weight_label,
 )
 from quiverbelt.rank2 import period_grid
-from quiverbelt.seedgeom import initial_seed, spherical_seed
+from quiverbelt.seedgeom import initial_seed
 
 
 class ParseError(ValueError):
@@ -151,22 +156,18 @@ def cmd_classify(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.affine is not None:
         # the level names the class: no classification needed
-        result, seed = None, initial_seed(args.affine)
+        result, level = None, args.affine
     else:
         B = _matrix_from_args(args)
         result = classify(B)
-        seed = initial_seed(result.level) if result.kind == "affine" else None
-    if seed is not None:
-        depth = args.depth
-        if depth is None:
-            depth = 14 if seed.d <= 7 else 10
-        try:
-            graph = exgraph.bfs(
-                seed, depth_limit=depth, vertex_limit=args.max_vertices or None
+        if result.kind not in ("finite", "affine"):
+            raise ParseError(
+                f"{result} has no exchange graph to enumerate: only finite "
+                "and affine classes are realised"
             )
-        except BudgetExceeded as exc:
-            graph = exc.partial
-    elif result.kind == "finite":
+        level = result.level
+    depth = None
+    if result is not None and result.kind == "finite":
         # the compatibility check needs the closed graph: no window of it
         if args.depth is not None or args.max_vertices:
             raise ParseError(
@@ -175,17 +176,22 @@ def cmd_enumerate(args) -> int:
             )
         _, graph = exgraph.compatible_spherical_graph(B, random.Random(args.seed))
     else:
-        graph = exgraph.bfs(
-            spherical_seed(B),
-            depth_limit=args.depth,
-            vertex_limit=args.max_vertices or 4096,
-        )
+        seed = initial_seed(level)
+        depth = args.depth
+        if depth is None:
+            depth = 14 if level <= 7 else 10
+        try:
+            graph = exgraph.bfs(
+                seed, depth_limit=depth, vertex_limit=args.max_vertices or None
+            )
+        except BudgetExceeded as exc:
+            graph = exc.partial
     summary = {
         "vertices": graph.order(),
         "edges": graph.size(),
         "closed": graph.closed,
     }
-    if seed is not None:
+    if depth is not None:
         summary["depth"] = depth
     if result is not None:
         summary["class"] = str(result)
@@ -249,22 +255,27 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--out")
     pc.set_defaults(func=cmd_classify)
 
-    pe = sub.add_parser("enumerate", help="enumerate an exchange graph")
+    pe = sub.add_parser(
+        "enumerate",
+        help="enumerate the exchange graph of a finite or affine class",
+        description="Export the exchange graph of a finite-type class (its "
+        "closure) or of an affine class (a window of it).  Mutation-infinite, "
+        "Markov and decomposable classes have none and exit with status 2.",
+    )
     add_matrix_opts(pe)
     pe.add_argument(
         "--depth",
         type=int,
-        help="BFS depth limit; 0 gives the initial seed alone (default: 14 for "
-        "affine d <= 7, 10 for larger d, none for infinite non-affine classes; "
-        "rejected for classes of finite type, which are always closed)",
+        help="depth of an affine window; 0 gives the initial seed alone (default: "
+        "14 for affine d <= 7, 10 for larger d; rejected for classes of finite "
+        "type, which are always closed)",
     )
     pe.add_argument(
         "--max-vertices",
         type=int,
         default=0,
-        help="vertex limit of the BFS; 0 means the default (none for affine "
-        "classes, 4096 for infinite non-affine classes; rejected for classes "
-        "of finite type, which are always closed)",
+        help="vertex limit of an affine window; 0 (the default) means no "
+        "limit (rejected for classes of finite type, which are always closed)",
     )
     pe.add_argument(
         "--format", choices=("text", "json", "dot", "svg"), default="text"
@@ -304,7 +315,7 @@ def main(argv=None) -> int:
     try:
         _check_counts(args)
         return args.func(args)
-    except (ValueError, BudgetExceeded, OSError) as exc:
+    except (ValueError, OSError) as exc:
         # ValueError covers ParseError, NotCosineForm and the other
         # bad-input errors of the library
         print(f"quiverbelt {args.command}: {exc}", file=sys.stderr)

@@ -265,16 +265,6 @@ def _planar_steps(initial: PlanarSeed):
 class GrowthTable:
     entries: list[tuple[int, int]]
 
-    def to_csv(self) -> str:
-        lines = ["n,gr"]
-        lines.extend(f"{n},{g}" for n, g in self.entries)
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_csv(text: str) -> "GrowthTable":
-        rows = [line for line in text.strip().splitlines()[1:] if line]
-        return GrowthTable([tuple(int(x) for x in r.split(",")) for r in rows])
-
     def loglog_slope(self, n_min: int, n_max: int) -> float:
         pts = [
             (log(n), log(g)) for n, g in self.entries if n_min <= n <= n_max and n > 0

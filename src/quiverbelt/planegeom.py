@@ -55,15 +55,6 @@ class PlanarPoint:
     def key(self) -> str:
         return self.x.key() + "|" + self.y.key()
 
-    def to_json(self):
-        return {"x": self.x.to_json(), "y": self.y.to_json()}
-
-    @staticmethod
-    def from_json(data) -> "PlanarPoint":
-        return PlanarPoint(
-            FieldElem.from_json(data["x"]), FieldElem.from_json(data["y"])
-        )
-
 
 @lru_cache(maxsize=None)
 def sin_sq(d: int) -> FieldElem:

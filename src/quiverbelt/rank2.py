@@ -22,10 +22,7 @@ convention are pinned by the worked period-5 and period-7 orbits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import atan2, gcd, pi
-
-from quiverbelt.cycfield import cos_value
+from math import gcd
 
 
 class DegenerateReference(ValueError):
@@ -79,48 +76,6 @@ class ReferencePoint2D:
                 f"direction {self.halfsteps}*pi/{2 * self.b} is perpendicular "
                 "to a grid normal"
             )
-
-    @staticmethod
-    def from_point(x, y, b: int) -> "ReferencePoint2D":
-        """Classify an exact rational point into its chamber.
-
-        Chamber boundaries are the critical directions (parity of b); the
-        verdict uses exact sign tests of cross products against them, with
-        a float angle only to seed the search.
-        """
-        xq, yq = Fraction(x), Fraction(y)
-        if xq == 0 and yq == 0:
-            raise ValueError("reference point must be nonzero")
-        guess = int(round(atan2(float(yq), float(xq)) / (pi / (2 * b)))) % (4 * b)
-        if guess % 2 == b % 2:
-            candidates = [guess - 1, guess, guess + 1]
-        else:
-            candidates = [guess, guess - 1, guess + 1, guess - 2, guess + 2]
-        for m in range(4 * b):
-            candidates.append(m)
-        for m in candidates:
-            m %= 4 * b
-            if m % 2 == b % 2:
-                continue
-            lo = _cross_sign(xq, yq, m - 1, b)
-            hi = _cross_sign(xq, yq, m + 1, b)
-            if lo == 0 or hi == 0:
-                raise DegenerateReference("point lies on a critical direction")
-            # inside the open chamber (m-1, m+1): left of the lower boundary,
-            # right of the upper boundary
-            if lo > 0 and hi < 0:
-                return ReferencePoint2D(m, b)
-        raise DegenerateReference("point lies on a critical direction")
-
-
-def _cross_sign(x: Fraction, y: Fraction, m: int, b: int) -> int:
-    """Sign of cross(dir(m * pi/(2b)), (x, y))."""
-    level = 2 * b
-    m %= 4 * b
-    cosd = cos_value(level, m)
-    sind = cos_value(level, b - m)
-    val = cosd * y - sind * x
-    return val.sign()
 
 
 def _positive(theta: int, u: ReferencePoint2D, b: int) -> bool:
@@ -189,16 +144,22 @@ def chambers(b: int) -> list[ReferencePoint2D]:
     return [ReferencePoint2D(m, b) for m in range(start, 4 * b, 2)]
 
 
-def period_grid(max_b: int):
-    """Rows (a, b, u_halfsteps, period) over all valid parameters; the CSV
-    payload of the rank-2 CLI subcommand."""
-    rows = []
+def sector_grid(max_b: int):
+    """Every sector seed of fundamental angle a*pi/b with 2a < b, gcd(a, b)
+    = 1 and 3 <= b <= max_b, with each of its reference chambers: yields
+    (seed, u) in order of b, then a, then u."""
     for b in range(3, max_b + 1):
         for a in range(1, (b + 1) // 2):
-            if 2 * a >= b or gcd(a, b) != 1:
-                continue
-            seed = SectorSeed(a, b)
-            for u in chambers(b):
-                p, _ = orbit_period(seed, u)
-                rows.append((a, b, u.halfsteps, p))
-    return rows
+            if gcd(a, b) == 1:
+                seed = SectorSeed(a, b)
+                for u in chambers(b):
+                    yield seed, u
+
+
+def period_grid(max_b: int):
+    """Rows (a, b, u_halfsteps, period) over `sector_grid`; the CSV
+    payload of the rank-2 CLI subcommand."""
+    return [
+        (seed.a, seed.b, u.halfsteps, orbit_period(seed, u)[0])
+        for seed, u in sector_grid(max_b)
+    ]

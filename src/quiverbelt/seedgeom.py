@@ -283,22 +283,6 @@ class PlanarSeed:
             self.chart, self.kind, verts, self.side_dirs, self.ray, self.B
         )
 
-    def to_json(self):
-        return {
-            "level": self.d,
-            "kind": self.kind,
-            "vertices": [v.to_json() if v is not None else None for v in self.vertices],
-            "rays": None if self.ray is None else self.ray.to_json(),
-            "side_dirs": list(self.side_dirs),
-            "quiver": [
-                [i, j]
-                for i in range(3)
-                for j in range(3)
-                if i != j and self.B[i, j].sign() > 0
-            ],
-            "matrix": self.B.to_json(),
-        }
-
 
 # -- initial seeds --------------------------------------------------------------
 
@@ -789,9 +773,9 @@ def gram_invariants_ok(s: SphericalSeed) -> bool:
     return True
 
 
-def spherical_seed(B: ExchangeMatrix, reference=None) -> SphericalSeed:
-    """Quasi-Cartan realisation of a finite-type matrix with the canonical
-    interior reference point (v_i, u) = -ref_i < 0."""
+def spherical_seed(B: ExchangeMatrix, reference) -> SphericalSeed:
+    """Quasi-Cartan realisation of a finite-type matrix whose reference
+    point u pairs with the basis vectors as (v_i, u) = -reference[i]."""
     level = B.level
     acyclic = is_acyclic(B)
     gram_rows = []
@@ -813,8 +797,6 @@ def spherical_seed(B: ExchangeMatrix, reference=None) -> SphericalSeed:
         gram_rows[i][j] = -gram_rows[i][j]
         gram_rows[j][i] = -gram_rows[j][i]
     space = QuadSpace(tuple(tuple(r) for r in gram_rows))
-    if reference is None:
-        reference = (Fraction(1), Fraction(1), Fraction(1))
     ref = tuple(Fraction(x) for x in reference)
     if all(x == 0 for x in ref):
         raise ValueError("reference weights must not all vanish")

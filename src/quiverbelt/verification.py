@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import cos, gcd, pi
+from math import cos, pi
 from typing import Callable, Optional
 
 from quiverbelt import exgraph, rank2, seedgeom
@@ -43,11 +43,20 @@ class CheckResult:
     elapsed: float = 0.0  # seconds, set by run_check
 
 
+# Fixed sizes of the checks: the rank-2 grid runs b <= RANK2_MAX_B, the
+# Verlinde identity n <= VERLINDE_N_MAX, the growth tables n <= GROWTH_N_MAX,
+# and the checks that read affine windows read them to depth WINDOW_DEPTH.
+RANK2_MAX_B = 24
+VERLINDE_N_MAX = 25
+GROWTH_N_MAX = 36
+WINDOW_DEPTH = 12
+
+
 @lru_cache(maxsize=None)
-def affine_graph(d: int, depth: int) -> exgraph.ExchangeGraphData:
-    """The window of depth `depth` around the initial seed at level d,
-    built once per (d, depth) and shared by the checks that read it."""
-    return exgraph.bfs(seedgeom.initial_seed(d), depth_limit=depth)
+def affine_graph(d: int) -> exgraph.ExchangeGraphData:
+    """The window of depth WINDOW_DEPTH around the initial seed at level d,
+    built once per level and shared by the checks that read it."""
+    return exgraph.bfs(seedgeom.initial_seed(d), depth_limit=WINDOW_DEPTH)
 
 
 # expected seed counts of the five finite-type classes; the first three are
@@ -64,7 +73,7 @@ FINITE_TYPE_COUNTS = {
 }
 
 
-def check_rank2_periods(max_b: int = 24, **_) -> CheckResult:
+def check_rank2_periods(**_) -> CheckResult:
     """Anchored orbit periods plus the closed formula across the grid."""
     anchors = []
     s13 = rank2.SectorSeed(1, 3)
@@ -82,19 +91,14 @@ def check_rank2_periods(max_b: int = 24, **_) -> CheckResult:
     anchors.append(compat[(1, 6)] == {8})
     mismatches = 0
     cases = 0
-    for b in range(3, max_b + 1):
-        for a in range(1, (b + 1) // 2):
-            if 2 * a >= b or gcd(a, b) != 1:
-                continue
-            seed = rank2.SectorSeed(a, b)
-            for u in rank2.chambers(b):
-                period, lazy = rank2.orbit_period(seed, u)
-                flags = rank2.reference_flags(seed, u)
-                cases += 1
-                if period != rank2.period_formula(a, b, *flags):
-                    mismatches += 1
-                if lazy % 2 != 0:
-                    mismatches += 1
+    for seed, u in rank2.sector_grid(RANK2_MAX_B):
+        period, lazy = rank2.orbit_period(seed, u)
+        flags = rank2.reference_flags(seed, u)
+        cases += 1
+        if period != rank2.period_formula(seed.a, seed.b, *flags):
+            mismatches += 1
+        if lazy % 2 != 0:
+            mismatches += 1
     ok = all(anchors) and mismatches == 0
     return CheckResult(
         "rank2-periods",
@@ -226,16 +230,16 @@ def check_finite_type_counts(seed: int = 2024, **_) -> CheckResult:
     )
 
 
-def check_verlinde(n_max: int = 25, **_) -> CheckResult:
+def check_verlinde(**_) -> CheckResult:
     bad = [
         n
-        for n in range(1, n_max + 1)
+        for n in range(1, VERLINDE_N_MAX + 1)
         if verlinde_sum(n) != Fraction(2 * n * (n + 1), 3)
     ]
     return CheckResult(
         "verlinde",
         not bad,
-        f"n <= {n_max} exact" + (f"; failures {bad}" if bad else ""),
+        f"n <= {VERLINDE_N_MAX} exact" + (f"; failures {bad}" if bad else ""),
     )
 
 
@@ -274,12 +278,12 @@ def _cyclic_orientation(seed) -> int:
     return cross_q(mids[1] - mids[0], mids[2] - mids[0]).sign()
 
 
-def check_affine_invariants(levels=(3, 5, 7), depth: int = 12, **_) -> CheckResult:
+def check_affine_invariants(levels=(3, 5, 7), **_) -> CheckResult:
     """T conserved along edges, feet on the belt, acute iff acyclic,
     the orientation rule, and translation witnesses parallel to the belt."""
     problems = []
     for d in levels:
-        graph = affine_graph(d, depth)
+        graph = affine_graph(d)
         s0 = graph.vertices[graph.initial_key]
         t_ref = s0.chart.t0
         values = {}
@@ -325,7 +329,7 @@ def check_affine_invariants(levels=(3, 5, 7), depth: int = 12, **_) -> CheckResu
     return CheckResult(
         "affine-invariants",
         not problems,
-        f"levels {tuple(levels)} to depth {depth}"
+        f"levels {tuple(levels)} to depth {WINDOW_DEPTH}"
         + ("; " + "; ".join(problems[:4]) if problems else ""),
     )
 
@@ -353,12 +357,12 @@ def check_belt_periodicity(levels=(3, 5, 7), **_) -> CheckResult:
     )
 
 
-def check_translated_belts(levels=(5, 7), depth: int = 12, **_) -> CheckResult:
+def check_translated_belts(levels=(5, 7), **_) -> CheckResult:
     """Each generator s_k witnessed by a region mutation, and the
     translated belt is a full subgraph of the window."""
     problems = []
     for d in levels:
-        graph = affine_graph(d, depth)
+        graph = affine_graph(d)
         units = units_up_to_half(d)
         initial = graph.vertices[graph.initial_key]
         for k in units:
@@ -380,12 +384,12 @@ def check_translated_belts(levels=(5, 7), depth: int = 12, **_) -> CheckResult:
     )
 
 
-def check_quotient_census(levels=(5, 7), depth: int = 12, **_) -> CheckResult:
+def check_quotient_census(levels=(5, 7), **_) -> CheckResult:
     """Occurring angle triples are the gcd-1 triples; every (angles,
     quiver) class splits into exactly two translation classes."""
     problems = []
     for d in levels:
-        graph = affine_graph(d, depth)
+        graph = affine_graph(d)
         census, triples = exgraph.quotient_census(graph)
         expected = exgraph.gcd_one_triples(d)
         if triples != expected:
@@ -404,7 +408,7 @@ def check_quotient_census(levels=(5, 7), depth: int = 12, **_) -> CheckResult:
     )
 
 
-def check_growth(n_max: int = 36, **_) -> CheckResult:
+def check_growth(**_) -> CheckResult:
     """d=3 linear within a bounded ratio band; d=5 log-log slope near 2.
 
     The slope is the least-squares fit over the last third of the table:
@@ -412,35 +416,35 @@ def check_growth(n_max: int = 36, **_) -> CheckResult:
     (gr(n) for d=5 fits ~20(n-4)^2, whose log-slope over small n exceeds
     the asymptotic degree)."""
     problems = []
-    lo = 2 * n_max // 3
-    table3 = exgraph.growth(seedgeom.initial_seed(3), n_max)
+    lo = 2 * GROWTH_N_MAX // 3
+    table3 = exgraph.growth(seedgeom.initial_seed(3), GROWTH_N_MAX)
     ratios = [g / n for n, g in table3.entries if 8 <= n <= 24]
     c1, c2 = min(ratios), max(ratios)
     if c2 / c1 > 2.0:
         problems.append(f"d=3: gr(n)/n spans [{c1:.2f},{c2:.2f}]")
-    deg3 = table3.degree_estimate(lo, n_max)
+    deg3 = table3.degree_estimate(lo, GROWTH_N_MAX)
     if not 0.65 <= deg3 <= 1.35:
         problems.append(f"d=3: degree {deg3:.2f}")
-    table5 = exgraph.growth(seedgeom.initial_seed(5), n_max)
-    deg5 = table5.degree_estimate(lo, n_max)
+    table5 = exgraph.growth(seedgeom.initial_seed(5), GROWTH_N_MAX)
+    deg5 = table5.degree_estimate(lo, GROWTH_N_MAX)
     if not 1.65 <= deg5 <= 2.35:
         problems.append(f"d=5: degree {deg5:.2f}")
     return CheckResult(
         "growth",
         not problems,
         f"d=3 sandwiched by {c1:.2f}n..{c2:.2f}n, degree {deg3:.2f}; "
-        f"d=5 degree {deg5:.2f} over [{lo},{n_max}] "
-        f"(plain ball slope {table5.loglog_slope(lo, n_max):.2f})"
+        f"d=5 degree {deg5:.2f} over [{lo},{GROWTH_N_MAX}] "
+        f"(plain ball slope {table5.loglog_slope(lo, GROWTH_N_MAX):.2f})"
         + ("; " + "; ".join(problems) if problems else ""),
     )
 
 
-def check_even_denominators(levels=(4, 6, 8), depth: int = 12, **_) -> CheckResult:
+def check_even_denominators(levels=(4, 6, 8), **_) -> CheckResult:
     """rank R = phi(d)/2 exactly; observed L-rank within the allowed pair."""
     problems = []
     details = []
     for d in levels:
-        graph = affine_graph(d, depth)
+        graph = affine_graph(d)
         report = exgraph.lattice_report(graph, d)
         details.append(report.summary())
         if report.rank_r != report.predicted_rank_r:

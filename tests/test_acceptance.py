@@ -27,7 +27,7 @@ def _run(name, **kwargs):
 
 def test_criterion_01_rank2_periods():
     # anchors 5 (A2 short), 7 (A2 long), 6 (B2), 8 (G2); full grid b <= 24
-    res = _run("rank2-periods", max_b=24)
+    res = _run("rank2-periods")
     assert res.elapsed < 10
 
 
@@ -38,7 +38,7 @@ def test_criterion_02_finite_type_counts():
 
 
 def test_criterion_03_verlinde():
-    _run("verlinde", n_max=25)
+    _run("verlinde")
 
 
 def test_criterion_04_independence_ranks():
@@ -46,7 +46,7 @@ def test_criterion_04_independence_ranks():
 
 
 def test_criterion_05_affine_invariants():
-    _run("affine-invariants", levels=(3, 5, 7, 9), depth=12)
+    _run("affine-invariants", levels=(3, 5, 7, 9))
 
 
 def test_criterion_06_belt_periodicity():
@@ -54,19 +54,19 @@ def test_criterion_06_belt_periodicity():
 
 
 def test_criterion_07_translated_belts():
-    _run("translated-belts", levels=(5, 7), depth=12)
+    _run("translated-belts", levels=(5, 7))
 
 
 def test_criterion_08_quotient_census():
-    _run("quotient-census", levels=(5, 7), depth=12)
+    _run("quotient-census", levels=(5, 7))
 
 
 def test_criterion_09_growth():
-    _run("growth", n_max=36)
+    _run("growth")
 
 
 def test_criterion_10_even_denominators():
-    _run("even-denominators", levels=(4, 6, 8), depth=12)
+    _run("even-denominators", levels=(4, 6, 8))
 
 
 def test_criterion_11_number_theory():

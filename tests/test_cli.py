@@ -188,7 +188,10 @@ def test_verify_rejects_unknown_check_names(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["enumerate", "--entries", "2,-2,2", "--max-vertices", "64"], "vertex limit 64"),
+        (
+            ["enumerate", "--entries", "2,-2,2", "--max-vertices", "64"],
+            "MarkovClass has no exchange",
+        ),
         (["classify", "--entries", "foo,1,2"], "cannot parse entry 'foo'"),
         (["enumerate", "--affine", "2"], "d must be at least 3"),
         (["classify", "--matrix", "no-such-matrix.json"], "no-such-matrix.json"),
@@ -219,6 +222,23 @@ def test_verify_rejects_unknown_check_names(capsys, monkeypatch):
         (
             ["enumerate", "--entries", "cos(1/3),cos(1/3),0", "--depth", "0"],
             "--depth and --max-vertices do not apply to finite-type classes",
+        ),
+        # enumerate realises finite and affine classes only
+        (
+            ["enumerate", "--entries", "cos(1/7),cos(2/7),cos(3/7)"],
+            "MutationInfinite has no exchange graph to enumerate",
+        ),
+        (
+            ["enumerate", "--entries", "cos(2/5),0,cos(2/5)"],
+            "MutationInfinite has no exchange graph to enumerate",
+        ),
+        (
+            ["enumerate", "--entries", "3,cos(1/3),0"],
+            "MutationInfinite has no exchange graph to enumerate",
+        ),
+        (
+            ["enumerate", "--entries", "cos(1/3),0,0"],
+            "Decomposable(weight=cos(1/3)) has no exchange graph to enumerate",
         ),
     ],
 )
@@ -256,7 +276,9 @@ def test_enumerate_help_names_the_defaults(capsys):
         main(["enumerate", "--help"])
     text = " ".join(capsys.readouterr().out.split())
     assert "0 gives the initial seed alone (default: 14 for affine d <= 7" in text
-    assert "0 means the default (none for affine classes, 4096" in text
+    assert "vertex limit of an affine window; 0 (the default) means no limit" in text
+    assert "4096" not in text and "infinite non-affine" not in text
+    assert "Mutation-infinite, Markov and decomposable classes have none" in text
     assert text.count("rejected for classes of finite type") == 2
     assert "as in --entries=-2,0,0" in text and "--budget" not in text
 
@@ -327,6 +349,20 @@ def test_verify_without_levels_runs_each_checks_own_levels(capsys, monkeypatch):
     code, _, _ = run(["verify"], capsys)
     assert code == 0
     assert all(kwargs == {"seed": 2024} for kwargs in calls.values())
+
+
+def test_checks_take_only_levels_and_seed():
+    # every size a check reads is a module constant: a size passed by
+    # keyword would vanish into **_ unread
+    from quiverbelt import verification
+
+    for name, check in verification.CHECKS.items():
+        params = inspect.signature(check).parameters.values()
+        assert {p.name for p in params if p.kind is not p.VAR_KEYWORD} <= {
+            "levels",
+            "seed",
+        }, name
+        assert [p.name for p in params if p.kind is p.VAR_KEYWORD] == ["_"], name
 
 
 def test_verify_runs_the_requested_level(capsys):

@@ -1,5 +1,3 @@
-import math
-from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -15,6 +13,7 @@ from quiverbelt.rank2 import (
     period_formula,
     period_grid,
     reference_flags,
+    sector_grid,
 )
 
 
@@ -66,6 +65,18 @@ def test_formula_matches_orbits_across_the_grid():
                 assert lazy % 2 == 0
 
 
+def test_sector_grid_is_the_coprime_half_grid():
+    expected = [
+        (a, b, u)
+        for b in range(3, 13)
+        for a in range(1, b)
+        if 2 * a < b and gcd(a, b) == 1
+        for u in chambers(b)
+    ]
+    assert [(s.a, s.b, u) for s, u in sector_grid(12)] == expected
+    assert len(expected) == 372
+
+
 def test_lazy_steps_come_in_adjacent_pairs():
     for (a, b) in ((1, 3), (2, 5), (3, 8), (1, 7)):
         seed = SectorSeed(a, b)
@@ -97,19 +108,6 @@ def test_degenerate_reference_rejected():
         orbit_period(SectorSeed(1, 3), ReferencePoint2D(3, 3))
     with pytest.raises(DegenerateReference):
         is_compatible(ReferencePoint2D(4, 4), SectorSeed(1, 4))
-
-
-def test_reference_from_exact_point():
-    u = ReferencePoint2D.from_point(1, 0, 3)
-    assert u.halfsteps == 0
-    v = ReferencePoint2D.from_point(Fraction(-3, 2), Fraction(-1, 2), 3)
-    angle = math.atan2(-0.5, -1.5) % (2 * math.pi)
-    # the chamber centre is the even grid direction within one halfstep
-    assert v.halfsteps % 2 == 0
-    assert abs(angle / (math.pi / 6) - v.halfsteps) < 1.0
-    with pytest.raises(DegenerateReference):
-        # exactly on the pi/2 critical direction for b = 3
-        ReferencePoint2D.from_point(0, 5, 3)
 
 
 def test_normalisation_of_negative_orientation():

@@ -16,7 +16,7 @@ from quiverbelt.seedgeom import (
 
 def test_gram_matrix_of_the_normal_form():
     B = spherical_matrix(Fraction(1, 3), Fraction(1, 3))
-    s = spherical_seed(B)
+    s = spherical_seed(B, (1, 1, 1))
     g = s.space.gram
     assert g[0][0] == 2 and g[1][1] == 2 and g[2][2] == 2
     assert g[0][1] == -1 and g[0][2].is_zero()
@@ -26,7 +26,7 @@ def test_gram_matrix_of_the_normal_form():
 def test_mutation_is_an_involution_and_keeps_gram_invariants():
     rng = random.Random(3)
     for pair in SPHERICAL_PAIRS[:3]:
-        s = spherical_seed(spherical_matrix(*pair))
+        s = spherical_seed(spherical_matrix(*pair), (1, 1, 1))
         for _ in range(12):
             k = rng.randrange(3)
             s2 = seed_mutate(s, k)
@@ -37,7 +37,7 @@ def test_mutation_is_an_involution_and_keeps_gram_invariants():
 
 def test_sink_source_mutation_negates_one_vector():
     B = spherical_matrix(Fraction(1, 3), Fraction(1, 4))
-    s = spherical_seed(B)
+    s = spherical_seed(B, (1, 1, 1))
     # vertex 0 is a source, all reference pairings are negative, so the
     # mutation reflects both neighbours and negates v_0
     s2 = seed_mutate(s, 0)
