@@ -6,9 +6,10 @@ Subcommands:
   rank2       periods of the rank-2 sector orbits as CSV
   verify      run the named verification suites
 
+A run takes one matrix source: --sph, --affine, --matrix or --entries.
 Matrix shorthand: entries are given as "cos(a/b)" meaning 2cos(a*pi/b),
 optionally signed, or as exact rationals ("3/2", "-1"); an inline matrix
-spec (--entries, or a JSON list in a --matrix file) lists the upper
+spec (--entries, or a --matrix file holding a JSON list) lists the upper
 triangle of the rank-3 matrix row-major as "b12,b13,b23", exactly three
 entries.
 
@@ -20,7 +21,8 @@ affine classes in the plane, as a window that --depth and --max-vertices
 bound.  Every other class (mutation-infinite, Markov or decomposable) has
 no such realisation, and enumerate rejects it.
 
-Bad input, unknown check names and classes that enumerate cannot realise
+Bad input (an unparsable entry or matrix file, or more than one matrix
+source), unknown check names and classes that enumerate cannot realise
 end the run with one line on stderr and exit status 2.
 """
 
@@ -94,25 +96,44 @@ def parse_matrix_spec(text: str) -> ExchangeMatrix:
 
 
 def load_matrix(path: str) -> ExchangeMatrix:
+    """The matrix of a --matrix file: a JSON list of the three
+    upper-triangle entries."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if isinstance(data, dict) and "entries" in data:
-        return ExchangeMatrix.from_json(data)
-    if isinstance(data, list):
-        return parse_matrix_spec(",".join(str(x) for x in data))
-    raise ParseError(f"unrecognised matrix file format in {path}")
+    if not isinstance(data, list) or len(data) != 3:
+        raise ParseError(
+            f"unrecognised matrix file format in {path}: need a JSON list of "
+            "three entries"
+        )
+    return parse_matrix_spec(",".join(str(x) for x in data))
+
+
+_SOURCES = ("sph", "affine", "matrix", "entries")
+
+
+def _matrix_source(args) -> str:
+    """The one matrix option of the run: 'sph', 'affine', 'matrix' or
+    'entries'."""
+    given = [name for name in _SOURCES if getattr(args, name) is not None]
+    if not given:
+        raise ParseError("no matrix given: use --sph, --affine, --matrix or --entries")
+    if len(given) > 1:
+        raise ParseError(
+            "give one matrix source, got " + " and ".join("--" + n for n in given)
+        )
+    return given[0]
 
 
 def _matrix_from_args(args) -> ExchangeMatrix:
-    if args.sph:
-        return spherical_matrix(*_parse_sph_pair(args.sph))
-    if args.affine is not None:
-        return initial_seed(args.affine).B
-    if args.matrix:
-        return load_matrix(args.matrix)
-    if args.entries:
-        return parse_matrix_spec(args.entries)
-    raise ParseError("no matrix given: use --sph, --affine, --matrix or --entries")
+    source = _matrix_source(args)
+    value = getattr(args, source)
+    if source == "sph":
+        return spherical_matrix(*_parse_sph_pair(value))
+    if source == "affine":
+        return initial_seed(value).B
+    if source == "matrix":
+        return load_matrix(value)
+    return parse_matrix_spec(value)
 
 
 def _write_out(args, payload: str) -> None:
@@ -154,7 +175,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.affine is not None:
+    if _matrix_source(args) == "affine":
         # the level names the class: no classification needed
         result, level = None, args.affine
     else:
@@ -240,9 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_matrix_opts(p):
+        p = p.add_argument_group("matrix source", "give exactly one of these")
         p.add_argument("--sph", help="finite-type pair t1,t2 (e.g. 1/3,2/5)")
         p.add_argument("--affine", type=int, help="affine level d")
-        p.add_argument("--matrix", help="path to a matrix JSON file")
+        p.add_argument(
+            "--matrix",
+            help="path to a JSON file listing the three upper-triangle entries, "
+            'e.g. ["2", "-cos(1/5)", "cos(1/5)"]',
+        )
         p.add_argument(
             "--entries",
             help="inline upper-triangle spec, e.g. 'cos(1/3),0,cos(2/5)'; attach "

@@ -23,7 +23,7 @@ one inverse per pivot.  Q-ranks and the integral-basis solve use
 fraction-free (Bareiss) elimination on integer matrices, whose divisions
 are all exact.  All of these run on Python ints alone.  The integer rows of
 2cos(t*pi/d), t = 0..d, come from one table per level, built on first use
-by the Chebyshev recurrence.
+by the Chebyshev recurrence; sin(k*pi/d)/sin(pi/d) is a sum of its rows.
 
 Elements of different levels never compare equal silently; binary
 arithmetic lifts both operands to the lcm level via c_d = C_{L/d}(c_L),
@@ -39,7 +39,7 @@ from math import cos, gcd, lcm, pi
 from operator import mul
 
 from quiverbelt import kernels
-from quiverbelt.intpoly import IntPoly, euler_totient, real_min_poly, sinq_poly
+from quiverbelt.intpoly import IntPoly, euler_totient, real_min_poly
 
 _INITIAL_SIGN_BITS = 64
 _MAX_SIGN_BITS = 1 << 20
@@ -494,12 +494,6 @@ class FieldElem:
             "coeffs": [f"{Fraction(n, self.den)}" for n in self.num],
         }
 
-    @staticmethod
-    def from_json(data) -> "FieldElem":
-        return FieldElem.from_coeffs(
-            int(data["level"]), [Fraction(s) for s in data["coeffs"]]
-        )
-
     def key(self) -> str:
         """Compact canonical string, used by seed/matrix deduplication."""
         return ",".join(map(str, self.num)) + "/" + str(self.den)
@@ -578,10 +572,16 @@ def cos_multiple(d: int, k: int) -> FieldElem:
 
 @lru_cache(maxsize=None)
 def sin_quotient(d: int, k: int) -> FieldElem:
-    """sin(k*pi/d) / sin(pi/d) as an element of F_d (k >= 0)."""
-    if k == 0:
-        return FieldElem.zero(d)
-    return FieldElem.from_intpoly(d, sinq_poly(k - 1))
+    """sin(k*pi/d) / sin(pi/d) as an element of F_d (k >= 0).
+
+    With a = pi/d, sin(ka)/sin(a) = sum_j exp(i(k-1-2j)a) over j < k,
+    which pairs into 2cos(ta) over t = k-1, k-3, ... > 0, plus 1 when k
+    is odd: an integer sum of entries _fold(d, t) of the level's cosine
+    table, and so already canonical."""
+    ts = [_fold(d, t) for t in range(k - 1, 0, -2)]
+    num = [sum(col[t] for t in ts) for col in _cos_columns(d)]
+    num[0] += k % 2
+    return _canonical(d, tuple(num), 1)
 
 
 def sin_ratio(d: int, k: int, l: int) -> FieldElem:

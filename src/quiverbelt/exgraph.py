@@ -120,9 +120,10 @@ def bfs(
     Mutation is an involution: the stored seed of a vertex first reached
     as mu_k(parent) gives back the parent under mu_k, an edge already
     recorded, so direction k is not expanded there and its link is
-    (parent, identity).  Only that direction is skipped: a direction index
-    does not carry over to another seed with the same key, because keys
-    are minimised over index permutations.
+    (parent, identity), the one link a vertex holds before it is expanded.
+    Only that direction is skipped: a direction index does not carry over
+    to another seed with the same key, because keys are minimised over
+    index permutations.
 
     Each other direction asks a step function for the neighbour: either
     the link (key, relabelling) of a stored vertex, or a function that
@@ -141,7 +142,6 @@ def bfs(
     else:
         step = _spherical_steps(vertices)
     depth = {key0: 0}
-    came_by = {key0: None}  # the direction that first reached each vertex
     links = {key0: [None, None, None]}
     edges: dict = {}
     closed = True
@@ -155,7 +155,7 @@ def bfs(
             closed = False
         out = links[key]
         for k in range(3):
-            if k == came_by[key]:
+            if out[k] is not None:  # the direction that first reached seed
                 continue
             link, build = step(seed, k)
             if link is None:
@@ -172,7 +172,6 @@ def bfs(
                 nkey = nxt.canonical_key()
                 vertices[nkey] = nxt
                 depth[nkey] = level + 1
-                came_by[nkey] = k
                 back = [None, None, None]
                 back[k] = (key, 0)
                 links[nkey] = back
@@ -386,17 +385,19 @@ def lattice_report(graph: ExchangeGraphData, d: int) -> LatticeReport:
                 seen.add(L.key())
                 observed.append(L)
 
-    # witness each s_k by an explicit infinite-region mutation
+    # witness each s_k by an explicit infinite-region mutation; an s_k
+    # that no enumerated region witnesses is left out
     generator_lengths = []
     for k in units:
         witness = witness_region_translation(graph, d, k)
-        expected = s_k_length(d, k)
-        if witness is not None and witness != expected:
+        if witness is None:
+            continue
+        if witness != s_k_length(d, k):
             raise RuntimeError("region translation does not match s_k")
-        generator_lengths.append(expected)
-        if expected.key() not in seen:
-            seen.add(expected.key())
-            observed.append(expected)
+        generator_lengths.append(witness)
+        if witness.key() not in seen:
+            seen.add(witness.key())
+            observed.append(witness)
 
     # some seed's mirror across the belt is enumerated too, up to a
     # lattice translation
@@ -498,7 +499,7 @@ def gcd_one_triples(d: int) -> set:
     return out
 
 
-def belt_subgraph_check(graph: ExchangeGraphData, w: PlanarPoint, steps: int = 8) -> bool:
+def belt_subgraph_check(graph: ExchangeGraphData, w: PlanarPoint, steps: int) -> bool:
     """Whether the w-translate of the initial acyclic belt sits in the
     enumerated window as a full subgraph: translated belt seeds present
     with consecutive edges and no chords."""

@@ -109,18 +109,6 @@ class ExchangeMatrix:
     def __repr__(self):
         return f"ExchangeMatrix(rank={self.rank}, level={self.level})"
 
-    def to_json(self):
-        return {
-            "rank": self.rank,
-            "entries": [[e.to_json() for e in row] for row in self.entries],
-        }
-
-    @staticmethod
-    def from_json(data) -> "ExchangeMatrix":
-        return ExchangeMatrix(
-            [[FieldElem.from_json(e) for e in row] for row in data["entries"]]
-        )
-
     def entry_keys(self) -> dict:
         """Key of each off-diagonal entry by index pair, in row-major order."""
         return {
@@ -265,7 +253,6 @@ class ClassificationResult:
     markov: Optional[FieldElem] = None
     pair: Optional[tuple[Fraction, Fraction]] = None  # finite type (t1, t2)
     level: Optional[int] = None  # affine: the common denominator d
-    normal_form: Optional[ExchangeMatrix] = None
     class_size: Optional[int] = None
     closed: bool = False
     weight: Optional[FieldElem] = None  # decomposable: |b| of the rank-2 factor
@@ -388,8 +375,7 @@ def classify(B: ExchangeMatrix) -> ClassificationResult:
         return ClassificationResult(
             kind="mutation_infinite", markov=c, class_size=len(members)
         )
-    acyclic_rep = next((m for m in members.values() if is_acyclic(m)), None)
-    if acyclic_rep is None:
+    if not any(is_acyclic(m) for m in members.values()):
         return ClassificationResult(
             kind="markov", markov=c, class_size=len(members), closed=True
         )
@@ -405,7 +391,6 @@ def classify(B: ExchangeMatrix) -> ClassificationResult:
             kind="affine",
             markov=c,
             level=level,
-            normal_form=acyclic_rep,
             class_size=len(members),
             closed=True,
         )
@@ -421,7 +406,6 @@ def classify(B: ExchangeMatrix) -> ClassificationResult:
                 kind="finite",
                 markov=c,
                 pair=(t1, t2),
-                normal_form=candidate,
                 class_size=len(members),
                 closed=True,
             )

@@ -1,16 +1,15 @@
-"""Integer polynomials: Chebyshev families, cyclotomic polynomials, and the
-minimal polynomials of 2cos(pi/d).
+"""Integer polynomials: Chebyshev polynomials, cyclotomic polynomials, and
+the minimal polynomials of 2cos(pi/d).
 
 Polynomials are dense integer coefficient tuples, lowest degree first, with
 no trailing zeros.  The zero polynomial is the empty tuple.
 
-Besides the classical Chebyshev polynomials T_m and U_m, the module works
-with their monic rescalings in t = 2x:
+Besides the classical Chebyshev polynomial T_m, the module works with its
+monic rescaling in t = 2x:
 
     cos2_poly(m):   C_m(2 cos a) = 2 cos(m a)        (C_0 = 2, monic for m>=1)
-    sinq_poly(m):   S_m(2 cos a) = sin((m+1)a)/sin(a)
 
-These keep all arithmetic over the integers.  halved_cyclotomic(m) rewrites
+which keeps all arithmetic over the integers.  halved_cyclotomic(m) rewrites
 the palindromic cyclotomic polynomial Phi_m in the variable y = x + 1/x,
 producing the monic minimal polynomial of 2cos(2*pi/m); applied to index 2d
 it yields the minimal polynomial of 2cos(pi/d).
@@ -33,20 +32,6 @@ class IntPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "IntPoly":
-        return IntPoly(())
-
-    @staticmethod
-    def one() -> "IntPoly":
-        return IntPoly((1,))
-
-    @staticmethod
-    def x() -> "IntPoly":
-        return IntPoly((0, 1))
 
     # -- structure ---------------------------------------------------------
 
@@ -138,15 +123,6 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    # -- serialisation -----------------------------------------------------
-
-    def to_json(self):
-        return [str(c) for c in self.coeffs]
-
-    @staticmethod
-    def from_json(data) -> "IntPoly":
-        return IntPoly(int(s) for s in data)
-
 
 def chebyshev_T(m: int) -> IntPoly:
     """Chebyshev polynomial of the first kind: T_m(cos x) = cos(m x)."""
@@ -165,23 +141,6 @@ def _chebyshev_T(m: int) -> IntPoly:
     return two_x * _chebyshev_T(m - 1) - _chebyshev_T(m - 2)
 
 
-def chebyshev_U(m: int) -> IntPoly:
-    """Chebyshev polynomial of the second kind: sin((m+1)x) = sin(x) U_m(cos x)."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return _chebyshev_U(m)
-
-
-@lru_cache(maxsize=None)
-def _chebyshev_U(m: int) -> IntPoly:
-    if m == 0:
-        return IntPoly((1,))
-    if m == 1:
-        return IntPoly((0, 2))
-    two_x = IntPoly((0, 2))
-    return two_x * _chebyshev_U(m - 1) - _chebyshev_U(m - 2)
-
-
 @lru_cache(maxsize=None)
 def cos2_poly(m: int) -> IntPoly:
     """Monic integer polynomial C_m with C_m(2 cos a) = 2 cos(m a)."""
@@ -193,19 +152,6 @@ def cos2_poly(m: int) -> IntPoly:
         return IntPoly((0, 1))
     y = IntPoly((0, 1))
     return y * cos2_poly(m - 1) - cos2_poly(m - 2)
-
-
-@lru_cache(maxsize=None)
-def sinq_poly(m: int) -> IntPoly:
-    """Monic integer polynomial S_m with S_m(2 cos a) = sin((m+1)a)/sin(a)."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m == 0:
-        return IntPoly((1,))
-    if m == 1:
-        return IntPoly((0, 1))
-    y = IntPoly((0, 1))
-    return y * sinq_poly(m - 1) - sinq_poly(m - 2)
 
 
 def euler_totient(m: int) -> int:

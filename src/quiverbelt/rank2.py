@@ -31,32 +31,16 @@ class DegenerateReference(ValueError):
 
 @dataclass(frozen=True)
 class SectorSeed:
-    """Sector seed with fundamental angle a*pi/b.
-
-    theta_prev and theta_curr are the normal directions of w_m and
-    w_{m+1} in multiples of pi/b; the seed's vectors are (w_m, -w_{m+1}).
-    """
+    """Sector seed with fundamental angle a*pi/b: the vectors (w_0, -w_1),
+    whose normal directions are 0 and a*pi/b."""
 
     a: int
     b: int
-    theta_prev: int = 0
-    theta_curr: int | None = None
-    b12_sign: int = 1
 
     def __post_init__(self):
         if self.a < 1 or self.b < 1 or gcd(self.a, self.b) != 1:
             raise ValueError("need coprime a, b >= 1")
-        if self.theta_curr is None:
-            object.__setattr__(self, "theta_curr", self.theta_prev + self.a)
-        if self.b12_sign < 0:
-            # swap to the tau-normalised representative with positive entry
-            tp, tc = self.theta_curr + self.b, self.theta_prev + self.b
-            object.__setattr__(self, "theta_prev", tp)
-            object.__setattr__(self, "theta_curr", tc)
-            object.__setattr__(self, "b12_sign", 1)
-        object.__setattr__(self, "theta_prev", self.theta_prev % (2 * self.b))
-        object.__setattr__(self, "theta_curr", self.theta_curr % (2 * self.b))
-        if (self.theta_prev - self.theta_curr) % self.b == 0:
+        if self.a % self.b == 0:
             raise ValueError("seed normals must not be parallel")
 
 
@@ -90,15 +74,15 @@ def is_compatible(u: ReferencePoint2D, s: SectorSeed) -> bool:
     seed: the locus where both underlying normals fail positivity and the
     orbit period becomes long."""
     u.validate()
-    return _positive(s.theta_prev, u, s.b) or _positive(s.theta_curr, u, s.b)
+    return _positive(0, u, s.b) or _positive(s.a, u, s.b)
 
 
 def reference_flags(s: SectorSeed, u: ReferencePoint2D) -> tuple[bool, bool]:
-    """Positivity of the two seed vectors (w_m, -w_{m+1})."""
+    """Positivity of the two seed vectors (w_0, -w_1)."""
     u.validate()
     return (
-        _positive(s.theta_prev, u, s.b),
-        not _positive(s.theta_curr, u, s.b),
+        _positive(0, u, s.b),
+        not _positive(s.a, u, s.b),
     )
 
 
@@ -107,7 +91,7 @@ def orbit_trace(s: SectorSeed, u: ReferencePoint2D):
     step until the state pair repeats."""
     u.validate()
     b = s.b
-    state = (s.theta_prev, s.theta_curr)
+    state = (0, s.a % (2 * b))
     start = state
     steps = []
     while True:

@@ -108,7 +108,7 @@ def check_rank2_periods(**_) -> CheckResult:
     )
 
 
-def _float_oracle_count(w1: float, w2: float, lam, cap: int = 6000):
+def _float_oracle_count(w1: float, w2: float, lam, cap: int):
     """Independent brute-force BFS over floating-point seed data."""
     G = [[2.0, -abs(w1), 0.0], [-abs(w1), 2.0, -abs(w2)], [0.0, -abs(w2), 2.0]]
     B0 = ((0.0, w1, 0.0), (-w1, 0.0, w2), (0.0, -w2, 0.0))

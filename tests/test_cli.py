@@ -162,13 +162,29 @@ def test_verify_subcommand_runs_named_checks(capsys):
 
 
 def test_matrix_file_round_trip(tmp_path, capsys):
-    from quiverbelt.exmatrix import affine_normal_form
-
     path = tmp_path / "m.json"
-    path.write_text(json.dumps(affine_normal_form(5).to_json()))
+    path.write_text(json.dumps(["2", "-cos(1/5)", "cos(1/5)"]))
     code, out, _ = run(["classify", "--matrix", str(path)], capsys)
     assert code == 0
     assert "Affine(d=5)" in out
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"entries": [[1, 2, 3], [4, 5, 6], [7, 8, 9]]},
+        {"entries": [[{"level": 5}]]},
+        {"b12": "2", "b13": "-cos(1/5)", "b23": "cos(1/5)"},
+        ["2,-cos(1/5)", "cos(1/5)"],
+    ],
+)
+def test_matrix_file_other_than_a_list_of_three_exits_2(data, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(["classify", "--matrix", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert "unrecognised matrix file format" in err and "Traceback" not in err
 
 
 def test_verify_rejects_unknown_check_names(capsys, monkeypatch):
@@ -239,6 +255,15 @@ def test_verify_rejects_unknown_check_names(capsys, monkeypatch):
         (
             ["enumerate", "--entries", "cos(1/3),0,0"],
             "Decomposable(weight=cos(1/3)) has no exchange graph to enumerate",
+        ),
+        # a run takes one matrix source
+        (
+            ["enumerate", "--affine", "5", "--entries", "2,-2,2", "--depth", "2"],
+            "give one matrix source, got --affine and --entries",
+        ),
+        (
+            ["classify", "--sph", "1/3,1/3", "--entries", "2,-2,2"],
+            "give one matrix source, got --sph and --entries",
         ),
     ],
 )

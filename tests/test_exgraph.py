@@ -326,6 +326,15 @@ def test_lattice_report_odd():
     assert rep.common_denominator is not None
 
 
+@pytest.mark.parametrize("depth, rank", [(0, 0), (2, 2)])
+def test_lattice_report_counts_only_witnessed_generators(depth, rank):
+    # the one-vertex window has no region to mutate; the depth-2 window
+    # witnesses s_1 and s_2
+    rep = exgraph.lattice_report(graph(5, depth), 5)
+    assert rep.rank_r == rank == len(rep.generator_lengths)
+    assert rep.rank_observed == rank
+
+
 def test_lattice_report_even():
     rep = exgraph.lattice_report(graph(4, 12), 4)
     assert rep.rank_r == 1 == euler_totient(4) // 2

@@ -291,7 +291,3 @@ def test_mutation_class_builds_one_matrix_per_mutation(pair, monkeypatch):
     assert witness is None and len(members) in (4, 5, 6, 10)
     assert len(built) == 3 * len(members)
 
-
-def test_json_round_trip():
-    B = affine_normal_form(6)
-    assert ExchangeMatrix.from_json(B.to_json()) == B

@@ -6,13 +6,11 @@ import pytest
 from quiverbelt.intpoly import (
     IntPoly,
     chebyshev_T,
-    chebyshev_U,
     cos2_poly,
     cyclotomic_phi,
     euler_totient,
     halved_cyclotomic,
     real_min_poly,
-    sinq_poly,
     watkins_zeitlin_check,
 )
 
@@ -30,26 +28,10 @@ def test_chebyshev_t_cosine_oracle():
     assert abs(chebyshev_T(5).eval_at(math.cos(math.pi / 5)) - (-1.0)) < 1e-12
 
 
-def test_chebyshev_u_base_cases():
-    assert chebyshev_U(0).coeffs == (1,)
-    assert chebyshev_U(1).coeffs == (0, 2)
-
-
-def test_chebyshev_u_sine_oracle():
-    for m in (1, 2, 4, 7):
-        for x in (0.3, math.pi / 4, 1.1):
-            expect = math.sin((m + 1) * x) / math.sin(x)
-            assert abs(chebyshev_U(m).eval_at(math.cos(x)) - expect) < 1e-11
-    assert abs(chebyshev_U(3).eval_at(math.cos(math.pi / 4))) < 1e-12
-
-
 def test_monic_rescalings_track_the_classical_polynomials():
     for m in range(8):
         two_t = chebyshev_T(m) * 2
         assert cos2_poly(m).eval_at(Fraction(1, 3)) == two_t.eval_at(Fraction(1, 6))
-        assert sinq_poly(m).eval_at(Fraction(1, 2)) == chebyshev_U(m).eval_at(
-            Fraction(1, 4)
-        )
 
 
 def test_cyclotomic_small_cases():
@@ -111,7 +93,3 @@ def test_div_exact_rejects_inexact():
     with pytest.raises(ValueError):
         IntPoly((1, 1, 1)).div_exact(IntPoly((1, 1)))
 
-
-def test_json_round_trip():
-    p = IntPoly((-3, 0, 7, 1))
-    assert IntPoly.from_json(p.to_json()) == p

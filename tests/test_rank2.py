@@ -110,11 +110,19 @@ def test_degenerate_reference_rejected():
         is_compatible(ReferencePoint2D(4, 4), SectorSeed(1, 4))
 
 
-def test_normalisation_of_negative_orientation():
-    s = SectorSeed(1, 4, theta_prev=2, theta_curr=3, b12_sign=-1)
-    assert s.b12_sign == 1
-    u = ReferencePoint2D(1, 4)
-    assert orbit_period(s, u)[0] in (6, 10)
+def test_sector_seed_rejects_bad_angles():
+    # a, b >= 1 and coprime, and the normals 0 and a*pi/b not parallel,
+    # which fails for b = 1 alone
+    for a in range(-2, 30):
+        for b in range(-2, 30):
+            valid = a >= 1 and b >= 1 and gcd(a, b) == 1 and a % b != 0
+            if valid:
+                SectorSeed(a, b)
+            else:
+                with pytest.raises(ValueError):
+                    SectorSeed(a, b)
+    with pytest.raises(ValueError, match="parallel"):
+        SectorSeed(1, 1)
 
 
 def test_grid_csv_rows():
