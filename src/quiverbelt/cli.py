@@ -34,6 +34,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from math import isfinite
 
 from quiverbelt import exgraph, verification
 from quiverbelt.cycfield import FieldElem, cos_multiple
@@ -146,11 +147,13 @@ def _write_out(args, payload: str) -> None:
 
 def cmd_classify(args) -> int:
     result = classify(_matrix_from_args(args))
+    markov = result.markov  # 0 is falsy: compare with None
+    value = None if markov is None else markov.to_float()
     payload = {
         "class": str(result),
         "kind": result.kind,
-        "markov_constant": result.markov.to_json() if result.markov else None,
-        "markov_constant_float": result.markov.to_float() if result.markov else None,
+        "markov_constant": None if markov is None else markov.to_json(),
+        "markov_constant_float": value if value is not None and isfinite(value) else None,
         "class_size": result.class_size,
         "closed": result.closed,
     }
@@ -164,8 +167,8 @@ def cmd_classify(args) -> int:
         _write_out(args, json.dumps(payload, indent=1) + "\n")
     else:
         lines = [f"class: {payload['class']}"]
-        if result.markov is not None:
-            lines.append(f"markov constant: {payload['markov_constant_float']:.6f}")
+        if markov is not None:
+            lines.append(f"markov constant: {value:.6f}")
         if result.weight is not None:
             lines.append(f"rank-2 factor weight: {payload['weight']}")
         else:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import cos, gcd, lcm, pi
+from math import cos, gcd, inf, lcm, pi
 from operator import mul
 
 from quiverbelt import kernels
@@ -474,7 +474,7 @@ class FieldElem:
         reads 0.0 for F(90)*c - F(91) at d = 5.  The first enclosure is
         2^-(64 + log2 deg) wide, which bounds the error by 2^-60 times the
         coefficient scale sum |num_i| 2^i; the precision doubles until the
-        bounds agree."""
+        bounds agree.  A value beyond the float range reads as +-inf."""
         if self.is_zero():
             return 0.0
         ctx = level_context(self.level)
@@ -483,7 +483,10 @@ class FieldElem:
             lo, hi, s = ctx.enclosure(bits)
             al, ah = _interval_horner(self.num, lo, hi, s)
             if (al > 0 and (ah - al) << 60 <= al) or (ah < 0 and (ah - al) << 60 <= -ah):
-                return al / (self.den << (s * (ctx.deg - 1)))
+                try:
+                    return al / (self.den << (s * (ctx.deg - 1)))
+                except OverflowError:  # beyond the float range, as float("1e400")
+                    return inf if al > 0 else -inf
             bits *= 2
 
     # -- serialisation -------------------------------------------------------

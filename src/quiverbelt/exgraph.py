@@ -47,6 +47,7 @@ from quiverbelt.exmatrix import (
 )
 from quiverbelt.intpoly import euler_totient
 from quiverbelt.planegeom import PlanarPoint, length_along
+from quiverbelt.rank2 import period_formula
 from quiverbelt.seedgeom import (
     DegeneratePositivity,
     NotAcyclic,
@@ -529,18 +530,13 @@ def belt_subgraph_check(graph: ExchangeGraphData, w: PlanarPoint, steps: int) ->
 
 def expected_short_period(entry: FieldElem) -> int:
     """Short alternating period for a rank-2 pair of the given weight."""
-    if entry.is_zero():
-        return 4
-    a, b = entry_cosine_form(entry)
-    return b + 2 * a
+    k, l = entry_cosine_form(entry)
+    return l + 2 * k
 
 
 def alternating_period(seed: SphericalSeed, i: int, j: int, cap: int = 64):
-    """Steps of the alternating mutation mu_i, mu_j, ... until the full seed
-    returns, or None within the cap.
-
-    The direct oracle: it mutates afresh at every step.  `linked_period`
-    reads the same number off a closed exchange graph."""
+    """Steps of mu_i, mu_j, ..., each mutating afresh, until the full seed
+    returns, or None within the cap: the direct oracle of `_orbits_short`."""
     s = seed
     for n in range(1, cap + 1):
         s = seed_mutate(s, i if n % 2 == 1 else j)
@@ -565,31 +561,38 @@ def _link_step(links: dict, x: str, r: int, label: int):
     return y, PERM_COMPOSE[t][r]
 
 
-def linked_period(graph: ExchangeGraphData, key: str, i: int, j: int, cap: int = 64):
-    """`alternating_period` of the stored seed of `key`, walked along the
-    graph's links with no mutation (see `_link_step`).  The seed returns
-    when the walk is back at `key`, the key comparison of
-    `SphericalSeed.__eq__`."""
-    if not graph.closed:
-        raise ValueError("rank-2 periods need a closed exchange graph")
-    x, r = key, 0
-    for n in range(1, cap + 1):
-        x, r = _link_step(graph.links, x, r, i if n % 2 == 1 else j)
-        if x == key:
-            return n
-    return None
+def _orbits_short(seed: SphericalSeed) -> bool:
+    """Whether every rank-2 orbit mu_i, mu_j, ... of `seed` closes at its
+    short period l + 2k, |b_ij| = 2cos(pi k/l); b_ij = 0 commutes, period 4.
+    Mutation at i or j moves v_i, v_j and b_ij by these alone, so on their
+    plane the walk is rank2's swap-mutation orbit of the sector seed with
+    positive upper entry, (v_i, v_j) or (v_j, v_i) as b_ij > 0 or < 0.  Its
+    normals 0 and a*pi/l pair as -2cos(a pi/l): a = k when (v_i, v_j) < 0,
+    else a = l - k, whose `period_formula` value 3l - 2a (first vector
+    negative, second positive; v is positive when (v, u) < 0) is l + 2k.
+    The oracle tests pin what is not derived here: the third vector and
+    b_im, b_jm return with the pair.  A zero (v, u) raises, as in mutation."""
+    signs = [seed.pair_with_ref(v).sign() for v in seed.vectors]
+    if 0 in signs:
+        raise DegeneratePositivity("reference point orthogonal to a vector")
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        b = seed.B[i, j]
+        if b.is_zero():
+            continue
+        k, l = entry_cosine_form(b)
+        pairing = seed.space.pair(seed.vectors[i], seed.vectors[j])
+        a = k if pairing.sign() < 0 else l - k
+        first, second = (i, j) if b.sign() > 0 else (j, i)
+        if period_formula(a, l, signs[first] < 0, signs[second] < 0) != l + 2 * k:
+            return False
+    return True
 
 
 def all_periods_short(graph: ExchangeGraphData) -> bool:
-    """Compatibility check: every rank-2 subseed orbit of every seed closes
-    at its short period, read off the closed graph's links."""
-    for key, seed in graph.vertices.items():
-        for i in range(3):
-            for j in range(i + 1, 3):
-                expect = expected_short_period(seed.B[i, j])
-                if linked_period(graph, key, i, j, cap=expect) != expect:
-                    return False
-    return True
+    """Compatibility: `_orbits_short` holds at every seed of the closed graph."""
+    if not graph.closed:
+        raise ValueError("rank-2 periods need a closed exchange graph")
+    return all(_orbits_short(seed) for seed in graph.vertices.values())
 
 
 SPHERICAL_ATTEMPTS = 64  # reference-point draws before giving up
@@ -603,10 +606,11 @@ def compatible_spherical_graph(B, rng, vertex_cap: int = 256):
     arrangement, so rejection sampling over a rational box converges in a
     handful of draws.
 
-    A draw whose initial seed already has a long rank-2 orbit is rejected
-    before the BFS: the initial seed is a vertex of the graph, so
-    `all_periods_short` would reject its closure too, and the graph is
-    never built."""
+    Compatibility is one sign rule per seed (`_orbits_short`).  A draw
+    whose initial seed already has a long rank-2 orbit is rejected before
+    the BFS: the initial seed is a vertex of the graph, so
+    `all_periods_short` would reject its closure too.  An incompatible
+    draw can have an infinite graph, hence the vertex cap."""
     last = None
     for _ in range(SPHERICAL_ATTEMPTS):
         lam = tuple(
@@ -616,7 +620,7 @@ def compatible_spherical_graph(B, rng, vertex_cap: int = 256):
             continue
         try:
             seed = spherical_seed(B, lam)
-            if not _initial_periods_short(seed):
+            if not _orbits_short(seed):
                 continue
             graph = bfs(seed, vertex_limit=vertex_cap)
         except (BudgetExceeded, DegeneratePositivity) as exc:
@@ -625,17 +629,6 @@ def compatible_spherical_graph(B, rng, vertex_cap: int = 256):
         if all_periods_short(graph):
             return seed, graph
     raise RuntimeError(f"no compatible reference point found: {last!r}")
-
-
-def _initial_periods_short(seed: SphericalSeed) -> bool:
-    """Every rank-2 orbit of `seed` closes at its short period, by direct
-    mutation walks capped at that period."""
-    for i in range(3):
-        for j in range(i + 1, 3):
-            expect = expected_short_period(seed.B[i, j])
-            if alternating_period(seed, i, j, cap=expect) != expect:
-                return False
-    return True
 
 
 # -- correspondence (for reference-point independence checks) -----------------

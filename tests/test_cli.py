@@ -54,6 +54,32 @@ def test_classify_affine_json(capsys):
     assert abs(data["markov_constant_float"] - 4.0) < 1e-12
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_classify_reports_a_zero_markov_constant(fmt, capsys):
+    # the cyclic 3,-3,3 has C = 27 - 27 = 0, a falsy field element
+    code, out, _ = run(["classify", "--entries=3,-3,3", "--format", fmt], capsys)
+    assert code == 0
+    if fmt == "json":
+        data = json.loads(out)
+        assert data["markov_constant"] == {"level": 2, "coeffs": ["0"]}
+        assert data["markov_constant_float"] == 0.0
+    else:
+        assert "markov constant: 0.000000" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_classify_reports_a_markov_constant_beyond_the_float_range(fmt, capsys):
+    # C = 10^400 + 1 is exact in the field and inf as a float
+    code, out, _ = run(["classify", "--entries", "1e200,0,1", "--format", fmt], capsys)
+    assert code == 0
+    if fmt == "json":
+        data = json.loads(out)
+        assert data["markov_constant"] == {"level": 2, "coeffs": [str(10**400 + 1)]}
+        assert data["markov_constant_float"] is None
+    else:
+        assert "markov constant: inf" in out
+
+
 @pytest.mark.parametrize(
     "entries, weight", [("0,0,0", "0"), ("0,0,cos(1/7)", "cos(1/7)")]
 )

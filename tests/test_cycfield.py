@@ -144,6 +144,13 @@ def test_to_float_survives_cancellation(n):
     assert abs(Decimal(value) / exact - 1) < Decimal("1e-12")
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_to_float_reads_values_beyond_the_float_range_as_inf(sign):
+    # as float("1e400") does; 10^400 * 2cos(pi/5) has two coefficients
+    assert FieldElem.from_rational(2, sign * 10**400).to_float() == sign * math.inf
+    assert (cos_multiple(5, 1) * (sign * 10**400)).to_float() == sign * math.inf
+
+
 def test_sign_frozen_values():
     # 2cos(2pi/5) = 0.618..., so subtracting 1 goes negative
     assert (cos_multiple(5, 2) - 1).sign() == -1

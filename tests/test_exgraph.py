@@ -323,7 +323,7 @@ def test_lattice_report_odd():
     assert rep.rank_observed == 2
     assert rep.reflection_witness
     assert len(rep.generator_lengths) == 2  # s_1 and s_2
-    assert rep.common_denominator is not None
+    assert rep.common_denominator == 1  # every length lies in Z[2cos(pi/5)]
 
 
 @pytest.mark.parametrize("depth, rank", [(0, 0), (2, 2)])

@@ -1,10 +1,16 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from quiverbelt import exgraph
-from quiverbelt.exmatrix import SPHERICAL_PAIRS, mutate, spherical_matrix
+from quiverbelt.exmatrix import (
+    SPHERICAL_PAIRS,
+    ExchangeMatrix,
+    mutate,
+    spherical_matrix,
+)
 from quiverbelt.seedgeom import (
     DegeneratePositivity,
     SphericalSeed,
@@ -103,10 +109,22 @@ REFERENCES = [
 ]
 
 
+def restricted_to(seed, i, j):
+    """`seed` with every entry of B but b_ij and b_ji set to 0: the sign
+    rule reads a zero entry as a commuting pair, period 4, always short, so
+    on this seed it decides the one pair (i, j)."""
+    B = ExchangeMatrix(
+        [[seed.B[r, c] if {r, c} == {i, j} else 0 for c in range(3)] for r in range(3)]
+    )
+    return dataclasses.replace(seed, B=B, _key=[])
+
+
 @pytest.mark.parametrize("pair, reference, compatible", REFERENCES)
 def test_linked_periods_match_the_direct_oracle(
     pair, reference, compatible, monkeypatch
 ):
+    """The sign rule `_orbits_short` against `alternating_period`, the
+    direct walk, on every ordered pair of every seed of the graph."""
     g = exgraph.bfs(spherical_seed(spherical_matrix(*pair), reference))
     assert g.closed
     assert exgraph.all_periods_short(g) is compatible
@@ -122,14 +140,17 @@ def test_linked_periods_match_the_direct_oracle(
 
     monkeypatch.setattr(exgraph, "seed_mutate", seed_mutate_once)
     for key, seed in g.vertices.items():
+        verdicts = []
         for i in range(3):
             for j in range(3):
                 if i == j:
                     continue
-                cap = exgraph.expected_short_period(seed.B[i, j]) + 8
-                assert exgraph.linked_period(g, key, i, j, cap) == (
-                    exgraph.alternating_period(seed, i, j, cap)
-                ), (key, i, j)
+                expect = exgraph.expected_short_period(seed.B[i, j])
+                short = exgraph.alternating_period(seed, i, j, expect) == expect
+                rule = exgraph._orbits_short(restricted_to(seed, i, j))
+                assert rule is short, (key, i, j)
+                verdicts.append(short)
+        assert exgraph._orbits_short(seed) is all(verdicts), key
 
 
 def test_all_periods_short_needs_a_closed_graph():
@@ -138,13 +159,11 @@ def test_all_periods_short_needs_a_closed_graph():
     assert not g.closed
     with pytest.raises(ValueError, match="closed"):
         exgraph.all_periods_short(g)
-    with pytest.raises(ValueError, match="closed"):
-        exgraph.linked_period(g, g.initial_key, 0, 1)
 
 
 def test_sampling_accepts_what_the_direct_oracle_accepts(monkeypatch):
-    """The same draws are accepted when compatibility is read off the
-    links as when every orbit is mutated afresh."""
+    """The same draws are accepted when compatibility is read from signs
+    as when every orbit is mutated afresh."""
 
     def direct(graph):
         return all(
