@@ -571,8 +571,10 @@ def _orbits_short(seed: SphericalSeed) -> bool:
     else a = l - k, whose `period_formula` value 3l - 2a (first vector
     negative, second positive; v is positive when (v, u) < 0) is l + 2k.
     The oracle tests pin what is not derived here: the third vector and
-    b_im, b_jm return with the pair.  A zero (v, u) raises, as in mutation."""
-    signs = [seed.pair_with_ref(v).sign() for v in seed.vectors]
+    b_im, b_jm return with the pair.  A zero (v, u) raises, as in mutation.
+    The rule reads signs of the pairings the seed carries and computes no
+    product."""
+    signs = [p.sign() for p in seed.ref_pairings]
     if 0 in signs:
         raise DegeneratePositivity("reference point orthogonal to a vector")
     for i, j in ((0, 1), (0, 2), (1, 2)):
@@ -580,8 +582,7 @@ def _orbits_short(seed: SphericalSeed) -> bool:
         if b.is_zero():
             continue
         k, l = entry_cosine_form(b)
-        pairing = seed.space.pair(seed.vectors[i], seed.vectors[j])
-        a = k if pairing.sign() < 0 else l - k
+        a = k if seed.pairing(i, j).sign() < 0 else l - k
         first, second = (i, j) if b.sign() > 0 else (j, i)
         if period_formula(a, l, signs[first] < 0, signs[second] < 0) != l + 2 * k:
             return False

@@ -699,21 +699,34 @@ class QuadSpace:
 
 @dataclass(frozen=True)
 class SphericalSeed:
+    """A vector triple with its exchange matrix, carrying its pairings.
+
+    `ref_pairings[i]` is (v_i, u) for the reference point u, and
+    `pairings[i + j - 1]` is (v_i, v_j) for i != j (see `pairing`).
+    Mutation at k reflects each v_i it moves, v_i' = v_i - a_i v_k with
+    a_i = (v_i, v_k), and negates v_k.  As (v_k, v_k) = 2:
+      (v_k', u) = -(v_k, u);
+      (v_i', u) = (v_i, u) - a_i (v_k, u) for a reflected i;
+      (v_i', v_k') = -(v_i, v_k) + a_i (v_k, v_k) = a_i for a reflected i,
+      and (v_i, v_k') = -a_i for an unreflected i;
+      (v_i', v_j) = (v_i, v_j) - a_i a_j when only i is reflected, and
+      (v_i', v_j') = (v_i, v_j) - 2 a_i a_j + a_i a_j (v_k, v_k)
+      = (v_i, v_j) when both are.
+    So `seed_mutate` carries them with at most three products, and the
+    compatibility rule reads their signs without computing any."""
+
     space: QuadSpace
     vectors: tuple[tuple[FieldElem, ...], ...]
     B: ExchangeMatrix
     ref: tuple[Fraction, Fraction, Fraction]  # (v_i, u) = -ref_i at the start
+    ref_pairings: tuple[FieldElem, FieldElem, FieldElem]  # (v_i, u)
+    pairings: tuple[FieldElem, FieldElem, FieldElem]  # (v_0, v_1), (v_0, v_2), (v_1, v_2)
     # [canonical key, key_perm()] once built
     _key: list = field(default_factory=list, compare=False, repr=False)
 
-    def pair_with_ref(self, v) -> FieldElem:
-        """(v, u) for the fixed reference point u."""
-        level = self.B.level
-        total = FieldElem.zero(level)
-        for i in range(3):
-            if not v[i].is_zero():
-                total = total + v[i] * (-self.ref[i])
-        return total
+    def pairing(self, i: int, j: int) -> FieldElem:
+        """(v_i, v_j) for i != j."""
+        return self.pairings[i + j - 1]
 
     def canonical_key(self) -> str:
         """The least serialisation over index relabellings; `key_perm()`
@@ -805,27 +818,52 @@ def spherical_seed(B: ExchangeMatrix, reference) -> SphericalSeed:
         coords = [FieldElem.zero(level)] * 3
         coords[i] = FieldElem.one(level)
         basis.append(tuple(coords))
-    return SphericalSeed(space, tuple(basis), B, ref)
+    ref_pairings = tuple(FieldElem.from_rational(level, -x) for x in ref)
+    pairings = tuple(
+        space.pair(basis[i], basis[j]) for i, j in ((0, 1), (0, 2), (1, 2))
+    )
+    return SphericalSeed(space, tuple(basis), B, ref, ref_pairings, pairings)
 
 
 def seed_mutate(s: SphericalSeed, k: int) -> SphericalSeed:
-    """Partial-reflection mutation of a spherical seed."""
-    pairing = s.pair_with_ref(s.vectors[k])
+    """Partial-reflection mutation of a spherical seed, carrying its
+    pairings by the rules in `SphericalSeed`'s docstring."""
+    pairing = s.ref_pairings[k]
     sgn = pairing.sign()
     if sgn == 0:
         raise DegeneratePositivity("reference point orthogonal to the vector")
     positive = sgn < 0
     new_vectors = list(s.vectors)
+    ref_pairings = list(s.ref_pairings)
+    pairings = list(s.pairings)
     vk = s.vectors[k]
     new_vectors[k] = tuple(-c for c in vk)
+    ref_pairings[k] = -pairing
+    reflected = 0
     for i in range(3):
         if i == k:
             continue
         b_sign = s.B[i, k].sign()
         reflect = (b_sign < 0) if positive else (b_sign > 0)
+        factor = s.pairing(i, k)
         if reflect:
-            factor = s.space.pair(s.vectors[i], vk)
             new_vectors[i] = tuple(
                 s.vectors[i][t] - factor * vk[t] for t in range(3)
             )
-    return SphericalSeed(s.space, tuple(new_vectors), mutate(s.B, k), s.ref)
+            ref_pairings[i] = ref_pairings[i] - factor * pairing
+            reflected += 1
+        else:
+            pairings[i + k - 1] = -factor
+    # the pair without k moves only when exactly one of it is reflected
+    i, j = (x for x in range(3) if x != k)
+    a_i, a_j = s.pairing(i, k), s.pairing(j, k)
+    if reflected == 1 and not (a_i.is_zero() or a_j.is_zero()):
+        pairings[i + j - 1] = pairings[i + j - 1] - a_i * a_j
+    return SphericalSeed(
+        s.space,
+        tuple(new_vectors),
+        mutate(s.B, k),
+        s.ref,
+        tuple(ref_pairings),
+        tuple(pairings),
+    )

@@ -232,7 +232,14 @@ def labelled_fields(seed, p):
             seed.ray,
             B,
         )
-    return seed.space, tuple(seed.vectors[p[i]] for i in range(3)), B, seed.ref
+    return (
+        seed.space,
+        tuple(seed.vectors[p[i]] for i in range(3)),
+        B,
+        seed.ref,
+        tuple(seed.ref_pairings[p[i]] for i in range(3)),
+        tuple(seed.pairing(p[i], p[j]) for i, j in ((0, 1), (0, 2), (1, 2))),
+    )
 
 
 @pytest.mark.parametrize(

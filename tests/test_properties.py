@@ -129,7 +129,12 @@ def relabelled(s, p):
             permuted_matrix(s.B, p),
         )
     return SphericalSeed(
-        s.space, tuple(s.vectors[p[i]] for i in range(3)), permuted_matrix(s.B, p), s.ref
+        s.space,
+        tuple(s.vectors[p[i]] for i in range(3)),
+        permuted_matrix(s.B, p),
+        s.ref,
+        tuple(s.ref_pairings[p[i]] for i in range(3)),
+        tuple(s.pairing(p[i], p[j]) for i, j in ((0, 1), (0, 2), (1, 2))),
     )
 
 
@@ -137,7 +142,7 @@ def fields(s):
     """Every field of a seed, as a labelled seed (not up to relabelling)."""
     if isinstance(s, PlanarSeed):
         return s.chart, s.kind, s.vertices, s.side_dirs, s.ray, s.B
-    return s.space, s.vectors, s.B, s.ref
+    return s.space, s.vectors, s.B, s.ref, s.ref_pairings, s.pairings
 
 
 def planar_walk_ends(d, walk):

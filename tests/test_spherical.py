@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from quiverbelt import exgraph
+from quiverbelt import exgraph, verification
+from quiverbelt.cycfield import FieldElem
 from quiverbelt.exmatrix import (
     SPHERICAL_PAIRS,
     ExchangeMatrix,
@@ -13,6 +14,7 @@ from quiverbelt.exmatrix import (
 )
 from quiverbelt.seedgeom import (
     DegeneratePositivity,
+    QuadSpace,
     SphericalSeed,
     gram_invariants_ok,
     seed_mutate,
@@ -151,6 +153,83 @@ def test_linked_periods_match_the_direct_oracle(
                 assert rule is short, (key, i, j)
                 verdicts.append(short)
         assert exgraph._orbits_short(seed) is all(verdicts), key
+
+
+def pair_with_ref(seed, v):
+    """(v, u) computed directly from the coordinates of v and the reference
+    weights: the oracle for the carried (v_i, u)."""
+    total = FieldElem.zero(seed.B.level)
+    for i in range(3):
+        if not v[i].is_zero():
+            total = total + v[i] * (-seed.ref[i])
+    return total
+
+
+def assert_pairings_are_direct(seed):
+    for i in range(3):
+        assert seed.ref_pairings[i] == pair_with_ref(seed, seed.vectors[i]), i
+        for j in range(3):
+            if i != j:
+                direct = seed.space.pair(seed.vectors[i], seed.vectors[j])
+                assert seed.pairing(i, j) == direct, (i, j)
+
+
+def checked_walk(seed, rng, steps):
+    """Mutate `steps` times at random indices, checking the carried
+    pairings of every seed met; the seeds of the walk."""
+    walk = [seed]
+    assert_pairings_are_direct(seed)
+    for _ in range(steps):
+        try:
+            seed = seed_mutate(seed, rng.randrange(3))
+        except DegeneratePositivity:
+            break
+        assert_pairings_are_direct(seed)
+        walk.append(seed)
+    return walk
+
+
+@pytest.mark.parametrize("pair", SPHERICAL_PAIRS)
+def test_carried_pairings_match_direct_recomputation(pair):
+    """Along random walks from several reference points, compatible or not,
+    and from seeds restricted to one pair of indices, the pairings a seed
+    carries are the ones its vectors give directly."""
+    rng = random.Random(19)
+    B = spherical_matrix(*pair)
+    references = [ref for p, ref, _ in REFERENCES if p == pair]
+    references += [(-3, -3, 1), (Fraction(7, 2), Fraction(-5, 3), 2)]
+    for reference in references:
+        walk = checked_walk(spherical_seed(B, reference), rng, 40)
+        assert gram_invariants_ok(walk[-1])
+        for seed in walk[::8]:
+            for i, j in ((0, 1), (0, 2), (1, 2)):
+                checked_walk(restricted_to(seed, i, j), rng, 8)
+
+
+@pytest.mark.parametrize("pair", SPHERICAL_PAIRS)
+def test_orbits_short_computes_no_product(pair, monkeypatch):
+    """The compatibility rule reads signs of carried pairings only: with
+    field products and the bilinear form disabled it still decides every
+    seed of a closed graph."""
+    reference = next(ref for p, ref, ok in REFERENCES if p == pair and ok)
+    g = exgraph.bfs(spherical_seed(spherical_matrix(*pair), reference))
+    assert g.closed
+
+    def forbidden(*args):
+        raise AssertionError("a product was computed")
+
+    monkeypatch.setattr(FieldElem, "__mul__", forbidden)
+    monkeypatch.setattr(FieldElem, "__rmul__", forbidden)
+    monkeypatch.setattr(QuadSpace, "pair", forbidden)
+    assert all(exgraph._orbits_short(seed) for seed in g.vertices.values())
+
+
+def test_finite_type_counts_fails_when_the_float_oracle_never_closes(monkeypatch):
+    monkeypatch.setattr(verification, "_float_oracle_count", lambda *args, **kw: None)
+    result = verification.check_finite_type_counts(seed=2024)
+    assert not result.passed
+    assert "oracle found no closing draw for (1/3,2/5)" in result.detail
+    assert "oracle found no closing draw for (1/5,2/5)" in result.detail
 
 
 def test_all_periods_short_needs_a_closed_graph():
