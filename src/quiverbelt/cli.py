@@ -39,7 +39,6 @@ from math import isfinite
 from quiverbelt import exgraph, verification
 from quiverbelt.cycfield import FieldElem, cos_multiple
 from quiverbelt.exmatrix import (
-    BudgetExceeded,
     ExchangeMatrix,
     classify,
     spherical_matrix,
@@ -204,12 +203,9 @@ def cmd_enumerate(args) -> int:
         depth = args.depth
         if depth is None:
             depth = 14 if level <= 7 else 10
-        try:
-            graph = exgraph.bfs(
-                seed, depth_limit=depth, vertex_limit=args.max_vertices or None
-            )
-        except BudgetExceeded as exc:
-            graph = exc.partial
+        graph = exgraph.bfs(
+            seed, depth_limit=depth, vertex_limit=args.max_vertices or None
+        )
     summary = {
         "vertices": graph.order(),
         "edges": graph.size(),
@@ -244,7 +240,12 @@ def cmd_rank2(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    levels = [int(x) for x in args.levels.split(",")] if args.levels else None
+    try:
+        levels = [int(x) for x in args.levels.split(",")] if args.levels else None
+    except ValueError:
+        raise ParseError(
+            f"--levels needs comma-separated integers, got {args.levels!r}"
+        ) from None
     names = args.checks.split(",") if args.checks else None
     results = verification.run_checks(names=names, levels=levels, seed=args.seed)
     worst = 0

@@ -41,7 +41,6 @@ from quiverbelt.exmatrix import (
     PERM_COMPOSE,
     PERM_INVERSE,
     PERMS3,
-    BudgetExceeded,
     entry_cosine_form,
     sources_and_sinks,
 )
@@ -72,7 +71,7 @@ class ExchangeGraphData:
     `links[key][k]` is `(nkey, t)` for the stored seed X of `key`: mu_k(X)
     has key `nkey`, and `t` indexes the p in PERMS3 with mu_k(X)'s slot a
     equal to slot p[a] of the stored seed of `nkey` (0 is the identity).
-    Entries stay None for mutations a depth limit kept out of the graph."""
+    Entries stay None where a limit kept them out of the graph."""
 
     vertices: dict  # key -> seed
     edges: dict  # frozenset({k1, k2}) -> mutation index
@@ -112,21 +111,20 @@ def bfs(
     """Breadth-first closure of the exchange graph from an initial planar or
     spherical seed.
 
-    A limit of None means unbounded.  The result's `closed` flag records
-    whether the frontier was exhausted before any limit.  Vertices at the
-    depth limit look up their neighbours too, but only record edges to
-    vertices already known, so depth-limited graphs are honest induced
-    subgraphs.
+    A limit of None means unbounded.  The result's `closed` flag is True
+    only if the frontier ran out; a depth limit or a vertex limit gives
+    the window reached so far with `closed=False`.  Vertices at the depth
+    limit look up their neighbours too, but only record edges to vertices
+    already known, so depth-limited graphs are honest induced subgraphs.
+    A vertex limit stops the BFS where the next new vertex would pass it.
 
-    Mutation is an involution: the stored seed of a vertex first reached
-    as mu_k(parent) gives back the parent under mu_k, an edge already
-    recorded, so direction k is not expanded there and its link is
-    (parent, identity), the one link a vertex holds before it is expanded.
-    Only that direction is skipped: a direction index does not carry over
-    to another seed with the same key, because keys are minimised over
-    index permutations.
+    Each edge is found once.  Setting X's link at k to (Y, t) also sets
+    Y's link at p[k], p = PERMS3[t], to (X, p^-1) if it is empty: mutation
+    is an involution and commutes with relabelling, so mu_{p[k]}(Y) is X
+    relabelled by p^-1.  A direction whose link is set is not looked up
+    again.
 
-    Each other direction asks a step function for the neighbour: either
+    Each open direction asks a step function for the neighbour: either
     the link (key, relabelling) of a stored vertex, or a function that
     builds the new seed.  Spherical seeds are mutated (`_spherical_steps`).
     Planar seeds are mutated once per table key (shape of
@@ -156,31 +154,28 @@ def bfs(
             closed = False
         out = links[key]
         for k in range(3):
-            if out[k] is not None:  # the direction that first reached seed
+            if out[k] is not None:  # found from the other end
                 continue
             link, build = step(seed, k)
             if link is None:
                 if at_limit:
                     continue
                 if vertex_limit is not None and len(vertices) >= vertex_limit:
-                    raise BudgetExceeded(
-                        f"vertex limit {vertex_limit} reached",
-                        partial=ExchangeGraphData(
-                            vertices, edges, depth, False, key0, links
-                        ),
-                    )
+                    return ExchangeGraphData(vertices, edges, depth, False, key0, links)
                 nxt = build()
                 nkey = nxt.canonical_key()
                 vertices[nkey] = nxt
                 depth[nkey] = level + 1
-                back = [None, None, None]
-                back[k] = (key, 0)
-                links[nkey] = back
+                links[nkey] = [None, None, None]
                 queue.append(nxt)
                 link = (nkey, 0)
             out[k] = link
-            if link[0] != key:
-                edges.setdefault(frozenset((key, link[0])), k)
+            nkey, t = link
+            j = PERMS3[t][k]
+            if links[nkey][j] is None:
+                links[nkey][j] = (key, PERM_INVERSE[t])
+            if nkey != key:
+                edges.setdefault(frozenset((key, nkey)), k)
     return ExchangeGraphData(vertices, edges, depth, closed, key0, links)
 
 
@@ -611,7 +606,8 @@ def compatible_spherical_graph(B, rng, vertex_cap: int = 256):
     whose initial seed already has a long rank-2 orbit is rejected before
     the BFS: the initial seed is a vertex of the graph, so
     `all_periods_short` would reject its closure too.  An incompatible
-    draw can have an infinite graph, hence the vertex cap."""
+    draw can have an infinite graph, so the BFS stops at `vertex_cap`
+    vertices and a draw whose graph is still open is rejected."""
     last = None
     for _ in range(SPHERICAL_ATTEMPTS):
         lam = tuple(
@@ -624,12 +620,14 @@ def compatible_spherical_graph(B, rng, vertex_cap: int = 256):
             if not _orbits_short(seed):
                 continue
             graph = bfs(seed, vertex_limit=vertex_cap)
-        except (BudgetExceeded, DegeneratePositivity) as exc:
-            last = exc
+        except DegeneratePositivity as exc:
+            last = repr(exc)
             continue
-        if all_periods_short(graph):
+        if not graph.closed:
+            last = f"vertex limit {vertex_cap} reached"
+        elif all_periods_short(graph):
             return seed, graph
-    raise RuntimeError(f"no compatible reference point found: {last!r}")
+    raise RuntimeError(f"no compatible reference point found: {last}")
 
 
 # -- correspondence (for reference-point independence checks) -----------------

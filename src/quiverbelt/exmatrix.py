@@ -36,15 +36,6 @@ class NotCosineForm(ValueError):
     """An entry is not of the form +-2cos(pi k / l)."""
 
 
-class BudgetExceeded(RuntimeError):
-    """An exchange-graph BFS hit its vertex limit; .partial carries the
-    graph built so far."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
 class ExchangeMatrix:
     """Immutable skew-symmetric 3x3 matrix of FieldElems."""
 

@@ -118,21 +118,16 @@ def _float_oracle_count(w1: float, w2: float, lam, cap: int):
         return sum(x[i] * G[i][j] * y[j] for i in range(3) for j in range(3))
 
     def key(vs, B):
-        best = None
-        for p in perms:
-            parts = []
-            for i in range(3):
-                parts.extend(round(c, 7) + 0.0 for c in vs[p[i]])
-            parts.extend(
-                round(B[p[i]][p[j]], 7) + 0.0
-                for i in range(3)
-                for j in range(3)
-                if i != j
-            )
-            t = tuple(parts)
-            if best is None or t < best:
-                best = t
-        return best
+        # round each coordinate and entry once, then relabel the rounded data
+        vs = [tuple(round(c, 7) + 0.0 for c in v) for v in vs]
+        B = [[round(x, 7) + 0.0 for x in row] for row in B]
+        return min(
+            vs[p[0]]
+            + vs[p[1]]
+            + vs[p[2]]
+            + tuple(B[p[i]][p[j]] for i in range(3) for j in range(3) if i != j)
+            for p in perms
+        )
 
     def mutate_b(B, k):
         out = [[0.0] * 3 for _ in range(3)]

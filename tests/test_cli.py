@@ -252,6 +252,7 @@ def test_verify_rejects_unknown_check_names(capsys, monkeypatch):
         (["classify", "--entries", "0,0,3"], "rational entry 3 is not 2cos(pi k/l)"),
         (["enumerate", "--entries", "0,1/2,0"], "rational entry 1/2 is not 2cos(pi k/l)"),
         (["rank2", "--max-b", "-2"], "--max-b must not be negative"),
+        (["verify", "--levels", "5,x"], "--levels needs comma-separated integers, got '5,x'"),
         (["classify", "--entries", "cos(1/3)"], "matrix spec needs 3 upper-triangle entries"),
         (
             ["enumerate", "--sph", "1/3,2/5", "--depth", "1"],

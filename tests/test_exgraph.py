@@ -11,7 +11,6 @@ from quiverbelt import exgraph, seedgeom
 from quiverbelt.exmatrix import (
     PERMS3,
     SPHERICAL_PAIRS,
-    BudgetExceeded,
     ExchangeMatrix,
     is_acyclic,
     spherical_matrix,
@@ -59,7 +58,7 @@ def test_bfs_depths_and_edges_are_consistent():
 def reference_bfs(initial, mutate, depth_limit=None, vertex_limit=None):
     """Plain BFS that mutates every vertex in all three directions.  At a
     vertex limit it stops where the next new vertex would pass the limit,
-    as `bfs` raises there."""
+    as `bfs` returns there."""
     key0 = initial.canonical_key()
     vertices, depth, edges, frontier = {key0: initial}, {key0: 0}, {}, []
     queue = deque([initial])
@@ -130,9 +129,7 @@ def test_bfs_matches_the_plain_bfs_on_affine_windows(d, depth, offset):
 @pytest.mark.parametrize("offset", [2, "mirror"])
 def test_budget_partial_graph_matches_the_plain_bfs(d, limit, offset):
     start = affine_start(d, offset)
-    with pytest.raises(BudgetExceeded) as err:
-        exgraph.bfs(start, vertex_limit=limit)
-    partial = err.value.partial
+    partial = exgraph.bfs(start, vertex_limit=limit)
     assert partial.order() == limit and not partial.closed
     assert_same_graph(partial, reference_bfs(start, planar_mutate, vertex_limit=limit))
 
@@ -274,9 +271,27 @@ def test_links_carry_each_mutation_onto_the_stored_neighbour(start, mutate):
 
 
 def test_vertex_budget():
-    with pytest.raises(BudgetExceeded) as err:
-        exgraph.bfs(initial_seed(5), vertex_limit=50)
-    assert err.value.partial.order() == 50
+    start = initial_seed(5)
+    g = exgraph.bfs(start, vertex_limit=50)
+    assert g.order() == 50 and not g.closed
+    assert_same_graph(g, reference_bfs(start, planar_mutate, vertex_limit=50))
+
+
+@pytest.mark.parametrize("pair, size", zip(SPHERICAL_PAIRS, (21, 30, 48, 72, 60)))
+def test_each_edge_is_mutated_once(pair, size, monkeypatch):
+    # a link set from one end of an edge is not looked up from the other
+    seed, g = exgraph.compatible_spherical_graph(
+        spherical_matrix(*pair), random.Random(3)
+    )
+    calls = []
+
+    def counted(s, k):
+        calls.append(k)
+        return seed_mutate(s, k)
+
+    monkeypatch.setattr(exgraph, "seed_mutate", counted)
+    closure = exgraph.bfs(seed)
+    assert closure.closed and len(calls) == closure.size() == g.size() == size
 
 
 def test_growth_table_and_round_trip():

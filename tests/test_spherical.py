@@ -75,6 +75,13 @@ def test_associahedron_counts():
         assert all(len(v) == 3 for v in g.adjacency().values())
 
 
+def test_a_vertex_cap_below_the_closure_names_the_vertex_limit():
+    # the (1/3,2/5) closure has 48 vertices: every graph stops open at 10
+    B = spherical_matrix(Fraction(1, 3), Fraction(2, 5))
+    with pytest.raises(RuntimeError, match="vertex limit 10 reached"):
+        exgraph.compatible_spherical_graph(B, random.Random(3), vertex_cap=10)
+
+
 def test_alternating_orbits_are_short_on_compatible_graphs():
     rng = random.Random(6)
     B = spherical_matrix(Fraction(1, 3), Fraction(1, 4))
@@ -278,10 +285,10 @@ def old_compatible_spherical_graph(B, rng, vertex_cap=256, attempts=64):
         try:
             seed = spherical_seed(B, lam)
             graph = exgraph.bfs(seed, vertex_limit=vertex_cap)
-        except (exgraph.BudgetExceeded, DegeneratePositivity) as exc:
+        except DegeneratePositivity as exc:
             last = exc
             continue
-        if exgraph.all_periods_short(graph):
+        if graph.closed and exgraph.all_periods_short(graph):
             return seed, graph
     raise RuntimeError(f"no compatible reference point found: {last!r}")
 
