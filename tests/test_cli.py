@@ -252,7 +252,6 @@ def test_verify_rejects_unknown_check_names(capsys, monkeypatch):
         (["classify", "--entries", "0,0,3"], "rational entry 3 is not 2cos(pi k/l)"),
         (["enumerate", "--entries", "0,1/2,0"], "rational entry 1/2 is not 2cos(pi k/l)"),
         (["rank2", "--max-b", "-2"], "--max-b must not be negative"),
-        (["verify", "--levels", "5,x"], "--levels needs comma-separated integers, got '5,x'"),
         (["classify", "--entries", "cos(1/3)"], "matrix spec needs 3 upper-triangle entries"),
         (
             ["enumerate", "--sph", "1/3,2/5", "--depth", "1"],
@@ -292,6 +291,7 @@ def test_verify_rejects_unknown_check_names(capsys, monkeypatch):
             ["classify", "--sph", "1/3,1/3", "--entries", "2,-2,2"],
             "give one matrix source, got --sph and --entries",
         ),
+        (["verify", "--levels", "5,x"], "--levels needs comma-separated integers, got '5,x'"),
     ],
 )
 def test_handled_errors_print_one_line_and_exit_2(
