@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log
-from typing import Optional
+from typing import Callable, Optional
 
 from quiverbelt.cycfield import (
     FieldElem,
@@ -106,7 +106,10 @@ class ExchangeGraphData:
 
 
 def bfs(
-    initial, depth_limit: Optional[int] = None, vertex_limit: Optional[int] = None
+    initial,
+    depth_limit: Optional[int] = None,
+    vertex_limit: Optional[int] = None,
+    admit: Optional[Callable] = None,
 ) -> ExchangeGraphData:
     """Breadth-first closure of the exchange graph from an initial planar or
     spherical seed.
@@ -117,6 +120,10 @@ def bfs(
     limit look up their neighbours too, but only record edges to vertices
     already known, so depth-limited graphs are honest induced subgraphs.
     A vertex limit stops the BFS where the next new vertex would pass it.
+    `admit`, if given, is asked about each new seed as it is built (not
+    the initial one); a seed it refuses is not stored, and the BFS stops
+    there with `closed=False`, as at a vertex limit.  A closed graph is
+    then one whose every new seed was admitted.
 
     Each edge is found once.  Setting X's link at k to (Y, t) also sets
     Y's link at p[k], p = PERMS3[t], to (X, p^-1) if it is empty: mutation
@@ -163,6 +170,8 @@ def bfs(
                 if vertex_limit is not None and len(vertices) >= vertex_limit:
                     return ExchangeGraphData(vertices, edges, depth, False, key0, links)
                 nxt = build()
+                if admit is not None and not admit(nxt):
+                    return ExchangeGraphData(vertices, edges, depth, False, key0, links)
                 nkey = nxt.canonical_key()
                 vertices[nkey] = nxt
                 depth[nkey] = level + 1
@@ -585,7 +594,10 @@ def _orbits_short(seed: SphericalSeed) -> bool:
 
 
 def all_periods_short(graph: ExchangeGraphData) -> bool:
-    """Compatibility: `_orbits_short` holds at every seed of the closed graph."""
+    """Compatibility: `_orbits_short` holds at every seed of the closed
+    graph.  Graphs from `compatible_spherical_graph` hold it by
+    construction, since its BFS admits only such seeds; the tests and
+    `check_finite_type_counts` confirm it on them with this."""
     if not graph.closed:
         raise ValueError("rank-2 periods need a closed exchange graph")
     return all(_orbits_short(seed) for seed in graph.vertices.values())
@@ -602,31 +614,37 @@ def compatible_spherical_graph(B, rng, vertex_cap: int = 256):
     arrangement, so rejection sampling over a rational box converges in a
     handful of draws.
 
-    Compatibility is one sign rule per seed (`_orbits_short`).  A draw
-    whose initial seed already has a long rank-2 orbit is rejected before
-    the BFS: the initial seed is a vertex of the graph, so
-    `all_periods_short` would reject its closure too.  An incompatible
-    draw can have an infinite graph, so the BFS stops at `vertex_cap`
-    vertices and a draw whose graph is still open is rejected."""
+    Compatibility is one sign rule per seed (`_orbits_short`).  A draw is
+    rejected as soon as a seed with a long rank-2 orbit turns up: the
+    initial seed is checked before the BFS, and the BFS admits only new
+    seeds that pass (`bfs(admit=...)`) and stops open at the first that
+    does not.  A closed graph is therefore compatible.  An incompatible
+    draw can have an infinite graph, so the BFS also stops at `vertex_cap`
+    vertices, and a draw whose graph is open is rejected.  The final
+    RuntimeError names the last draw's rejection."""
     last = None
     for _ in range(SPHERICAL_ATTEMPTS):
         lam = tuple(
             Fraction(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(3)
         )
         if any(x == 0 for x in lam):
+            last = "zero reference weight"
             continue
         try:
             seed = spherical_seed(B, lam)
             if not _orbits_short(seed):
+                last = "long rank-2 orbit at the initial seed"
                 continue
-            graph = bfs(seed, vertex_limit=vertex_cap)
+            graph = bfs(seed, vertex_limit=vertex_cap, admit=_orbits_short)
         except DegeneratePositivity as exc:
             last = repr(exc)
             continue
-        if not graph.closed:
-            last = f"vertex limit {vertex_cap} reached"
-        elif all_periods_short(graph):
+        if graph.closed:
             return seed, graph
+        if graph.order() < vertex_cap:
+            last = "long rank-2 orbit"
+        else:
+            last = f"vertex limit {vertex_cap} reached"
     raise RuntimeError(f"no compatible reference point found: {last}")
 
 

@@ -37,9 +37,12 @@ class NotCosineForm(ValueError):
 
 
 class ExchangeMatrix:
-    """Immutable skew-symmetric 3x3 matrix of FieldElems."""
+    """Immutable skew-symmetric 3x3 matrix of FieldElems.
 
-    __slots__ = ("level", "entries", "_key")
+    `_mutated[k]` memoises `mutate(self, k)`: the entries never change, so
+    the stored matrix is exact."""
+
+    __slots__ = ("level", "entries", "_key", "_mutated")
     rank = 3
 
     def __init__(self, entries):
@@ -71,6 +74,7 @@ class ExchangeMatrix:
         self.level = level
         self.entries = tuple(lifted)
         self._key: Optional[str] = None
+        self._mutated: list = [None] * 3
 
     @staticmethod
     def from_upper(b12, b13, b23) -> "ExchangeMatrix":
@@ -135,9 +139,15 @@ def _neg(x):
 
 
 def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
-    """Matrix mutation at direction k (0-based); an involution."""
+    """Matrix mutation at direction k (0-based); an involution.
+
+    The result is memoised on B.  The memo is forward only: mu_k(B) is not
+    told that its own mutation at k is B."""
     if not 0 <= k < 3:
         raise IndexError("mutation index out of range")
+    done = B._mutated[k]
+    if done is not None:
+        return done
     e = B.entries
     new = [list(row) for row in e]
     # the upper triangle, mirrored: -b_ij is the stored b_ji
@@ -153,7 +163,8 @@ def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
                 prod = e[i][k] * e[k][j]
                 new[i][j] = e[i][j] + prod if s > 0 else e[i][j] - prod
                 new[j][i] = -new[i][j]
-    return ExchangeMatrix(new)
+    done = B._mutated[k] = ExchangeMatrix(new)
+    return done
 
 
 def is_acyclic(B: ExchangeMatrix) -> bool:

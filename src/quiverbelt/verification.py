@@ -186,7 +186,9 @@ def check_finite_type_counts(seed: int = 2024, **_) -> CheckResult:
     independently sampled compatible reference points, the two runs'
     correspondence along mutation words, and a floating-point brute-force
     cross-check that draws at most `exgraph.SPHERICAL_ATTEMPTS` reference
-    points per class before it reports that none closed."""
+    points per class before it reports that none closed.  The sampler
+    admits only seeds with short rank-2 orbits; the check confirms that on
+    both closed graphs with `exgraph.all_periods_short`."""
     rng = random.Random(seed)
     problems = []
     counts = {}
@@ -199,6 +201,8 @@ def check_finite_type_counts(seed: int = 2024, **_) -> CheckResult:
         counts[pair] = g1.order()
         if g1.order() != expected:
             problems.append(f"{_label(pair)}: {g1.order()} != {expected}")
+        if not (exgraph.all_periods_short(g1) and exgraph.all_periods_short(g2)):
+            problems.append(f"{_label(pair)}: long rank-2 orbit")
         if not exgraph.graphs_isomorphic(g1, g2):
             problems.append(f"{_label(pair)}: reference dependence")
         if not all(len(v) == 3 for v in g1.adjacency().values()):

@@ -294,6 +294,57 @@ def test_each_edge_is_mutated_once(pair, size, monkeypatch):
     assert closure.closed and len(calls) == closure.size() == g.size() == size
 
 
+def assert_identical_runs(g, h):
+    assert list(g.vertices) == list(h.vertices)
+    assert list(g.depth.items()) == list(h.depth.items())
+    assert list(g.edges.items()) == list(h.edges.items())
+    assert g.links == h.links and g.closed == h.closed
+
+
+@pytest.mark.parametrize(
+    "start, depth",
+    [
+        (affine_start(3, 2), 12),
+        (affine_start(5, "mirror"), 8),
+        (affine_start(7, -1), 6),
+    ]
+    + [
+        (spherical_seed(spherical_matrix(*pair), ref), None)
+        for pair, ref in zip(
+            SPHERICAL_PAIRS, [(1, 2, 4), (2, 3, 7), (5, 1, 3), (4, 2, 1), (1, 4, 2)]
+        )
+    ],
+)
+def test_an_admit_that_refuses_nothing_changes_nothing(start, depth):
+    g = exgraph.bfs(start, depth_limit=depth, admit=lambda s: True)
+    assert_identical_runs(g, exgraph.bfs(start, depth_limit=depth))
+    assert g.closed is (depth is None)
+
+
+def test_admit_stops_the_bfs_at_the_first_refused_seed():
+    # (1,2,4) is incompatible at (1/3,2/5): its closure has 2,592 seeds,
+    # and the seventh new seed in BFS order has a long rank-2 orbit
+    start = spherical_seed(spherical_matrix(Fraction(1, 3), Fraction(2, 5)), (1, 2, 4))
+    refused = []
+
+    def admit(s):
+        if exgraph._orbits_short(s):
+            return True
+        refused.append(s)
+        return False
+
+    g = exgraph.bfs(start, admit=admit)
+    full = exgraph.bfs(start)
+    assert full.closed and full.order() == 2592
+    assert not g.closed and g.order() == 7 and len(refused) == 1
+    # the admitted run is the plain run up to the refused seed, which is
+    # not stored
+    order = list(full.vertices)
+    assert list(g.vertices) == order[:7]
+    assert refused[0].canonical_key() == order[7] not in g.vertices
+    assert all(exgraph._orbits_short(s) for s in g.vertices.values())
+
+
 def test_growth_table_and_round_trip():
     t = exgraph.growth(initial_seed(3), 12)
     assert t.entries[0] == (0, 1)

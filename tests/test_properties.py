@@ -303,6 +303,19 @@ def test_matrix_mutation_matches_the_abs_half_rule(B, walk):
 
 
 @exact
+@given(st.sampled_from(MATRICES), walks, st.integers(0, 2))
+def test_memoised_mutation_is_a_fresh_mutation(B, walk, k):
+    # MATRICES are shared across examples, so their memos fill as walks
+    # revisit them; a fresh copy of the entries has an empty memo
+    B = walk_from(B, mutate, walk)
+    image = mutate(B, k)
+    fresh = mutate(ExchangeMatrix(B.entries), k)
+    assert image is not fresh and image.entries == fresh.entries
+    assert image.level == fresh.level
+    assert mutate(B, k) is image
+
+
+@exact
 @given(planar_walks)
 def test_t_is_conserved_along_planar_walks(s):
     assert t_invariant(s) == s.chart.t0

@@ -82,6 +82,28 @@ def test_a_vertex_cap_below_the_closure_names_the_vertex_limit():
         exgraph.compatible_spherical_graph(B, random.Random(3), vertex_cap=10)
 
 
+class ZeroRng:
+    """Draws the reference weight 0/1 every time."""
+
+    def randint(self, a, b):
+        return 0 if a < 0 else 1
+
+
+def test_the_final_error_names_each_kind_of_last_rejection(monkeypatch):
+    B = spherical_matrix(Fraction(1, 3), Fraction(1, 4))
+
+    def fails_with(reason, rng):
+        with pytest.raises(RuntimeError, match=f"found: {reason}$"):
+            exgraph.compatible_spherical_graph(B, rng)
+
+    fails_with("zero reference weight", ZeroRng())
+    monkeypatch.setattr(exgraph, "_orbits_short", lambda s: False)
+    fails_with("long rank-2 orbit at the initial seed", random.Random(3))
+    # every initial seed passes, and every seed the BFS builds fails
+    monkeypatch.setattr(exgraph, "_orbits_short", lambda s: s.B is B)
+    fails_with("long rank-2 orbit", random.Random(3))
+
+
 def test_alternating_orbits_are_short_on_compatible_graphs():
     rng = random.Random(6)
     B = spherical_matrix(Fraction(1, 3), Fraction(1, 4))
@@ -239,6 +261,20 @@ def test_finite_type_counts_fails_when_the_float_oracle_never_closes(monkeypatch
     assert "oracle found no closing draw for (1/5,2/5)" in result.detail
 
 
+def test_finite_type_counts_confirms_every_period_short(monkeypatch):
+    checked = []
+
+    def refuses(graph):
+        checked.append(graph)
+        return False
+
+    monkeypatch.setattr(exgraph, "all_periods_short", refuses)
+    result = verification.check_finite_type_counts(seed=2024)
+    assert not result.passed and len(checked) == 5
+    for pair in SPHERICAL_PAIRS:
+        assert f"({pair[0]},{pair[1]}): long rank-2 orbit" in result.detail
+
+
 def test_all_periods_short_needs_a_closed_graph():
     B = spherical_matrix(Fraction(1, 3), Fraction(1, 4))
     g = exgraph.bfs(spherical_seed(B, (1, 2, 4)), depth_limit=3)
@@ -248,13 +284,15 @@ def test_all_periods_short_needs_a_closed_graph():
 
 
 def test_sampling_accepts_what_the_direct_oracle_accepts(monkeypatch):
-    """The same draws are accepted when compatibility is read from signs
-    as when every orbit is mutated afresh."""
+    """The same draws are accepted, with the same graphs, when each seed's
+    compatibility is read from signs as when its orbits are mutated
+    afresh."""
+    asked = []
 
-    def direct(graph):
+    def direct(seed):
+        asked.append(seed)
         return all(
             exgraph.alternating_period(seed, i, j, cap=expect) == expect
-            for seed in graph.vertices.values()
             for i in range(3)
             for j in range(i + 1, 3)
             for expect in [exgraph.expected_short_period(seed.B[i, j])]
@@ -262,14 +300,29 @@ def test_sampling_accepts_what_the_direct_oracle_accepts(monkeypatch):
 
     def sample():
         rng = random.Random(11)
-        return [
-            exgraph.compatible_spherical_graph(spherical_matrix(*pair), rng)[0].ref
-            for pair in SPHERICAL_PAIRS
-        ]
+        out = []
+        for pair in SPHERICAL_PAIRS:
+            seed, g = exgraph.compatible_spherical_graph(spherical_matrix(*pair), rng)
+            out.append((seed.ref, list(g.vertices), g.edges))
+        return out, rng.getstate()
 
     linked = sample()
-    monkeypatch.setattr(exgraph, "all_periods_short", direct)
+    monkeypatch.setattr(exgraph, "_orbits_short", direct)
     assert sample() == linked
+    # the oracle was asked about every seed of the accepted graphs, and
+    # about the seeds of rejected draws besides
+    assert len(asked) > sum(len(vertices) for _, vertices, _ in linked[0])
+
+
+@pytest.mark.parametrize("pair", SPHERICAL_PAIRS)
+def test_every_sampled_graph_has_every_period_short(pair):
+    """The sampler's BFS admits only seeds with short orbits, so every graph
+    it returns passes the whole-graph check, which the sampler never runs."""
+    rng = random.Random(23)
+    B = spherical_matrix(*pair)
+    for _ in range(6):
+        _, g = exgraph.compatible_spherical_graph(B, rng)
+        assert g.closed and exgraph.all_periods_short(g)
 
 
 def old_compatible_spherical_graph(B, rng, vertex_cap=256, attempts=64):
