@@ -240,6 +240,10 @@ def cmd_rank2(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # an empty value would read as "not given" and run every default
+    for option, value in (("--levels", args.levels), ("--checks", args.checks)):
+        if value == "":
+            raise ParseError(f"{option} must not be empty")
     try:
         levels = [int(x) for x in args.levels.split(",")] if args.levels else None
     except ValueError:

@@ -39,10 +39,10 @@ class NotCosineForm(ValueError):
 class ExchangeMatrix:
     """Immutable skew-symmetric 3x3 matrix of FieldElems.
 
-    `_mutated[k]` memoises `mutate(self, k)`: the entries never change, so
-    the stored matrix is exact."""
+    `_mutated[k]` memoises `mutate(self, k)` and `_entry_keys` the result
+    of `entry_keys()`: the entries never change, so both are exact."""
 
-    __slots__ = ("level", "entries", "_key", "_mutated")
+    __slots__ = ("level", "entries", "_key", "_entry_keys", "_mutated")
     rank = 3
 
     def __init__(self, entries):
@@ -74,6 +74,7 @@ class ExchangeMatrix:
         self.level = level
         self.entries = tuple(lifted)
         self._key: Optional[str] = None
+        self._entry_keys: Optional[dict] = None
         self._mutated: list = [None] * 3
 
     @staticmethod
@@ -105,13 +106,16 @@ class ExchangeMatrix:
         return f"ExchangeMatrix(rank={self.rank}, level={self.level})"
 
     def entry_keys(self) -> dict:
-        """Key of each off-diagonal entry by index pair, in row-major order."""
-        return {
-            (i, j): e.key()
-            for i, row in enumerate(self.entries)
-            for j, e in enumerate(row)
-            if i != j
-        }
+        """Key of each off-diagonal entry by index pair, in row-major order.
+        The dict is built once per matrix and shared: do not modify it."""
+        if self._entry_keys is None:
+            self._entry_keys = {
+                (i, j): e.key()
+                for i, row in enumerate(self.entries)
+                for j, e in enumerate(row)
+                if i != j
+            }
+        return self._entry_keys
 
     def canonical_key(self) -> str:
         """Lexicographically minimal serialisation over simultaneous

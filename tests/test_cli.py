@@ -292,6 +292,8 @@ def test_verify_rejects_unknown_check_names(capsys, monkeypatch):
             "give one matrix source, got --sph and --entries",
         ),
         (["verify", "--levels", "5,x"], "--levels needs comma-separated integers, got '5,x'"),
+        (["verify", "--levels", ""], "--levels must not be empty"),
+        (["verify", "--checks", ""], "--checks must not be empty"),
     ],
 )
 def test_handled_errors_print_one_line_and_exit_2(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from quiverbelt import kernels
 from quiverbelt.cycfield import (
     FieldElem,
     GaloisMap,
@@ -77,6 +78,77 @@ def test_arithmetic_against_numeric_oracle():
             assert abs(embed(a * b) - embed(a) * embed(b)) < 1e-7
             if not b.is_zero():
                 assert abs(embed(a / b) - embed(a) / embed(b)) < 1e-7
+
+
+def coeff_draw(rng, deg):
+    """A coefficient vector mixing zeros, small entries and entries of 60
+    to 72 bits, of either sign."""
+    return tuple(
+        rng.choice((0, rng.randint(-9, 9), rng.choice((-1, 1)) * rng.randint(1 << 60, 1 << 72)))
+        for _ in range(deg)
+    )
+
+
+def naive_product(a, b, mu):
+    """a * b reduced modulo the monic `mu` by schoolbook division, without
+    the level's reduction rows."""
+    deg = len(mu) - 1
+    prod = [0] * (2 * deg - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for top in range(len(prod) - 1, deg - 1, -1):
+        lead = prod[top]
+        for i, m in enumerate(mu):
+            prod[top - deg + i] -= lead * m
+    return tuple(prod[:deg])
+
+
+def test_level_product_matches_the_convolution_and_reduction_loops():
+    rng = random.Random(22)
+    for d in range(2, 65):
+        ctx = level_context(d)
+        deg = ctx.deg
+        # straight-line code up to the degree cut, the loops above it
+        generated = ctx.product.__code__.co_filename == f"<product of degree {deg}>"
+        assert generated == (deg <= kernels.UNROLL_MAX_DEG)
+        zero, one = (0,) * deg, (1,) + (0,) * (deg - 1)
+        for _ in range(4):
+            a, b = coeff_draw(rng, deg), coeff_draw(rng, deg)
+            for x, y in ((a, b), (b, a), (a, a), (a, zero), (one, b)):
+                got = ctx.product(x, y)
+                assert type(got) is tuple
+                want = tuple(kernels.reduce_tail(kernels.poly_mul(x, y), ctx.pow_table, deg))
+                assert got == want == naive_product(x, y, ctx.mu)
+
+
+def assert_canonical(e, level):
+    deg = level_context(level).deg
+    assert e.level == level
+    assert type(e.num) is tuple and len(e.num) == deg
+    assert e.den > 0 and math.gcd(*e.num, e.den) == 1
+    assert e.den == 1 or any(e.num)
+    assert e == FieldElem(level, list(e.num), e.den)
+
+
+@pytest.mark.parametrize("level", [5, 7, 8, 15, 17, 27])
+def test_sums_differences_and_products_are_canonical(level):
+    # levels of degree 2, 3, 4, 4 (generated products), 8 and 9 (loops)
+    rng = random.Random(level)
+    deg = level_context(level).deg
+    for _ in range(12):
+        a = FieldElem(level, list(coeff_draw(rng, deg)), rng.choice((1, 2, 6, 1 << 61)))
+        b = FieldElem(level, list(coeff_draw(rng, deg)), rng.choice((1, 3, 6, a.den)))
+        for x, y in ((a, b), (a, a), (b, -b), (a, FieldElem.zero(level))):
+            nx, ny, dx, dy = x.num, y.num, x.den, y.den
+            for got, raw, den in (
+                (x + y, [p * dy + q * dx for p, q in zip(nx, ny)], dx * dy),
+                (x - y, [p * dy - q * dx for p, q in zip(nx, ny)], dx * dy),
+                (x * y, naive_product(nx, ny, level_context(level).mu), dx * dy),
+            ):
+                assert_canonical(got, level)
+                assert got == FieldElem(level, raw, den)
+        assert (a - a).num == (0,) * deg and (a - a).den == 1
 
 
 def bareiss_inverse(x):
