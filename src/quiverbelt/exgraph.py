@@ -314,10 +314,14 @@ def growth(initial, n_max: int) -> GrowthTable:
     return GrowthTable(table)
 
 
-def acyclic_belt(initial: PlanarSeed, steps: int) -> list[PlanarSeed]:
+def acyclic_belt(initial: PlanarSeed, steps: int) -> tuple[PlanarSeed, ...]:
     """The initial acyclic belt truncated to [-steps, steps]; entry `steps`
     is the initial seed, later entries follow source mutations, earlier
-    ones sink mutations."""
+    ones sink mutations.  The belt is memoised on `initial` per `steps`,
+    and it is a tuple, so no caller can change what the next one reads."""
+    belt = initial._cache.get(("belt", steps))
+    if belt is not None:
+        return belt
     sources, sinks = sources_and_sinks(initial.B)
     if not sources or not sinks:
         raise NotAcyclic("belt requires an acyclic seed")
@@ -339,7 +343,8 @@ def acyclic_belt(initial: PlanarSeed, steps: int) -> list[PlanarSeed]:
     for _ in range(steps):
         cur = step(cur, False)
         bwd.append(cur)
-    return list(reversed(bwd)) + fwd
+    belt = initial._cache["belt", steps] = tuple(reversed(bwd)) + tuple(fwd)
+    return belt
 
 
 @dataclass
@@ -371,10 +376,14 @@ def s_k_length(d: int, k: int) -> FieldElem:
 
 def lattice_report(graph: ExchangeGraphData, d: int) -> LatticeReport:
     """Collect translation witnesses among enumerated seeds, witness the
-    infinite-region generators of R, and compute exact Q-ranks."""
+    infinite-region generators of R, and compute exact Q-ranks.  `d` must
+    be the graph's level; any other raises ValueError before any work."""
+    level = graph.vertices[graph.initial_key].d
+    if d != level:
+        raise ValueError(f"lattice report at d={d} for a graph of level {level}")
     units = units_up_to_half(d)
     seeds = list(graph.vertices.values())
-    belt_e_class = seeds[0].chart.belt.dir_class if seeds else None
+    belt_e_class = seeds[0].chart.belt.dir_class
 
     # group by translation class and collect pairwise witnesses: distinct
     # vertices of one class differ by a nonzero translation
@@ -465,23 +474,28 @@ def quotient_census(graph: ExchangeGraphData):
     Returns (census, angle_triples) where census maps the canonical
     (angles, quiver-sign) class to the number of translation-congruence
     classes per belt side, and angle_triples is the set of occurring
-    unordered triples."""
+    unordered triples.  Both the class and the triple are functions of a
+    seed's `translation_class` shape, so they are read once per shape;
+    `orientation_tag` is memoised per shape and belt offset."""
     census: dict = {}
     triples = set()
+    classes: dict = {}  # shape -> (angles, quiver-sign) class
     for seed in graph.vertices.values():
         if seed.kind != "triangle":
             continue
-        angle = seed.angle_triple()
-        signs = seed.B.sign_pattern()
-        cls = min(
-            (
-                tuple(angle[p[i]] for i in range(3)),
-                tuple(signs[p[i]][p[j]] for i in range(3) for j in range(3) if i != j),
-            )
-            for p in PERMS3
-        )
-        triples.add(tuple(sorted(angle)))
         shape = translation_class(seed)[0]
+        cls = classes.get(shape)
+        if cls is None:
+            angle = seed.angle_triple()
+            signs = seed.B.sign_pattern()
+            cls = classes[shape] = min(
+                (
+                    tuple(angle[p[i]] for i in range(3)),
+                    tuple(signs[p[i]][p[j]] for i in range(3) for j in range(3) if i != j),
+                )
+                for p in PERMS3
+            )
+            triples.add(tuple(sorted(angle)))
         tag = orientation_tag(seed)
         bucket = census.setdefault(cls, {})
         bucket.setdefault(tag, set()).add(shape)

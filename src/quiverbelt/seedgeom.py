@@ -90,11 +90,16 @@ class BeltLine:
 
 @dataclass(frozen=True)
 class PlanarChart:
-    """Ambient data shared by every seed of one realisation."""
+    """Ambient data shared by every seed of one realisation.
+
+    `_memo` holds the translation-invariant predicates (`t_invariant`,
+    `feet_on_belt`, `orientation_tag`) per translation class; see
+    `_per_class`."""
 
     d: int
     belt: BeltLine
     t0: FieldElem
+    _memo: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
 
     @cached_property
     def belt_cross_signs(self) -> tuple[int, ...]:
@@ -493,9 +498,47 @@ def _rebuild(chart, lines, inner, B, kept, k) -> PlanarSeed:
 # -- invariants ----------------------------------------------------------------
 
 
+def _per_class(s: PlanarSeed, compute, across: bool):
+    """compute(s), memoised on the chart per translation class.
+
+    Two seeds of one chart whose `translation_class` shapes agree are
+    translates up to relabelling, so a value that neither a translation
+    nor a relabelling changes is one per shape.  With `across`, the key
+    also holds the anchor's offset across the belt (`_belt_offset`): for
+    values that read where the seed lies relative to the belt.  Seeds
+    with one shape and one offset differ by a translation along the
+    belt, which maps the belt onto itself.  An exception propagates and
+    nothing is stored."""
+    shape = translation_class(s)[0]
+    key = (compute, shape, _belt_offset(s)) if across else (compute, shape)
+    memo = s.chart._memo
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = compute(s)
+    return value
+
+
+def _belt_offset(s: PlanarSeed) -> FieldElem:
+    """cross_q(e, anchor - base) for the anchor of `translation_class(s)`
+    and the belt (base, e); cached on the seed."""
+    offset = s._cache.get("offset")
+    if offset is None:
+        belt = s.chart.belt
+        offset = s._cache["offset"] = cross_q(belt.e, translation_class(s)[1] - belt.base)
+    return offset
+
+
 def t_invariant(s: PlanarSeed) -> FieldElem:
     """The conserved quantity: finite side length times the sines of its two
-    adjacent angles."""
+    adjacent angles.  It reads only side lengths and angles, so it is
+    computed once per translation class of the chart (`_per_class`)."""
+    return _per_class(s, _t_invariant, across=False)
+
+
+def _t_invariant(s: PlanarSeed) -> FieldElem:
+    """`t_invariant` computed from s itself.  For a triangle, side 0's
+    length times the sines of the angles at its ends is 2R sin A sin B
+    sin C by the law of sines, whichever side is side 0."""
     d = s.d
     if s.kind == "triangle":
         i = 0
@@ -558,7 +601,15 @@ def designated_feet(s: PlanarSeed) -> list[PlanarPoint]:
 
 def feet_on_belt(s: PlanarSeed) -> bool:
     """Whether every designated altitude foot lies exactly on the belt; for
-    regions the finite side must also be parallel to it."""
+    regions the finite side must also be parallel to it.  Computed once
+    per translation class and offset across the belt (`_per_class`): a
+    translation along the belt moves the feet along it, and the feet
+    ignore relabelling."""
+    return _per_class(s, _feet_on_belt, across=True)
+
+
+def _feet_on_belt(s: PlanarSeed) -> bool:
+    """`feet_on_belt` computed from s itself."""
     belt = s.chart.belt
     if s.kind == "region":
         f = s.finite_side_index()
@@ -650,7 +701,14 @@ def orientation_tag(s: PlanarSeed) -> int:
 
     Acyclic triangles are tagged by their middle side's midpoint, obtuse
     triangles by the centroid, regions by the finite side (falling back to
-    a point pushed along the rays when the side lies on the belt)."""
+    a point pushed along the rays when the side lies on the belt).
+    Computed once per translation class and offset across the belt
+    (`_per_class`), as for `feet_on_belt`."""
+    return _per_class(s, _orientation_tag, across=True)
+
+
+def _orientation_tag(s: PlanarSeed) -> int:
+    """`orientation_tag` computed from s itself."""
     belt = s.chart.belt
     if s.kind == "triangle":
         source, sink = _source_sink(s.B)

@@ -368,6 +368,23 @@ def test_acyclic_belt_structure():
             assert all(s.angle_triple() == (1, 1, 1) for s in belt)
 
 
+def test_acyclic_belt_is_memoised_and_cannot_be_changed_by_a_caller():
+    s = initial_seed(5)
+    belt = exgraph.acyclic_belt(s, 4)
+    assert isinstance(belt, tuple) and len(belt) == 9
+    with pytest.raises(TypeError):
+        belt[0] = belt[1]
+    mine = list(belt)
+    mine.reverse()
+    mine.append(s)
+    again = exgraph.acyclic_belt(s, 4)
+    assert again is belt and len(again) == 9 and again[4] is s
+    walked = exgraph.acyclic_belt(initial_seed(5), 4)
+    assert [x.canonical_key() for x in again] == [x.canonical_key() for x in walked]
+    # each length is its own walk, and the shorter one is the middle part
+    assert exgraph.acyclic_belt(s, 2) == belt[2:7]
+
+
 def test_acyclic_belt_rejects_a_cyclic_seed():
     # the obtuse triangles of the d=5 window carry cyclic quivers
     obtuse = next(
@@ -406,6 +423,17 @@ def test_lattice_report_counts_only_witnessed_generators(depth, rank):
     rep = exgraph.lattice_report(graph(5, depth), 5)
     assert rep.rank_r == rank == len(rep.generator_lengths)
     assert rep.rank_observed == rank
+
+
+def test_lattice_report_refuses_another_level_before_any_work(monkeypatch):
+    g = graph(5, 4)
+
+    def untouched(seed):
+        raise AssertionError("the report read a seed")
+
+    monkeypatch.setattr(exgraph, "translation_class", untouched)
+    with pytest.raises(ValueError, match=r"d=10 .* level 5"):
+        exgraph.lattice_report(g, 10)
 
 
 def test_lattice_report_even():

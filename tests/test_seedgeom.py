@@ -32,7 +32,10 @@ from quiverbelt.seedgeom import (
     DegeneratePositivity,
     PlanarSeed,
     UnsupportedRegion,
+    _feet_on_belt,
+    _orientation_tag,
     _source_sink,
+    _t_invariant,
     _witness_signs,
     designated_feet,
     feet_on_belt,
@@ -610,7 +613,9 @@ def _deep_window(d):
 
 
 def _searched_census(graph):
-    """quotient_census with its shapes read from the anchored key."""
+    """quotient_census with its shapes read from the anchored key and
+    its class, triple and orientation tag from every seed, the tag by the
+    unmemoised body."""
     census, triples = {}, set()
     for seed in graph.vertices.values():
         if seed.kind != "triangle":
@@ -626,7 +631,7 @@ def _searched_census(graph):
         )
         triples.add(tuple(sorted(angle)))
         tags = census.setdefault(cls, {})
-        tags.setdefault(orientation_tag(seed), set()).add(_anchored_key(seed))
+        tags.setdefault(_orientation_tag(seed), set()).add(_anchored_key(seed))
     counts = {
         cls: {tag: len(shapes) for tag, shapes in tags.items()}
         for cls, tags in census.items()
@@ -664,3 +669,65 @@ def test_lattice_report_and_census_match_the_relabelling_search(d):
             exgraph.quotient_census(graph)
         return
     assert exgraph.quotient_census(graph) == census
+
+
+# each memoised predicate with its direct body
+PREDICATES = (
+    (t_invariant, _t_invariant),
+    (feet_on_belt, _feet_on_belt),
+    (orientation_tag, _orientation_tag),
+)
+
+
+def _outcome(fn, s):
+    try:
+        return fn(s)
+    except UnsupportedRegion as exc:
+        return type(exc)
+
+
+def _assert_memo_matches_direct(seeds):
+    for s in seeds:
+        for memoised, direct in PREDICATES:
+            assert _outcome(memoised, s) == _outcome(direct, s)
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+@pytest.mark.parametrize("offset", (0, 1))
+def test_memoised_predicates_match_the_direct_ones(d, offset):
+    """t_invariant, feet_on_belt and orientation_tag read the chart's memo
+    per translation class (and belt offset); every answer must be the
+    direct one: on a fresh window, on fresh copies with no cached class,
+    on belt mirrors, and on translates moved off the belt to either side,
+    which share their shape with a window seed but not its offset."""
+    steps = 6 * offset
+    start = exgraph.acyclic_belt(initial_seed(d), steps)[steps + 6 * offset]
+    seeds = list(exgraph.bfs(start, depth_limit=8).vertices.values())
+    memo = start.chart._memo
+    assert not memo
+    _assert_memo_matches_direct(seeds)
+    # the memo answered most seeds: one entry per class, not per seed
+    assert 0 < len(memo) < len(seeds)
+    filled = len(memo)
+    copies = [PlanarSeed(*_fields(s)) for s in seeds]
+    _assert_memo_matches_direct(copies)
+    assert len(memo) == filled
+    _assert_memo_matches_direct(reflect_across_belt(s) for s in seeds)
+    off = from_rationals(d, 0, 100)
+    assert not cross_q(start.chart.belt.e, off).is_zero()
+    moved = random.Random(d).sample(seeds, 12)
+    translates = [s.translate(w) for s in moved for w in (off, -off)]
+    _assert_memo_matches_direct(translates)
+    assert not any(map(feet_on_belt, translates))
+    assert {orientation_tag(t) for t in translates} == {-1, 1}
+
+
+def test_memo_keeps_no_exception():
+    # the d = 4 window holds a triangle whose orientation tag degenerates;
+    # asking twice must raise twice, and nothing is stored for it
+    seeds = exgraph.bfs(initial_seed(4), depth_limit=6).vertices.values()
+    bad = next(s for s in seeds if _outcome(_orientation_tag, s) is UnsupportedRegion)
+    for _ in range(2):
+        with pytest.raises(UnsupportedRegion):
+            orientation_tag(bad)
+    assert _orientation_tag not in {key[0] for key in bad.chart._memo}
