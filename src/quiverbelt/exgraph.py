@@ -591,17 +591,13 @@ def _orbits_short(seed: SphericalSeed) -> bool:
     The oracle tests pin what is not derived here: the third vector and
     b_im, b_jm return with the pair.  A zero (v, u) raises, as in mutation.
     The rule reads signs of the pairings the seed carries and computes no
-    product."""
+    product; k, l and the orientation of each pair come from the matrix,
+    once per matrix (`ExchangeMatrix.rank2_forms`)."""
     signs = [p.sign() for p in seed.ref_pairings]
     if 0 in signs:
         raise DegeneratePositivity("reference point orthogonal to a vector")
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        b = seed.B[i, j]
-        if b.is_zero():
-            continue
-        k, l = entry_cosine_form(b)
+    for i, j, k, l, first, second in seed.B.rank2_forms():
         a = k if seed.pairing(i, j).sign() < 0 else l - k
-        first, second = (i, j) if b.sign() > 0 else (j, i)
         if period_formula(a, l, signs[first] < 0, signs[second] < 0) != l + 2 * k:
             return False
     return True

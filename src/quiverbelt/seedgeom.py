@@ -243,26 +243,26 @@ class PlanarSeed:
 
     def canonical_key(self) -> str:
         """The least serialisation over index relabellings; `key_perm()`
-        then names a relabelling that attains it."""
+        then names a relabelling that attains it.  The serialisation is the
+        kind, then one string per vertex slot (its point's key, "inf" for
+        the infinite slot), the side classes, the ray and the arrows, so
+        `_least_serial` builds only the one that wins."""
         key = self._cache.get("key")
         if key is None:
-            # element keys once, then the least serialisation over PERMS3
             verts = ["inf" if v is None else v.key() for v in self.vertices]
             dirs = [str(m) for m in self.side_dirs]
             ray = self.ray.key() if self.ray is not None else "-"
             arrows = self.B.entry_keys()
-            serials = [
-                ";".join(
+            key, self._cache["perm"] = _least_serial(
+                verts,
+                lambda p: ";".join(
                     [self.kind]
                     + [verts[p[i]] for i in range(3)]
                     + [dirs[p[i]] for i in range(3)]
                     + [ray]
                     + [arrows[p[i], p[j]] for i, j in arrows]
-                )
-                for p in PERMS3
-            ]
-            key = min(serials)
-            self._cache["perm"] = serials.index(key)
+                ),
+            )
             self._cache["key"] = key
         return key
 
@@ -287,6 +287,30 @@ class PlanarSeed:
         return PlanarSeed(
             self.chart, self.kind, verts, self.side_dirs, self.ray, self.B
         )
+
+
+def _least_serial(slots, serial) -> tuple[str, int]:
+    """(key, r): the least of `serial(p)` over p in PERMS3, and the index r
+    in PERMS3 of the first p that attains it.
+
+    `serial(p)` must begin with a fixed prefix followed by slots[p[0]],
+    slots[p[1]] and slots[p[2]], each ended by ";", and no slot string may
+    contain ";".  Two serialisations then first differ inside the first
+    slot where they differ, and compare as those slots do with ";"
+    appended: "a/6" sorts after "a/67" because ";" follows the digits.  So
+    when the three slot strings differ, the least serialisation is the
+    relabelling that sorts them, and only that one is built.  When two
+    slots tie, all six are built and compared."""
+    a, b, c = (x + ";" for x in slots)
+    if a == b or a == c or b == c:
+        serials = [serial(p) for p in PERMS3]
+        key = min(serials)
+        return key, serials.index(key)
+    if a < b:
+        r = 0 if b < c else 1 if a < c else 4
+    else:
+        r = 2 if a < c else 3 if b < c else 5
+    return serial(PERMS3[r]), r
 
 
 # -- initial seeds --------------------------------------------------------------
@@ -731,6 +755,31 @@ def _orientation_tag(s: PlanarSeed) -> int:
     return tag
 
 
+def cyclic_orientation(s: PlanarSeed) -> int:
+    """Geometric orientation of a triangle with a cyclic quiver: the arrow
+    cycle traced through side midpoints, as a signed area.  It reads only
+    differences of midpoints, and a relabelling moves the arrows with the
+    sides, so the cycle only starts at another side; it is computed once
+    per translation class of the chart (`_per_class`)."""
+    return _per_class(s, _cyclic_orientation, across=False)
+
+
+def _cyclic_orientation(s: PlanarSeed) -> int:
+    """`cyclic_orientation` computed from s itself."""
+    signs = s.B.sign_pattern()
+    succ = {}
+    for i in range(3):
+        for j in range(3):
+            if i != j and signs[i][j] > 0:
+                succ[i] = j
+    order = [0, succ[0], succ[succ[0]]]
+    mids = []
+    for i in order:
+        a, b = s.endpoints_of_side(i)
+        mids.append(midpoint(a, b))
+    return cross_q(mids[1] - mids[0], mids[2] - mids[0]).sign()
+
+
 # -- quadratic-space (spherical) seeds ------------------------------------------
 
 
@@ -788,20 +837,21 @@ class SphericalSeed:
 
     def canonical_key(self) -> str:
         """The least serialisation over index relabellings; `key_perm()`
-        then names a relabelling that attains it."""
+        then names a relabelling that attains it.  The serialisation is one
+        string per slot (its vector's three coordinate keys) and then the
+        arrows, so `_least_serial` builds only the one that wins."""
         if not self._key:
-            # element keys once, then the least serialisation over PERMS3
-            coords = [[c.key() for c in v] for v in self.vectors]
+            slots = [";".join([c.key() for c in v]) for v in self.vectors]
             arrows = self.B.entry_keys()
-            serials = [
-                ";".join(
-                    [k for i in range(3) for k in coords[p[i]]]
-                    + [arrows[p[i], p[j]] for i, j in arrows]
+            self._key.extend(
+                _least_serial(
+                    slots,
+                    lambda p: ";".join(
+                        [slots[p[0]], slots[p[1]], slots[p[2]]]
+                        + [arrows[p[i], p[j]] for i, j in arrows]
+                    ),
                 )
-                for p in PERMS3
-            ]
-            key = min(serials)
-            self._key.extend((key, serials.index(key)))
+            )
         return self._key[0]
 
     def key_perm(self) -> int:

@@ -32,7 +32,7 @@ from quiverbelt.cycfield import (
 )
 from quiverbelt.exmatrix import SPHERICAL_PAIRS, sources_and_sinks, spherical_matrix
 from quiverbelt.intpoly import euler_totient, watkins_zeitlin_check
-from quiverbelt.planegeom import cross_q, length_along, midpoint
+from quiverbelt.planegeom import length_along
 
 
 @dataclass
@@ -109,57 +109,106 @@ def check_rank2_periods(**_) -> CheckResult:
 
 
 def _float_oracle_count(w1: float, w2: float, lam, cap: int):
-    """Independent brute-force BFS over floating-point seed data."""
-    G = [[2.0, -abs(w1), 0.0], [-abs(w1), 2.0, -abs(w2)], [0.0, -abs(w2), 2.0]]
-    B0 = ((0.0, w1, 0.0), (-w1, 0.0, w2), (0.0, -w2, 0.0))
+    """Independent brute-force BFS over floating-point seed data: the seed
+    count of the class of the path quiver (w1, w2) from reference weights
+    `lam`, None once more than `cap` seeds turn up, and ArithmeticError at
+    a degenerate reference.
+
+    It is written out straight, but with the same float operations in the
+    same order as the loop version that `tests/test_spherical.py` keeps as
+    its reference, so the two return the same results.  The bilinear form
+    is the left-associative sum of its nine terms x_i G_ij y_j, i then j,
+    starting from 0; the reference pairing likewise sums v_i lam_i.  A key
+    rounds the nine coordinates and the six off-diagonal entries to 7
+    places and takes the least relabelling of the rounded data: the
+    rounded vectors in sorted order when they differ, the least of all six
+    relabellings when two of them are equal."""
+    g01 = -abs(w1)
+    g12 = -abs(w2)
+    lam0, lam1, lam2 = lam
     perms = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 
     def pair(x, y):
-        return sum(x[i] * G[i][j] * y[j] for i in range(3) for j in range(3))
-
-    def key(vs, B):
-        # round each coordinate and entry once, then relabel the rounded data
-        vs = [tuple(round(c, 7) + 0.0 for c in v) for v in vs]
-        B = [[round(x, 7) + 0.0 for x in row] for row in B]
-        return min(
-            vs[p[0]]
-            + vs[p[1]]
-            + vs[p[2]]
-            + tuple(B[p[i]][p[j]] for i in range(3) for j in range(3) if i != j)
-            for p in perms
+        x0, x1, x2 = x
+        y0, y1, y2 = y
+        return (
+            0
+            + x0 * 2.0 * y0
+            + x0 * g01 * y1
+            + x0 * 0.0 * y2
+            + x1 * g01 * y0
+            + x1 * 2.0 * y1
+            + x1 * g12 * y2
+            + x2 * 0.0 * y0
+            + x2 * g12 * y1
+            + x2 * 2.0 * y2
         )
 
+    def key(vs, B):
+        r = [(round(a, 7) + 0.0, round(b, 7) + 0.0, round(c, 7) + 0.0) for a, b, c in vs]
+        (_, b01, b02), (b10, _, b12), (b20, b21, _) = B
+        R = (
+            (None, round(b01, 7) + 0.0, round(b02, 7) + 0.0),
+            (round(b10, 7) + 0.0, None, round(b12, 7) + 0.0),
+            (round(b20, 7) + 0.0, round(b21, 7) + 0.0, None),
+        )
+
+        def relabelled(p):
+            p0, p1, p2 = p
+            return r[p0] + r[p1] + r[p2] + (
+                R[p0][p1], R[p0][p2], R[p1][p0], R[p1][p2], R[p2][p0], R[p2][p1]
+            )
+
+        a, b, c = r
+        if a == b or a == c or b == c:
+            return min(relabelled(p) for p in perms)
+        if a < b:
+            p = (0, 1, 2) if b < c else (0, 2, 1) if a < c else (2, 0, 1)
+        else:
+            p = (1, 0, 2) if a < c else (1, 2, 0) if b < c else (2, 1, 0)
+        return relabelled(p)
+
     def mutate_b(B, k):
-        out = [[0.0] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    continue
-                if i == k or j == k:
-                    out[i][j] = -B[i][j]
-                else:
-                    out[i][j] = B[i][j] + (
-                        B[i][k] * abs(B[k][j]) + abs(B[i][k]) * B[k][j]
-                    ) / 2
-        return tuple(tuple(r) for r in out)
+        (_, b01, b02), (b10, _, b12), (b20, b21, _) = B
+        if k == 0:
+            return (
+                (0.0, -b01, -b02),
+                (-b10, 0.0, b12 + (b10 * abs(b02) + abs(b10) * b02) / 2),
+                (-b20, b21 + (b20 * abs(b01) + abs(b20) * b01) / 2, 0.0),
+            )
+        if k == 1:
+            return (
+                (0.0, -b01, b02 + (b01 * abs(b12) + abs(b01) * b12) / 2),
+                (-b10, 0.0, -b12),
+                (b20 + (b21 * abs(b10) + abs(b21) * b10) / 2, -b21, 0.0),
+            )
+        return (
+            (0.0, b01 + (b02 * abs(b21) + abs(b02) * b21) / 2, -b02),
+            (b10 + (b12 * abs(b20) + abs(b12) * b20) / 2, 0.0, -b12),
+            (-b20, -b21, 0.0),
+        )
 
     def mut(vs, B, k):
-        s = -sum(vs[k][i] * lam[i] for i in range(3))
+        v = vs[k]
+        v0, v1, v2 = v
+        s = -(0 + v0 * lam0 + v1 * lam1 + v2 * lam2)
         if abs(s) < 1e-9:
             raise ArithmeticError("degenerate reference")
         positive = s < 0
         nv = list(vs)
-        nv[k] = tuple(-c for c in vs[k])
+        nv[k] = (-v0, -v1, -v2)
         for i in range(3):
             if i == k:
                 continue
             bs = B[i][k]
             reflect = (bs < -1e-12) if positive else (bs > 1e-12)
             if reflect:
-                f = pair(vs[i], vs[k])
-                nv[i] = tuple(vs[i][t] - f * vs[k][t] for t in range(3))
+                f = pair(vs[i], v)
+                x0, x1, x2 = vs[i]
+                nv[i] = (x0 - f * v0, x1 - f * v1, x2 - f * v2)
         return tuple(nv), mutate_b(B, k)
 
+    B0 = ((0.0, w1, 0.0), (-w1, 0.0, w2), (0.0, -w2, 0.0))
     start = (((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), B0)
     seen = {key(*start)}
     queue = deque([start])
@@ -264,23 +313,6 @@ def check_independence_ranks(**_) -> CheckResult:
     )
 
 
-def _cyclic_orientation(seed) -> int:
-    """Geometric orientation of a cyclic quiver: the arrow cycle traced
-    through side midpoints, as a signed area."""
-    signs = seed.B.sign_pattern()
-    succ = {}
-    for i in range(3):
-        for j in range(3):
-            if i != j and signs[i][j] > 0:
-                succ[i] = j
-    order = [0, succ[0], succ[succ[0]]]
-    mids = []
-    for i in order:
-        a, b = seed.endpoints_of_side(i)
-        mids.append(midpoint(a, b))
-    return cross_q(mids[1] - mids[0], mids[2] - mids[0]).sign()
-
-
 def check_affine_invariants(levels=(3, 5, 7), **_) -> CheckResult:
     """T conserved along edges, feet on the belt, acute iff acyclic,
     the orientation rule, and translation witnesses parallel to the belt."""
@@ -317,7 +349,7 @@ def check_affine_invariants(levels=(3, 5, 7), **_) -> CheckResult:
         for s in graph.vertices.values():
             if s.kind == "triangle" and s.is_obtuse():
                 tag = seedgeom.orientation_tag(s)
-                orient = _cyclic_orientation(s)
+                orient = seedgeom.cyclic_orientation(s)
                 if tag in expected and expected[tag] != orient:
                     problems.append(f"d={d}: obtuse orientation inconsistent")
                     break

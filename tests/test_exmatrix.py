@@ -276,6 +276,42 @@ def test_all_class_entries_are_cosines():
     assert result.class_size == 576 and result.closed
 
 
+def fresh_rank2_forms(B):
+    """`ExchangeMatrix.rank2_forms` computed entry by entry, as
+    `_orbits_short` read them before they were memoised on the matrix."""
+    forms = []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        b = B[i, j]
+        if b.is_zero():
+            continue
+        k, l = entry_cosine_form(b)
+        first, second = (i, j) if b.sign() > 0 else (j, i)
+        forms.append((i, j, k, l, first, second))
+    return tuple(forms)
+
+
+def test_rank2_forms_match_a_fresh_computation():
+    finite = [spherical_matrix(*pair) for pair in SPHERICAL_PAIRS]
+    checked = 0
+    for B in finite + [initial_seed(d).B for d in range(3, 21)]:
+        members, witness = mutation_class(B)
+        assert witness is None
+        for m in members.values():
+            forms = m.rank2_forms()
+            assert forms == fresh_rank2_forms(m)
+            assert m.rank2_forms() is forms  # built once per matrix
+            checked += 1
+    assert checked > 100
+
+
+def test_rank2_forms_store_nothing_when_an_entry_is_no_cosine():
+    B = ExchangeMatrix.from_upper(3, 0, cos_multiple(5, 1))
+    for _ in range(2):
+        with pytest.raises(NotCosineForm):
+            B.rank2_forms()
+    assert B._rank2_forms is None
+
+
 @pytest.mark.parametrize("pair", SPHERICAL_PAIRS, ids=str)
 def test_mutation_class_builds_one_matrix_per_mutation(pair, monkeypatch):
     B = spherical_matrix(*pair)

@@ -1,12 +1,15 @@
 import dataclasses
 import random
+from collections import deque
 from fractions import Fraction
+from math import cos, pi
 
 import pytest
 
 from quiverbelt import exgraph, verification
 from quiverbelt.cycfield import FieldElem
 from quiverbelt.exmatrix import (
+    PERMS3,
     SPHERICAL_PAIRS,
     ExchangeMatrix,
     mutate,
@@ -253,6 +256,101 @@ def test_orbits_short_computes_no_product(pair, monkeypatch):
     assert all(exgraph._orbits_short(seed) for seed in g.vertices.values())
 
 
+def loop_float_oracle_count(w1, w2, lam, cap):
+    """`verification._float_oracle_count` as it was written with loops,
+    sums and a six-way minimum per key: the reference for the straight-line
+    version."""
+    G = [[2.0, -abs(w1), 0.0], [-abs(w1), 2.0, -abs(w2)], [0.0, -abs(w2), 2.0]]
+    B0 = ((0.0, w1, 0.0), (-w1, 0.0, w2), (0.0, -w2, 0.0))
+    perms = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+
+    def pair(x, y):
+        return sum(x[i] * G[i][j] * y[j] for i in range(3) for j in range(3))
+
+    def key(vs, B):
+        vs = [tuple(round(c, 7) + 0.0 for c in v) for v in vs]
+        B = [[round(x, 7) + 0.0 for x in row] for row in B]
+        return min(
+            vs[p[0]]
+            + vs[p[1]]
+            + vs[p[2]]
+            + tuple(B[p[i]][p[j]] for i in range(3) for j in range(3) if i != j)
+            for p in perms
+        )
+
+    def mutate_b(B, k):
+        out = [[0.0] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(3):
+                if i == j:
+                    continue
+                if i == k or j == k:
+                    out[i][j] = -B[i][j]
+                else:
+                    out[i][j] = B[i][j] + (
+                        B[i][k] * abs(B[k][j]) + abs(B[i][k]) * B[k][j]
+                    ) / 2
+        return tuple(tuple(r) for r in out)
+
+    def mut(vs, B, k):
+        s = -sum(vs[k][i] * lam[i] for i in range(3))
+        if abs(s) < 1e-9:
+            raise ArithmeticError("degenerate reference")
+        positive = s < 0
+        nv = list(vs)
+        nv[k] = tuple(-c for c in vs[k])
+        for i in range(3):
+            if i == k:
+                continue
+            bs = B[i][k]
+            reflect = (bs < -1e-12) if positive else (bs > 1e-12)
+            if reflect:
+                f = pair(vs[i], vs[k])
+                nv[i] = tuple(vs[i][t] - f * vs[k][t] for t in range(3))
+        return tuple(nv), mutate_b(B, k)
+
+    start = (((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), B0)
+    seen = {key(*start)}
+    queue = deque([start])
+    while queue:
+        vs, B = queue.popleft()
+        for k in range(3):
+            nxt = mut(vs, B, k)
+            nk = key(*nxt)
+            if nk not in seen:
+                if len(seen) >= cap:
+                    return None
+                seen.add(nk)
+                queue.append(nxt)
+    return len(seen)
+
+
+def oracle_outcome(oracle, *args):
+    try:
+        return oracle(*args)
+    except ArithmeticError:
+        return ArithmeticError
+
+
+@pytest.mark.parametrize("pair", SPHERICAL_PAIRS, ids=str)
+def test_straight_line_float_oracle_matches_the_loops(pair):
+    """Counts, None at the cap and ArithmeticError alike, over 200 draws
+    from the check's box at the check's cap, plus draws with a zero weight
+    (a degenerate first mutation) and a cap below the closure."""
+    w1, w2 = 2 * cos(pi * pair[0]), 2 * cos(pi * pair[1])
+    expected = verification.FINITE_TYPE_COUNTS[pair]
+    rng = random.Random(f"{pair}")
+    draws = [[rng.uniform(-10, 10) for _ in range(3)] for _ in range(200)]
+    draws += [[0.0, 1.0, 2.0], [3.0, 0.0, -1.0], [-2.0, 5.0, 0.0]]
+    seen = set()
+    for cap in (expected + 8, expected - 1):
+        for lam in draws:
+            got = oracle_outcome(verification._float_oracle_count, w1, w2, lam, cap)
+            assert got == oracle_outcome(loop_float_oracle_count, w1, w2, lam, cap), lam
+            seen.add(got)
+    assert {None, ArithmeticError, expected} <= seen
+
+
 def test_finite_type_counts_fails_when_the_float_oracle_never_closes(monkeypatch):
     monkeypatch.setattr(verification, "_float_oracle_count", lambda *args, **kw: None)
     result = verification.check_finite_type_counts(seed=2024)
@@ -375,3 +473,56 @@ def test_initial_orbit_rejection_keeps_draws_and_graphs(monkeypatch):
         assert new_runs <= old_runs
         if rng_seed == 11000:
             assert new_runs < old_runs
+
+
+def six_serial_key(seed):
+    """(canonical key, key_perm) of a spherical seed as the least of all six
+    serialisations: the reference for the key built from slot order."""
+    coords = [[c.key() for c in v] for v in seed.vectors]
+    arrows = seed.B.entry_keys()
+    serials = [
+        ";".join(
+            [k for i in range(3) for k in coords[p[i]]]
+            + [arrows[p[i], p[j]] for i, j in arrows]
+        )
+        for p in PERMS3
+    ]
+    key = min(serials)
+    return key, serials.index(key)
+
+
+def built_key(seed):
+    fresh = dataclasses.replace(seed, _key=[])
+    return fresh.canonical_key(), fresh.key_perm()
+
+
+@pytest.mark.parametrize("pair", SPHERICAL_PAIRS, ids=str)
+def test_spherical_keys_match_the_six_serial_minimum(pair):
+    """On every seed of 30 sampled closures, and of a closed graph from an
+    incompatible reference point where the class has a small one."""
+    rng = random.Random(240)
+    B = spherical_matrix(*pair)
+    seeds = []
+    for _ in range(30):
+        _, g = exgraph.compatible_spherical_graph(B, rng)
+        seeds.extend(g.vertices.values())
+    for p, reference, compatible in REFERENCES:
+        if p == pair and not compatible:
+            seeds.extend(exgraph.bfs(spherical_seed(B, reference)).vertices.values())
+    for seed in seeds:
+        assert built_key(seed) == six_serial_key(seed)
+
+
+def test_spherical_key_with_two_equal_slots_takes_the_fallback():
+    """Two slots hold one vector, so the arrows decide between the two
+    relabellings that put the tied slots first."""
+    seed = spherical_seed(spherical_matrix(Fraction(1, 3), Fraction(2, 5)), (4, 2, 1))
+    seed = seed_mutate(seed_mutate(seed, 0), 1)
+    v0, v1, v2 = seed.vectors
+    perms = set()
+    for vectors in ((v0, v1, v0), (v1, v0, v0), (v0, v0, v1), (v2, v1, v2)):
+        tied = dataclasses.replace(seed, vectors=vectors, _key=[])
+        expected = six_serial_key(tied)
+        assert (tied.canonical_key(), tied.key_perm()) == expected
+        perms.add(expected[1])
+    assert len(perms) > 1
