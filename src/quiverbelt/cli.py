@@ -92,7 +92,7 @@ def parse_matrix_spec(text: str) -> ExchangeMatrix:
     entries = [parse_entry(p) for p in text.split(",") if p.strip()]
     if len(entries) != 3:
         raise ParseError("matrix spec needs 3 upper-triangle entries")
-    return ExchangeMatrix.from_upper(*entries)
+    return ExchangeMatrix(*entries)
 
 
 def load_matrix(path: str) -> ExchangeMatrix:

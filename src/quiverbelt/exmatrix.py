@@ -1,13 +1,15 @@
 """Skew-symmetric rank-3 exchange matrices with cosine weights and their
 mutation.
 
-Matrices are 3x3 and store exact field elements lifted to a common level.
-Mutation resolves the absolute values in the exchange rule through
-certified signs; `sources_and_sinks` reads the sources and sinks of the
-sign digraph for every caller.  Classification walks the mutation class
-(up to simultaneous index permutation) until it closes or meets an entry
-that is not +-2cos(pi k/l), which certifies an infinite class; a closed
-class is then named by its Markov constant and acyclic members.
+A matrix is built from its upper triangle b01, b02, b12 and stores all
+nine entries as exact field elements lifted to a common level, the lower
+triangle as the negated upper one.  Mutation changes one upper entry and
+negates the other two, resolving the absolute values in the exchange rule
+through certified signs.  `sources_and_sinks` reads the sources and sinks
+of the sign digraph for every caller.  Classification walks the mutation
+class (up to simultaneous index permutation) until it closes or meets an
+entry that is not +-2cos(pi k/l), which certifies an infinite class; a
+closed class is then named by its Markov constant and acyclic members.
 """
 
 from __future__ import annotations
@@ -37,7 +39,11 @@ class NotCosineForm(ValueError):
 
 
 class ExchangeMatrix:
-    """Immutable skew-symmetric 3x3 matrix of FieldElems.
+    """Immutable skew-symmetric 3x3 matrix of FieldElems, built from its
+    upper triangle b01, b02, b12 (each a FieldElem, an int or a Fraction):
+    the entries are lifted to the lcm of their levels (2 when all are
+    rational), the diagonal is zero and the lower triangle holds the
+    negated upper entries, so skew-symmetry holds by construction.
 
     `_mutated[k]` memoises `mutate(self, k)`, `_entry_keys` the result of
     `entry_keys()` and `_rank2_forms` that of `rank2_forms()`: the entries
@@ -46,49 +52,20 @@ class ExchangeMatrix:
     __slots__ = ("level", "entries", "_key", "_entry_keys", "_rank2_forms", "_mutated")
     rank = 3
 
-    def __init__(self, entries):
-        rows = [list(r) for r in entries]
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise ValueError("entries must form a 3x3 matrix")
-        level = 1
-        for r in rows:
-            for e in r:
-                if isinstance(e, FieldElem):
-                    level = lcm(level, e.level)
-        if level == 1:
-            level = 2
-        lifted = []
-        for r in rows:
-            out = []
-            for e in r:
-                if isinstance(e, FieldElem):
-                    out.append(e.lift(level))
-                else:
-                    out.append(FieldElem.from_rational(level, e))
-            lifted.append(tuple(out))
-        for i in range(3):
-            if not lifted[i][i].is_zero():
-                raise ValueError("diagonal entries must vanish")
-            for j in range(i + 1, 3):
-                if not (lifted[i][j] + lifted[j][i]).is_zero():
-                    raise ValueError("matrix must be skew-symmetric")
+    def __init__(self, b01, b02, b12):
+        upper = (b01, b02, b12)
+        level = max(2, lcm(*(e.level for e in upper if isinstance(e, FieldElem))))
+        a, b, c = (
+            e.lift(level) if isinstance(e, FieldElem) else FieldElem.from_rational(level, e)
+            for e in upper
+        )
+        zero = FieldElem.zero(level)
         self.level = level
-        self.entries = tuple(lifted)
+        self.entries = ((zero, a, b), (-a, zero, c), (-b, -c, zero))
         self._key: Optional[str] = None
         self._entry_keys: Optional[dict] = None
         self._rank2_forms: Optional[tuple] = None
         self._mutated: list = [None] * 3
-
-    @staticmethod
-    def from_upper(b12, b13, b23) -> "ExchangeMatrix":
-        """Build from the upper-triangle entries b12, b13, b23."""
-        return ExchangeMatrix(
-            [
-                [0, b12, b13],
-                [_neg(b12), 0, b23],
-                [_neg(b13), _neg(b23), 0],
-            ]
-        )
 
     def __getitem__(self, ij):
         i, j = ij
@@ -156,14 +133,13 @@ class ExchangeMatrix:
         return [[e.to_float() for e in row] for row in self.entries]
 
 
-def _neg(x):
-    if isinstance(x, FieldElem):
-        return -x
-    return -Fraction(x)
-
-
 def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """Matrix mutation at direction k (0-based); an involution.
+
+    Only the entry b_ij of the pair i < j without k can change: it gains
+    (b_ik|b_kj| + |b_ik|b_kj)/2, which is sign(b_ik) b_ik b_kj when the two
+    signs agree and 0 otherwise.  The two entries at k change sign; the
+    result is built from its upper triangle.
 
     The result is memoised on B.  The memo is forward only: mu_k(B) is not
     told that its own mutation at k is B."""
@@ -173,21 +149,15 @@ def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     if done is not None:
         return done
     e = B.entries
-    new = [list(row) for row in e]
-    # the upper triangle, mirrored: -b_ij is the stored b_ji
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if i == k or j == k:
-                new[i][j], new[j][i] = e[j][i], e[i][j]
-                continue
-            # (b_ik|b_kj| + |b_ik|b_kj)/2 is sign(b_ik) b_ik b_kj when the
-            # two signs agree and 0 otherwise
-            s = e[i][k].sign()
-            if s != 0 and s == e[k][j].sign():
-                prod = e[i][k] * e[k][j]
-                new[i][j] = e[i][j] + prod if s > 0 else e[i][j] - prod
-                new[j][i] = -new[i][j]
-    done = B._mutated[k] = ExchangeMatrix(new)
+    i, j = (x for x in range(3) if x != k)
+    b = e[i][j]
+    s = e[i][k].sign()
+    if s != 0 and s == e[k][j].sign():
+        prod = e[i][k] * e[k][j]
+        b = b + prod if s > 0 else b - prod
+    # the negation of an upper entry at k is its stored mirror
+    upper = [b if (p, q) == (i, j) else e[q][p] for p, q in ((0, 1), (0, 2), (1, 2))]
+    done = B._mutated[k] = ExchangeMatrix(*upper)
     return done
 
 
@@ -306,15 +276,16 @@ SPHERICAL_PAIRS = (
 
 def spherical_matrix(t1: Fraction, t2: Fraction) -> ExchangeMatrix:
     """Path-quiver normal form with weights 2cos(pi t1), 2cos(pi t2)."""
-    level = lcm(t1.denominator, t2.denominator)
+    # 2cos(0) and 2cos(pi) are rational, but field levels start at 2
+    level = max(2, lcm(t1.denominator, t2.denominator))
     w1 = cos_multiple(level, t1.numerator * (level // t1.denominator))
     w2 = cos_multiple(level, t2.numerator * (level // t2.denominator))
-    return ExchangeMatrix.from_upper(w1, FieldElem.zero(level), w2)
+    return ExchangeMatrix(w1, FieldElem.zero(level), w2)
 
 
 def markov_matrix() -> ExchangeMatrix:
     two = FieldElem.from_rational(2, 2)
-    return ExchangeMatrix.from_upper(two, -two, two)
+    return ExchangeMatrix(two, -two, two)
 
 
 def affine_normal_form(d: int) -> ExchangeMatrix:
@@ -322,7 +293,7 @@ def affine_normal_form(d: int) -> ExchangeMatrix:
     transversal meeting them at angle pi/d."""
     two = FieldElem.from_rational(d, 2)
     w = cos_multiple(d, 1)
-    return ExchangeMatrix.from_upper(two, -w, w)
+    return ExchangeMatrix(two, -w, w)
 
 
 def mutation_class(B: ExchangeMatrix):
@@ -441,4 +412,4 @@ def classify(B: ExchangeMatrix) -> ClassificationResult:
 def _lift_matrix(B: ExchangeMatrix, level: int) -> ExchangeMatrix:
     if B.level == level:
         return B
-    return ExchangeMatrix([[e.lift(level) for e in row] for row in B.entries])
+    return ExchangeMatrix(B[0, 1].lift(level), B[0, 2].lift(level), B[1, 2].lift(level))

@@ -15,11 +15,11 @@ space with a positive-definite quasi-Cartan Gram matrix; mutation is the
 usual partial-reflection rule with positivity read off a fixed interior
 reference point.
 
-Vertex i is always opposite side i; side i of a triangle joins the other
-two vertices.  An infinite region stores the two endpoints of its finite
-side in the vertex slots opposite the parallel sides, None in the slot
-opposite the finite side, and the unit ray direction of its parallel
-sides.
+Vertex i is always opposite side i: it lies on every side but side i, so
+side i's line holds the vertices in slots i+1 and i+2.  An infinite region
+stores the two endpoints of its finite side in the vertex slots opposite
+the parallel sides, None in the slot opposite the finite side, and the
+unit ray direction of its parallel sides.
 """
 
 from __future__ import annotations
@@ -131,16 +131,10 @@ class PlanarSeed:
         return next(i for i, v in enumerate(self.vertices) if v is None)
 
     def side_base(self, i: int) -> PlanarPoint:
-        """A point on side i's line."""
-        if self.kind == "triangle":
-            return self.vertices[(i + 1) % 3]
-        f = self.finite_side_index()
-        if i == f:
-            return next(v for v in self.vertices if v is not None)
-        # parallel side i passes through the endpoint stored opposite the
-        # other parallel side
-        other = next(j for j in range(3) if j != i and j != f)
-        return self.vertices[other]
+        """A point on side i's line: the first finite one of the vertices
+        in slots i+1 and i+2."""
+        a = self.vertices[(i + 1) % 3]
+        return a if a is not None else self.vertices[(i + 2) % 3]
 
     def interior_witness(self) -> PlanarPoint:
         w = self._cache.get("witness")
@@ -171,12 +165,11 @@ class PlanarSeed:
         return signs
 
     def endpoints_of_side(self, i: int) -> tuple[PlanarPoint, PlanarPoint]:
-        if self.kind == "triangle":
-            return self.vertices[(i + 1) % 3], self.vertices[(i + 2) % 3]
-        if i != self.finite_side_index():
+        """Vertex slots i+1 and i+2: side i's endpoints when both are finite."""
+        a, b = self.vertices[(i + 1) % 3], self.vertices[(i + 2) % 3]
+        if a is None or b is None:
             raise ValueError("side is infinite")
-        ends = [v for v in self.vertices if v is not None]
-        return ends[0], ends[1]
+        return a, b
 
     def angle_multiple(self, i: int) -> int:
         """Interior angle at vertex i as a multiple of pi/d, read off the
@@ -360,17 +353,13 @@ def initial_seed(d: int) -> PlanarSeed:
         apex = PlanarPoint(cos_value(d, 1), one)
         vertices = (p0, p1, apex)
         side_dirs = (n + 1, 1, 0)
-        B = ExchangeMatrix.from_upper(
-            cos_multiple(d, m), cos_multiple(d, m), cos_multiple(d, 1)
-        )
+        B = ExchangeMatrix(cos_multiple(d, m), cos_multiple(d, m), cos_multiple(d, 1))
         base = midpoint(p1, apex)
     else:
         top = PlanarPoint(one, cos_value(d, 1).inv())
         vertices = (p0, top, p1)
         side_dirs = (n, 0, 1)
-        B = ExchangeMatrix.from_upper(
-            zero, cos_multiple(d, m), -cos_multiple(d, 1)
-        )
+        B = ExchangeMatrix(zero, cos_multiple(d, m), -cos_multiple(d, 1))
         base = p1
     belt = BeltLine(base, m, -unit_dir(d, m))
     chart = PlanarChart(d, belt, sin_product(d, 1, n))
@@ -675,9 +664,7 @@ def translate_relabelled(s: PlanarSeed, r: int, w: PlanarPoint) -> PlanarSeed:
     matrices = s._cache.setdefault("relabelled", {0: s.B})
     B = matrices.get(r)
     if B is None:
-        B = matrices[r] = ExchangeMatrix(
-            [[s.B[p[i], p[j]] for j in range(3)] for i in range(3)]
-        )
+        B = matrices[r] = ExchangeMatrix(s.B[p[0], p[1]], s.B[p[0], p[2]], s.B[p[1], p[2]])
     kept = [s.vertices[p[a]] for a in range(3)]
     verts = tuple(None if v is None else v + w for v in kept)
     # the anchor is one of the vertices, so it moved with them

@@ -130,6 +130,18 @@ def test_classify_certifies_an_infinite_class(entries, capsys):
     assert "class: MutationInfinite" in out
 
 
+@pytest.mark.parametrize(
+    "pair, entries", [("0,0", "2,0,2"), ("1,1", "-2,0,-2"), ("0,1", "2,0,-2")]
+)
+def test_classify_sph_reads_whole_multiples_of_pi(pair, entries, capsys):
+    # 2cos(0) = 2 and 2cos(pi) = -2 are rational: their level is still 2
+    for fmt in ("text", "json"):
+        by_sph = run(["classify", "--sph", pair, "--format", fmt], capsys)
+        by_entries = run(["classify", f"--entries={entries}", "--format", fmt], capsys)
+        assert by_sph == by_entries and by_sph[0] == 0 and by_sph[2] == ""
+        assert "MutationInfinite" in by_sph[1]
+
+
 def test_enumerate_sph_counts(capsys):
     code, out, err = run(["enumerate", "--sph", "1/5,2/5"], capsys)
     assert code == 0
@@ -282,6 +294,7 @@ def test_verify_rejects_unknown_check_names(capsys, monkeypatch):
             ["enumerate", "--entries", "cos(1/3),0,0"],
             "Decomposable(weight=cos(1/3)) has no exchange graph to enumerate",
         ),
+        (["enumerate", "--sph", "0,0"], "MutationInfinite has no exchange graph to enumerate"),
         # a run takes one matrix source
         (
             ["enumerate", "--affine", "5", "--entries", "2,-2,2", "--depth", "2"],

@@ -172,7 +172,7 @@ def test_the_planar_step_keys_its_table_on_positivity(d, monkeypatch):
 def negated_quiver(d):
     """The initial triangle with its matrix negated: a positive sink."""
     s = initial_seed(d)
-    B = ExchangeMatrix([[-s.B[i, j] for j in range(3)] for i in range(3)])
+    B = ExchangeMatrix(-s.B[0, 1], -s.B[0, 2], -s.B[1, 2])
     return PlanarSeed(s.chart, s.kind, s.vertices, s.side_dirs, s.ray, B)
 
 
@@ -219,7 +219,7 @@ def test_bfs_matches_the_plain_bfs_on_spherical_closures(pair):
 
 def labelled_fields(seed, p):
     """The fields of `seed` relabelled so that slot i holds slot p[i]."""
-    B = ExchangeMatrix([[seed.B[p[i], p[j]] for j in range(3)] for i in range(3)])
+    B = ExchangeMatrix(seed.B[p[0], p[1]], seed.B[p[0], p[2]], seed.B[p[1], p[2]])
     if isinstance(seed, PlanarSeed):
         return (
             seed.chart,

@@ -59,21 +59,38 @@ def test_mutation_is_involution():
             assert mutate(mutate(B, k), k) == B
 
 
+def closed_class_members():
+    """Every `mutation_class` member of the five finite classes and of the
+    affine classes of initial_seed(d).B, d = 3..20."""
+    starts = [spherical_matrix(*pair) for pair in SPHERICAL_PAIRS]
+    for B in starts + [initial_seed(d).B for d in range(3, 21)]:
+        members, witness = mutation_class(B)
+        assert witness is None
+        yield from members.values()
+
+
 def test_skew_symmetry_preserved():
-    B = affine_normal_form(7)
-    for seq in ((0, 1, 2, 0), (2, 2, 1)):
-        cur = B
-        for k in seq:
-            cur = mutate(cur, k)
-            for i in range(3):
-                assert cur[i, i].is_zero()
-                for j in range(3):
-                    assert (cur[i, j] + cur[j, i]).is_zero()
+    """Skew-symmetry is an invariant of the type: a zero diagonal,
+    b_ji = -b_ij and the rebuild from the upper triangle hold on every
+    member of the closed classes and on its six relabellings."""
+    checked = 0
+    for m in closed_class_members():
+        for p in PERMS3:
+            r = ExchangeMatrix(m[p[0], p[1]], m[p[0], p[2]], m[p[1], p[2]])
+            for B in (m, r):
+                for i in range(3):
+                    assert B[i, i].is_zero()
+                    for j in range(3):
+                        assert B[j, i] == -B[i, j]
+                assert ExchangeMatrix(B[0, 1], B[0, 2], B[1, 2]) == B
+            assert all(r[i, j] == m[p[i], p[j]] for i in range(3) for j in range(3))
+            checked += 1
+    assert checked > 3000
 
 
 def test_acyclicity():
     zero = FieldElem.zero(5)
-    z3 = ExchangeMatrix.from_upper(zero, zero, zero)
+    z3 = ExchangeMatrix(zero, zero, zero)
     assert is_acyclic(z3)
     assert not is_acyclic(markov_matrix())
     for pair in SPHERICAL_PAIRS:
@@ -86,7 +103,7 @@ def test_markov_constant_values():
     # affine representative of Prop Classification (5) at t = pi/3
     w = cos_multiple(3, 1)
     two = FieldElem.from_rational(3, 2)
-    b = ExchangeMatrix([[0 * w, two, -w], [-two, 0 * w, w], [w, -w, 0 * w]])
+    b = ExchangeMatrix(two, -w, w)
     assert markov_constant(b) == 4
     assert markov_constant(spherical_matrix(Fraction(1, 3), Fraction(1, 3))) == 2
 
@@ -136,18 +153,14 @@ def test_classification_is_mutation_invariant():
 
 
 def test_hyperbolic_certificate():
-    big = ExchangeMatrix.from_upper(
-        cos_multiple(7, 1), FieldElem.zero(7), cos_multiple(7, 1)
-    )
+    big = ExchangeMatrix(cos_multiple(7, 1), FieldElem.zero(7), cos_multiple(7, 1))
     res = classify(big)
     assert res.kind == "mutation_infinite"
     assert (res.markov - 4).sign() > 0
 
 
 def test_a_witness_ends_the_walk_of_an_infinite_class():
-    big = ExchangeMatrix.from_upper(
-        cos_multiple(7, 1), cos_multiple(7, 2), cos_multiple(7, 3)
-    )
+    big = ExchangeMatrix(cos_multiple(7, 1), cos_multiple(7, 2), cos_multiple(7, 3))
     members, witness = mutation_class(big)
     assert witness is not None and len(members) <= 6
     with pytest.raises(NotCosineForm):
@@ -178,7 +191,7 @@ def census_matrices(d):
     values += [cos_multiple(d, k) for k in range(1, d)]
     found = {}
     for a, b, c, sign in product(values, values, values, (1, -1)):
-        B = ExchangeMatrix.from_upper(a, b, sign * c)
+        B = ExchangeMatrix(a, b, sign * c)
         isolated = any(
             B[v, w].is_zero() and B[v, x].is_zero()
             for v, w, x in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
@@ -196,9 +209,7 @@ def test_census_decides_every_class(d):
         res = classify(B)
         counts[res.kind] += 1
         p = PERMS3[rng.randrange(1, 6)]
-        relabelled = ExchangeMatrix(
-            [[B[p[i], p[j]] for j in range(3)] for i in range(3)]
-        )
+        relabelled = ExchangeMatrix(B[p[0], p[1]], B[p[0], p[2]], B[p[1], p[2]])
         for other in (mutate(B, rng.randrange(3)), relabelled):
             again = classify(other)
             assert (again.kind, again.pair, again.level, again.markov) == (
@@ -291,21 +302,17 @@ def fresh_rank2_forms(B):
 
 
 def test_rank2_forms_match_a_fresh_computation():
-    finite = [spherical_matrix(*pair) for pair in SPHERICAL_PAIRS]
     checked = 0
-    for B in finite + [initial_seed(d).B for d in range(3, 21)]:
-        members, witness = mutation_class(B)
-        assert witness is None
-        for m in members.values():
-            forms = m.rank2_forms()
-            assert forms == fresh_rank2_forms(m)
-            assert m.rank2_forms() is forms  # built once per matrix
-            checked += 1
+    for m in closed_class_members():
+        forms = m.rank2_forms()
+        assert forms == fresh_rank2_forms(m)
+        assert m.rank2_forms() is forms  # built once per matrix
+        checked += 1
     assert checked > 100
 
 
 def test_rank2_forms_store_nothing_when_an_entry_is_no_cosine():
-    B = ExchangeMatrix.from_upper(3, 0, cos_multiple(5, 1))
+    B = ExchangeMatrix(3, 0, cos_multiple(5, 1))
     for _ in range(2):
         with pytest.raises(NotCosineForm):
             B.rank2_forms()
@@ -318,9 +325,9 @@ def test_mutation_class_builds_one_matrix_per_mutation(pair, monkeypatch):
     built = []
     init = ExchangeMatrix.__init__
 
-    def counting_init(self, entries):
+    def counting_init(self, *entries):
         built.append(1)
-        init(self, entries)
+        init(self, *entries)
 
     monkeypatch.setattr(ExchangeMatrix, "__init__", counting_init)
     members, witness = mutation_class(B)

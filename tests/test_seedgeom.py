@@ -25,6 +25,7 @@ from quiverbelt.planegeom import (
     from_rationals,
     length_along,
     line_intersect,
+    planar_zero,
     reflect_point,
     unit_dir,
 )
@@ -49,6 +50,7 @@ from quiverbelt.seedgeom import (
     reflect_across_belt,
     side_length,
     t_invariant,
+    translate_relabelled,
     translation_between,
     translation_class,
 )
@@ -255,7 +257,7 @@ def test_initial_seed_lies_in_the_affine_class_of_its_level(d):
 def test_decomposable_classes_have_no_realisation():
     # vertex 1 has no arrows; the rank-2 factor on {0, 2} has weight 2cos(pi/7)
     w = cos_multiple(7, 1)
-    B = ExchangeMatrix.from_upper(FieldElem.zero(7), -w, FieldElem.zero(7))
+    B = ExchangeMatrix(FieldElem.zero(7), -w, FieldElem.zero(7))
     result = classify(B)
     assert result.kind == "decomposable" and result.weight == w
     assert str(result) == "Decomposable(weight=cos(1/7))"
@@ -493,9 +495,64 @@ def test_window_seeds_have_no_side_that_reflects_nothing(d):
     assert regions
 
 
+def _branched_side_base(s, i):
+    """`PlanarSeed.side_base` with a branch per kind of seed: the reference
+    for the one side rule."""
+    if s.kind == "triangle":
+        return s.vertices[(i + 1) % 3]
+    f = s.finite_side_index()
+    if i == f:
+        return next(v for v in s.vertices if v is not None)
+    other = next(j for j in range(3) if j != i and j != f)
+    return s.vertices[other]
+
+
+def _branched_endpoints_of_side(s, i):
+    """`PlanarSeed.endpoints_of_side` with a branch per kind of seed."""
+    if s.kind == "triangle":
+        return s.vertices[(i + 1) % 3], s.vertices[(i + 2) % 3]
+    if i != s.finite_side_index():
+        raise ValueError("side is infinite")
+    ends = [v for v in s.vertices if v is not None]
+    return ends[0], ends[1]
+
+
+@pytest.mark.parametrize("d", range(3, 13))
+def test_one_side_rule_matches_the_branch_per_kind(d):
+    """On the depth-8 window, its belt mirrors and the six relabellings of
+    each, so that regions have their infinite slot at every index.  The
+    rule differs only on the finite side of a region whose infinite slot
+    is 1: side_base picks vertex 2, on the same line as the old vertex 0,
+    and endpoints_of_side lists the same two vertices from slot 2 on."""
+    zero = planar_zero(d)
+    slots = set()
+    for seed in _window(d, 0):
+        for mirrored in (seed, reflect_across_belt(seed)):
+            for r in range(6):
+                s = translate_relabelled(mirrored, r, zero)
+                f = s.finite_side_index()
+                slots.add(f)
+                for i in range(3):
+                    new, old = s.side_base(i), _branched_side_base(s, i)
+                    moved = f == 1 and i == 1
+                    if moved:
+                        u = unit_dir(d, s.side_dirs[i])
+                        assert new != old and cross_q(u, new - old).is_zero()
+                    else:
+                        assert new == old
+                    try:
+                        ends = _branched_endpoints_of_side(s, i)
+                    except ValueError as exc:
+                        with pytest.raises(ValueError, match=str(exc)):
+                            s.endpoints_of_side(i)
+                        continue
+                    assert s.endpoints_of_side(i) == (ends[::-1] if moved else ends)
+    assert slots == {None, 0, 1, 2}
+
+
 def _negated(s):
     """The seed's region with every arrow reversed."""
-    B = ExchangeMatrix([[-e for e in row] for row in s.B.entries])
+    B = ExchangeMatrix(-s.B[0, 1], -s.B[0, 2], -s.B[1, 2])
     return PlanarSeed(s.chart, s.kind, s.vertices, s.side_dirs, s.ray, B)
 
 

@@ -148,7 +148,7 @@ def restricted_to(seed, i, j):
     rule reads a zero entry as a commuting pair, period 4, always short, so
     on this seed it decides the one pair (i, j)."""
     B = ExchangeMatrix(
-        [[seed.B[r, c] if {r, c} == {i, j} else 0 for c in range(3)] for r in range(3)]
+        *(seed.B[r, c] if {r, c} == {i, j} else 0 for r, c in ((0, 1), (0, 2), (1, 2)))
     )
     return dataclasses.replace(seed, B=B, _key=[])
 
