@@ -294,7 +294,6 @@ def test_verify_rejects_unknown_check_names(capsys, monkeypatch):
             ["enumerate", "--entries", "cos(1/3),0,0"],
             "Decomposable(weight=cos(1/3)) has no exchange graph to enumerate",
         ),
-        (["enumerate", "--sph", "0,0"], "MutationInfinite has no exchange graph to enumerate"),
         # a run takes one matrix source
         (
             ["enumerate", "--affine", "5", "--entries", "2,-2,2", "--depth", "2"],
@@ -307,6 +306,8 @@ def test_verify_rejects_unknown_check_names(capsys, monkeypatch):
         (["verify", "--levels", "5,x"], "--levels needs comma-separated integers, got '5,x'"),
         (["verify", "--levels", ""], "--levels must not be empty"),
         (["verify", "--checks", ""], "--checks must not be empty"),
+        # 2cos(0) = 2 is rational: --sph 0,0 reaches the class check
+        (["enumerate", "--sph", "0,0"], "MutationInfinite has no exchange graph to enumerate"),
     ],
 )
 def test_handled_errors_print_one_line_and_exit_2(
