@@ -8,10 +8,9 @@ Subcommands:
 
 A run takes one matrix source: --sph, --affine, --matrix or --entries.
 Matrix shorthand: entries are given as "cos(a/b)" meaning 2cos(a*pi/b),
-optionally signed, or as exact rationals ("3/2", "-1"); an inline matrix
-spec (--entries, or a --matrix file holding a JSON list) lists the upper
-triangle of the rank-3 matrix row-major as "b12,b13,b23", exactly three
-entries.
+optionally signed, or as exact rationals ("3/2", "-1"); --entries lists
+the upper triangle of the rank-3 matrix row-major as "b12,b13,b23", and
+a --matrix file as a JSON list, one entry per element.
 
 A spec whose first entry is negative must be attached with "=", as in
 --entries=-2,0,0: argparse reads a separate "-2,0,0" as an option.
@@ -97,7 +96,7 @@ def parse_matrix_spec(text: str) -> ExchangeMatrix:
 
 def load_matrix(path: str) -> ExchangeMatrix:
     """The matrix of a --matrix file: a JSON list of the three
-    upper-triangle entries."""
+    upper-triangle entries, each parsed as one entry."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, list) or len(data) != 3:
@@ -105,7 +104,7 @@ def load_matrix(path: str) -> ExchangeMatrix:
             f"unrecognised matrix file format in {path}: need a JSON list of "
             "three entries"
         )
-    return parse_matrix_spec(",".join(str(x) for x in data))
+    return ExchangeMatrix(*(parse_entry(str(x)) for x in data))
 
 
 _SOURCES = ("sph", "affine", "matrix", "entries")

@@ -400,7 +400,9 @@ class FieldElem:
         return (-self).__add__(other)
 
     def __neg__(self):
-        return _canonical(self.level, tuple(-n for n in self.num), self.den)
+        neg = _canonical(self.level, tuple(-n for n in self.num), self.den)
+        neg._sign = None if self._sign is None else -self._sign
+        return neg
 
     def __mul__(self, other):
         a, b = self._coerced(other)

@@ -1,12 +1,12 @@
 """Exchange-graph enumeration: BFS over seeds, growth tables, acyclic
 belts, translation-lattice reports, quotient censuses, and exports.
 
-The BFS runs over planar or spherical seeds, three mutation directions
-each, and identifies seeds by their canonical keys.  Vertex order is the
-deterministic BFS discovery order; edges are unordered key pairs of
-distinct vertices labelled by the mutation index.  The graph also keeps,
-per stored seed and direction, the neighbour's key and the relabelling
-that carries the mutated seed onto the neighbour's stored seed, so walks
+The BFS runs over planar or spherical seeds or the matrices of a mutation
+class, three directions each, and identifies them by canonical keys.
+Vertex order is the deterministic BFS discovery order; edges are
+unordered key pairs of distinct vertices labelled by the mutation index.
+Per vertex and direction the graph also keeps the neighbour's key and the
+relabelling that carries the mutation onto the stored neighbour, so walks
 along the graph follow labelled seeds without mutating again.
 
 Whether two planar seeds are translates, and by which vector, is decided
@@ -42,6 +42,7 @@ from quiverbelt.exmatrix import (
     PERM_INVERSE,
     PERMS3,
     entry_cosine_form,
+    mutate,
     sources_and_sinks,
 )
 from quiverbelt.intpoly import euler_totient
@@ -66,7 +67,7 @@ from quiverbelt.seedgeom import (
 
 @dataclass
 class ExchangeGraphData:
-    """An exchange graph as `bfs` enumerated it.
+    """An exchange graph as `bfs` enumerated it (of seeds or of matrices).
 
     `links[key][k]` is `(nkey, t)` for the stored seed X of `key`: mu_k(X)
     has key `nkey`, and `t` indexes the p in PERMS3 with mu_k(X)'s slot a
@@ -112,7 +113,7 @@ def bfs(
     admit: Optional[Callable] = None,
 ) -> ExchangeGraphData:
     """Breadth-first closure of the exchange graph from an initial planar or
-    spherical seed.
+    spherical seed, or of the mutation class of an `ExchangeMatrix`.
 
     A limit of None means unbounded.  The result's `closed` flag is True
     only if the frontier ran out; a depth limit or a vertex limit gives
@@ -133,8 +134,8 @@ def bfs(
 
     Each open direction asks a step function for the neighbour: either
     the link (key, relabelling) of a stored vertex, or a function that
-    builds the new seed.  Spherical seeds are mutated (`_spherical_steps`).
-    Planar seeds are mutated once per table key (shape of
+    builds the new seed (`_mutation_steps` for spherical seeds and
+    matrices).  Planar seeds are mutated once per table key (shape of
     `translation_class(s)`, canonical slot of k, `positivity(s, k)`), and
     every other seed under that key takes the stored mutation translated
     (`_planar_steps`).  That is exact: mutation reads nothing a translation
@@ -146,7 +147,9 @@ def bfs(
     if isinstance(initial, PlanarSeed):
         step = _planar_steps(initial)
     else:
-        step = _spherical_steps(vertices)
+        # both names are read per call: tests and the benchmark tracer replace them
+        mutation = seed_mutate if isinstance(initial, SphericalSeed) else mutate
+        step = _mutation_steps(vertices, mutation)
     depth = {key0: 0}
     links = {key0: [None, None, None]}
     edges: dict = {}
@@ -188,14 +191,14 @@ def bfs(
     return ExchangeGraphData(vertices, edges, depth, closed, key0, links)
 
 
-def _spherical_steps(vertices: dict):
-    """The BFS step for spherical seeds: mutate and look the key up.  A
-    stored neighbour's relabelling comes from the two keys' attaining
-    permutations: q on mu_k(X) and p on the stored seed Y give mu_k(X)'s
-    slot a = Y's slot p[q^-1[a]]."""
+def _mutation_steps(vertices: dict, mutation: Callable):
+    """The BFS step for spherical seeds and matrices: mutate by `mutation`
+    and look the key up.  A stored neighbour's relabelling comes from the
+    two keys' attaining permutations: q on mu_k(X) and p on the stored
+    seed Y give mu_k(X)'s slot a = Y's slot p[q^-1[a]]."""
 
     def step(seed, k):
-        nxt = seed_mutate(seed, k)
+        nxt = mutation(seed, k)
         nkey = nxt.canonical_key()
         stored = vertices.get(nkey)
         if stored is None:

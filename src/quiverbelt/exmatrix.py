@@ -7,14 +7,14 @@ triangle as the negated upper one.  Mutation changes one upper entry and
 negates the other two, resolving the absolute values in the exchange rule
 through certified signs.  `sources_and_sinks` reads the sources and sinks
 of the sign digraph for every caller.  Classification walks the mutation
-class (up to simultaneous index permutation) until it closes or meets an
-entry that is not +-2cos(pi k/l), which certifies an infinite class; a
-closed class is then named by its Markov constant and acyclic members.
+class (up to simultaneous index permutation) on `exgraph.bfs` until it
+closes or meets an entry that is not +-2cos(pi k/l), which certifies an
+infinite class; a closed class is then named by its Markov constant and
+acyclic members.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -49,7 +49,7 @@ class ExchangeMatrix:
     `entry_keys()` and `_rank2_forms` that of `rank2_forms()`: the entries
     never change, so all three are exact."""
 
-    __slots__ = ("level", "entries", "_key", "_entry_keys", "_rank2_forms", "_mutated")
+    __slots__ = ("level", "entries", "_key", "_perm", "_entry_keys", "_rank2_forms", "_mutated")
     rank = 3
 
     def __init__(self, b01, b02, b12):
@@ -119,10 +119,15 @@ class ExchangeMatrix:
         permutations; identifies matrices up to reordering of indices."""
         if self._key is None:
             keys = self.entry_keys()
-            self._key = min(
-                ";".join(keys[p[i], p[j]] for i, j in keys) for p in PERMS3
+            self._key, self._perm = min(
+                (";".join(keys[p[i], p[j]] for i, j in keys), r) for r, p in enumerate(PERMS3)
             )
         return self._key
+
+    def key_perm(self) -> int:
+        """Index in PERMS3 of the first p whose relabelling (entry (i, j)
+        takes entry (p[i], p[j])) attains the canonical key, once built."""
+        return self._perm
 
     def sign_pattern(self):
         return tuple(
@@ -297,31 +302,32 @@ def affine_normal_form(d: int) -> ExchangeMatrix:
 
 
 def mutation_class(B: ExchangeMatrix):
-    """Breadth-first walk of the mutation class up to simultaneous
-    permutation, checking each member's entries with `entry_cosine_form`.
+    """Walk of the mutation class up to simultaneous permutation on
+    `exgraph.bfs`, checking each member's entries with `entry_cosine_form`.
 
     Returns (members, witness): members maps canonical key to a
     representative in BFS order.  The walk stops at the first member with
-    an entry that is not +-2cos(pi k/l) and returns that entry as the
-    witness; a class that closes without one has witness None.  `classify`
-    derives why the walk always ends and why a witness certifies an
-    infinite class.
+    an entry that is not +-2cos(pi k/l), which `bfs` refuses and `members`
+    ends with, and returns that entry as the witness; a class that closes
+    without one has witness None.  `classify` derives why the walk always
+    ends and why a witness certifies an infinite class.
     """
-    members: dict[str, ExchangeMatrix] = {}
-    queue = deque([B])
-    while queue:
-        current = queue.popleft()
-        key = current.canonical_key()
-        if key in members:
-            continue
-        members[key] = current
-        for e in (current[0, 1], current[0, 2], current[1, 2]):
+    from quiverbelt.exgraph import bfs  # here, since exgraph imports this module
+
+    refused = []
+
+    def admit(m):
+        for e in (m[0, 1], m[0, 2], m[1, 2]):
             try:
                 entry_cosine_form(e)
             except NotCosineForm:
-                return members, e
-        queue.extend(mutate(current, k) for k in range(3))
-    return members, None
+                refused.append((m, e))
+                return False
+        return True
+
+    members = bfs(B, admit=admit).vertices if admit(B) else {}
+    members.update((m.canonical_key(), m) for m, _ in refused)
+    return members, refused[0][1] if refused else None
 
 
 def classify(B: ExchangeMatrix) -> ClassificationResult:
@@ -330,12 +336,13 @@ def classify(B: ExchangeMatrix) -> ClassificationResult:
     A quiver with an isolated vertex is `decomposable`, a rank-1 factor
     next to a rank-2 factor whose weight is reported (and must be
     +-2cos(pi k/l)); no walk runs.  For the others `mutation_class` walks
-    the class.  A witness, an entry of B or of a later member that is not
-    +-2cos(pi k/l), makes it `mutation_infinite`.  A class that closes
-    without an acyclic member is the Markov class.  Otherwise the Markov
-    constant C, a mutation invariant read off B, decides: C = 4 is affine,
-    with d the least common denominator of B's entry angles, and C < 4 is
-    the spherical pair whose normal form lies in the class.
+    the class on `exgraph.bfs`.  A witness, an entry of B or of a later
+    member that is not +-2cos(pi k/l), makes it `mutation_infinite`.  A
+    class that closes without an acyclic member is the Markov class.
+    Otherwise the Markov constant C, a mutation invariant read off B,
+    decides: C = 4 is affine, with d the least common denominator of B's
+    entry angles, and C < 4 is the spherical pair whose normal form lies in
+    the class (d is never 1: entries all +-2 give C = 20 or the Markov class).
 
     Termination.  Mutation keeps the entries in F_L, L = B.level: each
     changed entry gains a product of two entries or nothing.  By the
@@ -382,8 +389,6 @@ def classify(B: ExchangeMatrix) -> ClassificationResult:
     if comparison == 0:
         upper = (B[0, 1], B[0, 2], B[1, 2])
         level = lcm(*(entry_cosine_form(e)[1] for e in upper))
-        if level == 1:
-            level = 3  # all entries in {0, +-2}: the equilateral class
         return ClassificationResult(
             kind="affine",
             markov=c,

@@ -308,12 +308,15 @@ def test_verify_rejects_unknown_check_names(capsys, monkeypatch):
         (["verify", "--checks", ""], "--checks must not be empty"),
         # 2cos(0) = 2 is rational: --sph 0,0 reaches the class check
         (["enumerate", "--sph", "0,0"], "MutationInfinite has no exchange graph to enumerate"),
+        # each element of a --matrix list is exactly one entry
+        (["classify", "--matrix", "split.json"], "cannot parse entry '1,2'"),
     ],
 )
 def test_handled_errors_print_one_line_and_exit_2(
     args, message, capsys, tmp_path, monkeypatch
 ):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "split.json").write_text(json.dumps(["1,2", "3", ""]))
     code, out, err = run(args, capsys)
     assert code == 2
     assert out == ""

@@ -251,6 +251,25 @@ def test_sign_near_zero_needs_precision():
     assert (c - close).sign() != 0
 
 
+def test_negation_carries_a_known_sign(monkeypatch):
+    """-x takes -sign(x) when x's sign is known, so no enclosure is read;
+    an unknown sign stays unknown."""
+    c = cos_multiple(60, 1)
+    close = Fraction(2 * math.cos(math.pi / 60)).limit_denominator(10**12)
+    values = [cos_multiple(5, 2) - 1, cos_multiple(7, 3) + 0, c - close, close - c]
+    signs = [x.sign() for x in values]
+    unknown = cos_multiple(9, 2) - 1
+
+    def no_enclosure(self, bits):
+        raise AssertionError("negation read an enclosure")
+
+    monkeypatch.setattr(LevelContext, "enclosure", no_enclosure)
+    for x, s in zip(values, signs):
+        assert (-x).sign() == -s and (-(-x)).sign() == s
+        assert x.abs().sign() == 1
+    assert unknown._sign is None and (-unknown)._sign is None
+
+
 def test_sin_ratio_values():
     assert sin_ratio(5, 2, 2) == 1
     assert sin_ratio(5, 2, 1) == cos_multiple(5, 1)  # double angle

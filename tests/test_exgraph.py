@@ -8,11 +8,14 @@ from math import gcd
 import pytest
 
 from quiverbelt import exgraph, seedgeom
+from quiverbelt.cycfield import FieldElem, cos_multiple
 from quiverbelt.exmatrix import (
     PERMS3,
     SPHERICAL_PAIRS,
     ExchangeMatrix,
     is_acyclic,
+    markov_matrix,
+    mutate,
     spherical_matrix,
 )
 from quiverbelt.intpoly import euler_totient
@@ -89,7 +92,10 @@ def reference_bfs(initial, mutate, depth_limit=None, vertex_limit=None):
 
 
 def stored_fields(seed):
-    """A stored seed field by field, with a planar seed's outward signs."""
+    """A stored seed field by field, with a planar seed's outward signs;
+    a matrix's entries."""
+    if isinstance(seed, ExchangeMatrix):
+        return seed.entries
     if isinstance(seed, PlanarSeed):
         return seed.vertices, seed.side_dirs, seed.ray, seed.B, seed.outward_signs()
     return seed.vectors, seed.B
@@ -217,9 +223,40 @@ def test_bfs_matches_the_plain_bfs_on_spherical_closures(pair):
     assert_same_graph(g, reference_bfs(seed, seed_mutate))
 
 
+# closed matrix classes: the finite ones, affine ones and the Markov class
+CLOSED_CLASSES = (
+    [spherical_matrix(*pair) for pair in SPHERICAL_PAIRS]
+    + [initial_seed(d).B for d in (3, 5, 8, 12)]
+    + [markov_matrix()]
+)
+# matrices of infinite classes: a path and an acyclic triangle at level 7
+INFINITE_CLASSES = [
+    ExchangeMatrix(cos_multiple(7, 1), FieldElem.zero(7), cos_multiple(7, 1)),
+    ExchangeMatrix(cos_multiple(7, 1), cos_multiple(7, 2), cos_multiple(7, 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "B, depth, limit",
+    [(B, None, None) for B in CLOSED_CLASSES]
+    + [(B, 3, None) for B in CLOSED_CLASSES + INFINITE_CLASSES]
+    + [(B, None, 25) for B in CLOSED_CLASSES + INFINITE_CLASSES],
+)
+def test_bfs_matches_the_plain_bfs_on_matrix_classes(B, depth, limit):
+    """A matrix mutation class is walked by the BFS that walks seeds: the
+    same vertices, depths and edges as the plain BFS with `mutate`, whole
+    for a closed class and up to a depth or vertex limit for any class."""
+    g = exgraph.bfs(B, depth_limit=depth, vertex_limit=limit)
+    assert g.closed or depth is not None or limit is not None
+    assert_same_graph(g, reference_bfs(B, mutate, depth, limit))
+
+
 def labelled_fields(seed, p):
-    """The fields of `seed` relabelled so that slot i holds slot p[i]."""
-    B = ExchangeMatrix(seed.B[p[0], p[1]], seed.B[p[0], p[2]], seed.B[p[1], p[2]])
+    """The fields of `seed` relabelled so that slot i holds slot p[i]; for
+    a matrix, the relabelled matrix."""
+    if isinstance(seed, ExchangeMatrix):
+        return ExchangeMatrix(seed[p[0], p[1]], seed[p[0], p[2]], seed[p[1], p[2]])
+    B = labelled_fields(seed.B, p)
     if isinstance(seed, PlanarSeed):
         return (
             seed.chart,
@@ -248,13 +285,19 @@ def labelled_fields(seed, p):
         (reflect_across_belt(initial_seed(5)), planar_mutate),
         (spherical_seed(spherical_matrix(*SPHERICAL_PAIRS[3]), (4, 2, 1)), seed_mutate),
         (spherical_seed(spherical_matrix(*SPHERICAL_PAIRS[0]), (-3, -3, 1)), seed_mutate),
+        (spherical_matrix(*SPHERICAL_PAIRS[4]), mutate),
+        (initial_seed(7).B, mutate),
+        (markov_matrix(), mutate),
+        (INFINITE_CLASSES[0], mutate),
     ],
-    ids=["planar-d5", "planar-d4", "planar-d7", "planar-d5-mirror", "compatible-1/3,2/5", "incompatible-1/3,1/3"],
+    ids=["planar-d5", "planar-d4", "planar-d7", "planar-d5-mirror", "compatible-1/3,2/5",
+         "incompatible-1/3,1/3", "matrix-1/5,2/5", "matrix-d7", "matrix-markov", "matrix-infinite"],
 )
 def test_links_carry_each_mutation_onto_the_stored_neighbour(start, mutate):
-    """links[key][k] = (nkey, t): mu_k of the stored seed is the stored seed
-    of nkey relabelled by PERMS3[t], field by field."""
-    g = exgraph.bfs(start, depth_limit=6 if isinstance(start, PlanarSeed) else None)
+    """links[key][k] = (nkey, t): mu_k of the stored seed (or matrix) is
+    the stored seed of nkey relabelled by PERMS3[t], field by field."""
+    open_class = isinstance(start, PlanarSeed) or start is INFINITE_CLASSES[0]
+    g = exgraph.bfs(start, depth_limit=6 if open_class else None)
     identity = PERMS3[0]
     for key, seed in g.vertices.items():
         for k, link in enumerate(g.links[key]):

@@ -1,11 +1,12 @@
 import random
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
 import pytest
 
+from quiverbelt import exgraph
 from quiverbelt.cycfield import FieldElem, cos_multiple
 from quiverbelt.exmatrix import (
     PERMS3,
@@ -319,18 +320,82 @@ def test_rank2_forms_store_nothing_when_an_entry_is_no_cosine():
     assert B._rank2_forms is None
 
 
+# (class size, mutations of the walk) of each finite class
+FINITE_WALKS = dict(zip(SPHERICAL_PAIRS, zip((4, 5, 6, 6, 10), (8, 8, 10, 9, 15))))
+
+
 @pytest.mark.parametrize("pair", SPHERICAL_PAIRS, ids=str)
 def test_mutation_class_builds_one_matrix_per_mutation(pair, monkeypatch):
+    """Every `mutate` call of the walk builds one matrix and nothing else
+    does.  `bfs` mutates no direction whose link the other end already
+    set, so the walk makes fewer than 3 mutations per member."""
+    size, mutations = FINITE_WALKS[pair]
     B = spherical_matrix(*pair)
-    built = []
+    built, calls = [], []
     init = ExchangeMatrix.__init__
 
     def counting_init(self, *entries):
         built.append(1)
         init(self, *entries)
 
+    def counting_mutate(m, k):
+        calls.append(k)
+        return mutate(m, k)
+
     monkeypatch.setattr(ExchangeMatrix, "__init__", counting_init)
+    monkeypatch.setattr(exgraph, "mutate", counting_mutate)
     members, witness = mutation_class(B)
-    assert witness is None and len(members) in (4, 5, 6, 10)
-    assert len(built) == 3 * len(members)
+    assert witness is None and len(members) == size
+    assert len(built) == len(calls) == mutations
+
+
+def deque_mutation_class(B):
+    """The walk `mutation_class` ran on its own deque before it ran on
+    `exgraph.bfs`: the oracle for members, their order and the witness."""
+    members = {}
+    queue = deque([B])
+    while queue:
+        current = queue.popleft()
+        key = current.canonical_key()
+        if key in members:
+            continue
+        members[key] = current
+        for e in (current[0, 1], current[0, 2], current[1, 2]):
+            try:
+                entry_cosine_form(e)
+            except NotCosineForm:
+                return members, e
+        queue.extend(mutate(current, k) for k in range(3))
+    return members, None
+
+
+@pytest.mark.parametrize("source", ["census", "initial_seed"])
+def test_mutation_class_matches_the_deque_walk(source):
+    if source == "census":
+        matrices = [B for d in sorted(CENSUS_COUNTS) for B in census_matrices(d)]
+    else:
+        matrices = [initial_seed(d).B for d in range(3, 61)]
+    witnesses = 0
+    for B in matrices:
+        members, witness = mutation_class(B)
+        expected, expected_witness = deque_mutation_class(B)
+        assert list(members) == list(expected)
+        assert all(members[key] == m for key, m in expected.items())
+        assert witness == expected_witness
+        witnesses += witness is not None
+    assert witnesses == (sum(CENSUS_COUNTS[d][0] for d in CENSUS_COUNTS) if source == "census" else 0)
+
+
+def test_entries_all_two_are_infinite_or_markov():
+    """Every sign pattern of (+-2, +-2, +-2): acyclic ones have C = 20 and
+    an infinite class, cyclic ones are the one-point Markov class, so no
+    closed class with C = 4 has all its entry angles at denominator 1."""
+    kinds = Counter()
+    for signs in product((1, -1), repeat=3):
+        B = ExchangeMatrix(*(2 * s for s in signs))
+        res = classify(B)
+        kinds[res.kind] += 1
+        assert res.markov == (20 if is_acyclic(B) else 4)
+        assert (res.kind == "markov") == (not is_acyclic(B))
+    assert kinds == {"mutation_infinite": 6, "markov": 2}
 
