@@ -789,14 +789,9 @@ def _svg_planar(graph: ExchangeGraphData) -> str:
     for kind, coords, acute in shapes:
         path = " ".join(f"{tx(c)[0]},{tx(c)[1]}" for c in coords)
         colour = "#3b6ea5" if acute else "#a0a0a0"
-        if kind == "polygon":
-            elements.append(
-                f'<polygon points="{path}" fill="none" stroke="{colour}" stroke-width="1"/>'
-            )
-        else:
-            elements.append(
-                f'<polyline points="{path}" fill="none" stroke="{colour}" stroke-width="1"/>'
-            )
+        elements.append(
+            f'<{kind} points="{path}" fill="none" stroke="{colour}" stroke-width="1"/>'
+        )
     b1, b2 = tx(pts_belt[0]), tx(pts_belt[1])
     elements.append(
         f'<line x1="{b1[0]}" y1="{b1[1]}" x2="{b2[0]}" y2="{b2[1]}" '

@@ -47,7 +47,6 @@ from quiverbelt.exmatrix import (
 from quiverbelt.planegeom import (
     PlanarPoint,
     cross_q,
-    dot,
     foot_of_perpendicular,
     length_along,
     line_intersect,
@@ -173,33 +172,18 @@ class PlanarSeed:
 
     def angle_multiple(self, i: int) -> int:
         """Interior angle at vertex i as a multiple of pi/d, read off the
-        side direction classes m in [0, d).
+        direction classes m in [0, d) and the outward signs of the two
+        sides through it, sides i+1 and i+2.
 
-        Triangle: vertex i lies on sides i+1 and i+2, so its angle is
-        |m_{i+1} - m_{i+2}| or d minus that.  Sort the classes as a < b < c
-        and put x = b - a, y = c - b.  The three angles are positive and sum
-        to d, and the only choice that does is x, y and d - (x + y): the
-        vertex whose sides carry the extreme classes a and c, with the
-        third class strictly between them, gets d - (c - a).
-
-        Region: vertex i is an endpoint of the finite side, and its other
-        side runs along the ray.  With delta the class difference folded
-        into [0, d/2], the angle is delta when the finite side, seen from
-        vertex i, makes an acute angle with the ray, and d - delta
-        otherwise (both are d/2 for a perpendicular side)."""
-        d = self.d
-        if self.kind == "triangle":
-            mi, mj, mk = (self.side_dirs[(i + t) % 3] for t in range(3))
-            delta = abs(mj - mk)
-            return d - delta if min(mj, mk) < mi < max(mj, mk) else delta
-        f = self.finite_side_index()
-        if i == f:
-            raise ValueError("no finite vertex opposite the finite side")
-        # vertex i is the finite-side endpoint on the *other* parallel side
-        j = next(j for j in range(3) if j != i and j != f)
-        lo = self.transversal_multiple()
-        along = dot(d, self.vertices[j] - self.vertices[i], self.ray).sign()
-        return lo if along > 0 else d - lo
+        The two lines cut four wedges, of angles delta = |m_{i+1} - m_{i+2}|
+        and d - delta; the interior is the wedge on the inner side of both.
+        It is delta when the outward signs differ and d - delta when they
+        agree.  A region's infinite slot reads 0: its two parallel sides
+        face each other, so their signs differ."""
+        a, b = (i + 1) % 3, (i + 2) % 3
+        delta = abs(self.side_dirs[a] - self.side_dirs[b])
+        outward = self.outward_signs()
+        return delta if outward[a] != outward[b] else self.d - delta
 
     def transversal_multiple(self) -> int:
         """Region only: the smaller of the two angles at the finite side,
@@ -213,13 +197,7 @@ class PlanarSeed:
     def angle_triple(self) -> tuple[int, ...]:
         """Interior angle multiples by vertex slot; 0 marks the infinite
         slot of a region."""
-        out = []
-        for i in range(3):
-            if self.kind == "region" and i == self.finite_side_index():
-                out.append(0)
-            else:
-                out.append(self.angle_multiple(i))
-        return tuple(out)
+        return tuple(self.angle_multiple(i) for i in range(3))
 
     def is_acute(self) -> bool:
         """Strictly acute triangle (every angle below pi/2)."""
@@ -549,23 +527,17 @@ def t_invariant(s: PlanarSeed) -> FieldElem:
 
 
 def _t_invariant(s: PlanarSeed) -> FieldElem:
-    """`t_invariant` computed from s itself.  For a triangle, side 0's
-    length times the sines of the angles at its ends is 2R sin A sin B
-    sin C by the law of sines, whichever side is side 0."""
-    d = s.d
-    if s.kind == "triangle":
-        i = 0
-        vj, vk = s.endpoints_of_side(i)
-        length = length_along(d, vk - vj, s.side_dirs[i])
-        aj = s.angle_multiple((i + 1) % 3)
-        ak = s.angle_multiple((i + 2) % 3)
-        return length * sin_product(d, aj, ak)
-    f = s.finite_side_index()
-    e1, e2 = s.endpoints_of_side(f)
-    length = length_along(d, e2 - e1, s.side_dirs[f])
-    # the two angles are k and d - k, and sin^2 takes one value on both
-    k = s.transversal_multiple()
-    return length * sin_product(d, k, k)
+    """`t_invariant` computed from s itself: the length of side f times
+    the sines of the angles at its ends, for f the finite side of a region
+    and side 0 of a triangle.  For a triangle that is 2R sin A sin B sin C
+    by the law of sines, whichever side is side 0; a region's end angles
+    are k and d - k, whose sines agree."""
+    f = s.finite_side_index() or 0
+    a, b = s.endpoints_of_side(f)
+    length = length_along(s.d, b - a, s.side_dirs[f])
+    return length * sin_product(
+        s.d, s.angle_multiple((f + 1) % 3), s.angle_multiple((f + 2) % 3)
+    )
 
 
 def side_length(s: PlanarSeed, k: int) -> FieldElem:
@@ -575,40 +547,25 @@ def side_length(s: PlanarSeed, k: int) -> FieldElem:
 
 
 def designated_feet(s: PlanarSeed) -> list[PlanarPoint]:
-    """The altitude feet that the belt is required to contain.
-
-    Acyclic triangle: feet on the source and sink sides.  Obtuse triangle:
-    feet on the two sides of the obtuse angle.  Region: the foot of the
-    perpendicular from the acute endpoint onto the parallel side through
-    the obtuse endpoint (the second designated foot recedes to infinity
-    along the finite side's direction).
-    """
+    """The altitude feet that the belt is required to contain: those on
+    the source and sink sides of an acyclic quiver, and otherwise those on
+    the two sides of the obtuse angle.  A region's quiver is cyclic, and
+    the foot whose opposite vertex is at infinity recedes along the finite
+    side and is left out (`_feet_on_belt` asks instead that the finite
+    side be parallel to the belt)."""
     d = s.d
-    if s.kind == "triangle":
-        sources, sinks = sources_and_sinks(s.B)
-        if sources or sinks:
-            # acyclic: the source- and sink-side feet (a right angle makes
-            # one of the lists ambiguous; all named feet lie on the belt)
-            idxs = sorted(set(sources) | set(sinks))
-        else:
-            obtuse = next(i for i in range(3) if 2 * s.angle_multiple(i) > d)
-            idxs = [i for i in range(3) if i != obtuse]
-        return [
-            foot_of_perpendicular(
-                d, s.vertices[i], s.side_base(i), s.side_dirs[i]
-            )
-            for i in idxs
-        ]
-    f = s.finite_side_index()
-    # the angles at the two parallel ends sum to d: one fixes the other
-    first, second = [i for i in range(3) if i != f]
-    acute_end = second if 2 * s.angle_multiple(first) > d else first
-    # the endpoint stored at the obtuse slot lies on the parallel side whose
-    # index is the acute slot: the finite designated foot drops onto it
+    sources, sinks = sources_and_sinks(s.B)
+    if sources or sinks:
+        # a right angle makes one of the lists ambiguous; all named feet
+        # lie on the belt
+        idxs = sorted(set(sources) | set(sinks))
+    else:
+        obtuse = next(i for i in range(3) if 2 * s.angle_multiple(i) > d)
+        idxs = [i for i in range(3) if i != obtuse]
     return [
-        foot_of_perpendicular(
-            d, s.vertices[acute_end], s.side_base(acute_end), s.side_dirs[acute_end]
-        )
+        foot_of_perpendicular(d, s.vertices[i], s.side_base(i), s.side_dirs[i])
+        for i in idxs
+        if s.vertices[i] is not None
     ]
 
 
@@ -723,7 +680,7 @@ def _orientation_tag(s: PlanarSeed) -> int:
     belt = s.chart.belt
     if s.kind == "triangle":
         source, sink = _source_sink(s.B)
-        if source is not None and sink is not None and source != sink:
+        if source is not None and sink is not None:
             middle = next(i for i in range(3) if i not in (source, sink))
             a, b = s.endpoints_of_side(middle)
             tag = belt.offset_sign(midpoint(a, b))

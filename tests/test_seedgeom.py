@@ -803,6 +803,127 @@ def test_memo_keeps_no_exception():
     assert _orientation_tag not in {key[0] for key in bad.chart._memo}
 
 
+# -- one angle rule ------------------------------------------------------------
+
+
+def _branched_angle_multiple(s, i):
+    """`PlanarSeed.angle_multiple` with a branch per kind of seed: the
+    betweenness test on the three side classes for a triangle, the dot
+    product along the ray for a region, which has no angle at its
+    infinite slot."""
+    d = s.d
+    if s.kind == "triangle":
+        mi, mj, mk = (s.side_dirs[(i + t) % 3] for t in range(3))
+        delta = abs(mj - mk)
+        return d - delta if min(mj, mk) < mi < max(mj, mk) else delta
+    f = s.finite_side_index()
+    if i == f:
+        raise ValueError("no finite vertex opposite the finite side")
+    j = next(j for j in range(3) if j != i and j != f)
+    lo = s.transversal_multiple()
+    along = dot(d, s.vertices[j] - s.vertices[i], s.ray).sign()
+    return lo if along > 0 else d - lo
+
+
+def _branched_t_invariant(s):
+    """`_t_invariant` with a branch per kind of seed: side 0 of a triangle
+    with the sines of its end angles, the finite side of a region with
+    the squared sine of its transversal multiple."""
+    d = s.d
+    if s.kind == "triangle":
+        vj, vk = s.endpoints_of_side(0)
+        length = length_along(d, vk - vj, s.side_dirs[0])
+        return length * sin_product(
+            d, _branched_angle_multiple(s, 1), _branched_angle_multiple(s, 2)
+        )
+    f = s.finite_side_index()
+    e1, e2 = s.endpoints_of_side(f)
+    k = s.transversal_multiple()
+    return length_along(d, e2 - e1, s.side_dirs[f]) * sin_product(d, k, k)
+
+
+def _branched_designated_feet(s):
+    """`designated_feet` with a branch per kind of seed: a region drops
+    one foot from its acute finite-side endpoint onto the parallel side
+    through the obtuse one."""
+    d = s.d
+
+    def foot(i):
+        return foot_of_perpendicular(d, s.vertices[i], s.side_base(i), s.side_dirs[i])
+
+    if s.kind == "triangle":
+        sources, sinks = sources_and_sinks(s.B)
+        if sources or sinks:
+            idxs = sorted(set(sources) | set(sinks))
+        else:
+            obtuse = next(
+                i for i in range(3) if 2 * _branched_angle_multiple(s, i) > d
+            )
+            idxs = [i for i in range(3) if i != obtuse]
+        return [foot(i) for i in idxs]
+    f = s.finite_side_index()
+    first, second = [i for i in range(3) if i != f]
+    obtuse_first = 2 * _branched_angle_multiple(s, first) > d
+    return [foot(second if obtuse_first else first)]
+
+
+def _assert_one_rule_matches_the_branches(seeds):
+    """Angles, T and the designated feet of every seed against the branch
+    per kind; the infinite slot of a region reads 0.  Returns the kinds
+    seen."""
+    kinds = set()
+    for s in seeds:
+        kinds.add(s.kind)
+        f = s.finite_side_index()
+        for i in range(3):
+            if i == f:
+                with pytest.raises(ValueError):
+                    _branched_angle_multiple(s, i)
+                assert s.angle_multiple(i) == 0
+            else:
+                assert s.angle_multiple(i) == _branched_angle_multiple(s, i)
+        T = _t_invariant(s)
+        assert T == _branched_t_invariant(s)
+        assert T.key() == _branched_t_invariant(s).key()
+        assert designated_feet(s) == _branched_designated_feet(s)
+    return kinds
+
+
+@pytest.mark.parametrize("d", range(3, 13))
+@pytest.mark.parametrize("offset", (0, 1))
+def test_one_angle_rule_matches_the_branch_per_kind(d, offset):
+    """On the inputs of the memo test: a window grown from the belt at
+    the offset, fresh copies whose outward signs come from the interior
+    witness, belt mirrors, and translates moved off the belt to either
+    side."""
+    steps = 6 * offset
+    start = exgraph.acyclic_belt(initial_seed(d), steps)[steps + 6 * offset]
+    seeds = list(exgraph.bfs(start, depth_limit=8).vertices.values())
+    copies = [PlanarSeed(*_fields(s)) for s in seeds]
+    assert not any("outward" in c._cache for c in copies)
+    mirrors = [reflect_across_belt(s) for s in seeds]
+    off = from_rationals(d, 0, 100)
+    translates = [s.translate(w) for s in seeds for w in (off, -off)]
+    for group in (seeds, copies, mirrors, translates):
+        assert _assert_one_rule_matches_the_branches(group) == {"triangle", "region"}
+
+
+@pytest.mark.parametrize("d", range(3, 21))
+def test_window_regions_have_one_obtuse_vertex_and_no_angle_at_infinity(d):
+    """The premise of the one rule for feet: no window region is
+    perpendicular, so each has exactly one obtuse finite vertex, and
+    its infinite slot reads 0."""
+    regions = [s for s in _window(d, 0) if s.kind == "region"]
+    assert regions
+    for s in regions:
+        f = s.finite_side_index()
+        assert s.angle_multiple(f) == 0
+        assert math.gcd(s.transversal_multiple(), d) == 1
+        obtuse = [i for i in range(3) if i != f and 2 * s.angle_multiple(i) > d]
+        assert len(obtuse) == 1
+        assert sum(s.angle_triple()) == d
+
+
 # -- canonical keys ------------------------------------------------------------
 
 
