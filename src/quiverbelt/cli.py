@@ -97,8 +97,11 @@ def parse_matrix_spec(text: str) -> ExchangeMatrix:
 def load_matrix(path: str) -> ExchangeMatrix:
     """The matrix of a --matrix file: a JSON list of the three
     upper-triangle entries, each parsed as one entry."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"cannot read matrix file {path}: {exc}") from exc
     if not isinstance(data, list) or len(data) != 3:
         raise ParseError(
             f"unrecognised matrix file format in {path}: need a JSON list of "

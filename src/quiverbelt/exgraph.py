@@ -47,7 +47,6 @@ from quiverbelt.exmatrix import (
 )
 from quiverbelt.intpoly import euler_totient
 from quiverbelt.planegeom import PlanarPoint, length_along
-from quiverbelt.rank2 import period_formula
 from quiverbelt.seedgeom import (
     DegeneratePositivity,
     NotAcyclic,
@@ -587,21 +586,23 @@ def _orbits_short(seed: SphericalSeed) -> bool:
     short period l + 2k, |b_ij| = 2cos(pi k/l); b_ij = 0 commutes, period 4.
     Mutation at i or j moves v_i, v_j and b_ij by these alone, so on their
     plane the walk is rank2's swap-mutation orbit of the sector seed with
-    positive upper entry, (v_i, v_j) or (v_j, v_i) as b_ij > 0 or < 0.  Its
-    normals 0 and a*pi/l pair as -2cos(a pi/l): a = k when (v_i, v_j) < 0,
-    else a = l - k, whose `period_formula` value 3l - 2a (first vector
-    negative, second positive; v is positive when (v, u) < 0) is l + 2k.
+    positive upper entry, (first, second) = (v_i, v_j) or (v_j, v_i) as
+    b_ij > 0 or < 0.  Its `period_formula` value is 3l - 2a when the first
+    vector is negative and the second positive (v is positive when
+    (v, u) < 0), else l + 2a, with a = k when (v_i, v_j) < 0 and a = l - k
+    otherwise; as 2k != l (k/l = 0/1 included) that is l + 2k exactly when
+    the two conditions differ, so the rule reads three signs and no k or l.
     The oracle tests pin what is not derived here: the third vector and
-    b_im, b_jm return with the pair.  A zero (v, u) raises, as in mutation.
-    The rule reads signs of the pairings the seed carries and computes no
-    product; k, l and the orientation of each pair come from the matrix,
-    once per matrix (`ExchangeMatrix.rank2_forms`)."""
+    b_im, b_jm return with the pair.  A zero (v, u) raises, as in mutation."""
     signs = [p.sign() for p in seed.ref_pairings]
     if 0 in signs:
         raise DegeneratePositivity("reference point orthogonal to a vector")
-    for i, j, k, l, first, second in seed.B.rank2_forms():
-        a = k if seed.pairing(i, j).sign() < 0 else l - k
-        if period_formula(a, l, signs[first] < 0, signs[second] < 0) != l + 2 * k:
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        b = seed.B[i, j].sign()
+        if b == 0:
+            continue
+        first, second = (i, j) if b > 0 else (j, i)
+        if (seed.pairing(i, j).sign() < 0) == (signs[first] > 0 > signs[second]):
             return False
     return True
 

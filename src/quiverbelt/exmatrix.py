@@ -45,11 +45,10 @@ class ExchangeMatrix:
     rational), the diagonal is zero and the lower triangle holds the
     negated upper entries, so skew-symmetry holds by construction.
 
-    `_mutated[k]` memoises `mutate(self, k)`, `_entry_keys` the result of
-    `entry_keys()` and `_rank2_forms` that of `rank2_forms()`: the entries
-    never change, so all three are exact."""
+    `_mutated[k]` memoises `mutate(self, k)` and `_entry_keys` the result
+    of `entry_keys()`: the entries never change, so both are exact."""
 
-    __slots__ = ("level", "entries", "_key", "_perm", "_entry_keys", "_rank2_forms", "_mutated")
+    __slots__ = ("level", "entries", "_key", "_perm", "_entry_keys", "_mutated")
     rank = 3
 
     def __init__(self, b01, b02, b12):
@@ -64,7 +63,6 @@ class ExchangeMatrix:
         self.entries = ((zero, a, b), (-a, zero, c), (-b, -c, zero))
         self._key: Optional[str] = None
         self._entry_keys: Optional[dict] = None
-        self._rank2_forms: Optional[tuple] = None
         self._mutated: list = [None] * 3
 
     def __getitem__(self, ij):
@@ -95,24 +93,6 @@ class ExchangeMatrix:
                 if i != j
             }
         return self._entry_keys
-
-    def rank2_forms(self) -> tuple:
-        """(i, j, k, l, first, second) for each nonzero upper entry b_ij, in
-        index order: |b_ij| = 2cos(pi k/l) by `entry_cosine_form`, and
-        (first, second) is (i, j) when b_ij > 0 and (j, i) when b_ij < 0.
-        Built once per matrix; an entry that is not of that form raises
-        NotCosineForm and nothing is stored."""
-        if self._rank2_forms is None:
-            forms = []
-            for i, j in ((0, 1), (0, 2), (1, 2)):
-                b = self.entries[i][j]
-                if b.is_zero():
-                    continue
-                k, l = entry_cosine_form(b)
-                first, second = (i, j) if b.sign() > 0 else (j, i)
-                forms.append((i, j, k, l, first, second))
-            self._rank2_forms = tuple(forms)
-        return self._rank2_forms
 
     def canonical_key(self) -> str:
         """Lexicographically minimal serialisation over simultaneous

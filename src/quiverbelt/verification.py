@@ -577,7 +577,7 @@ def run_checks(
             f"valid checks: {', '.join(CHECKS)}"
         )
     selected = [name for name in CHECKS if not names or name in names]
-    levels = tuple(levels or ())
+    levels = tuple(dict.fromkeys(levels or ()))
     if levels and not any(name in LEVEL_CHECKS for name in selected):
         raise ValueError(
             "no selected check takes levels; checks that take levels: "

@@ -310,6 +310,15 @@ def test_verify_rejects_unknown_check_names(capsys, monkeypatch):
         (["enumerate", "--sph", "0,0"], "MutationInfinite has no exchange graph to enumerate"),
         # each element of a --matrix list is exactly one entry
         (["classify", "--matrix", "split.json"], "cannot parse entry '1,2'"),
+        # a --matrix file that is not JSON, or not UTF-8, is named
+        (
+            ["classify", "--matrix", "empty.json"],
+            "cannot read matrix file empty.json: Expecting value",
+        ),
+        (
+            ["classify", "--matrix", "binary.json"],
+            "cannot read matrix file binary.json: 'utf-8' codec can't decode byte 0xff",
+        ),
     ],
 )
 def test_handled_errors_print_one_line_and_exit_2(
@@ -317,6 +326,8 @@ def test_handled_errors_print_one_line_and_exit_2(
 ):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "split.json").write_text(json.dumps(["1,2", "3", ""]))
+    (tmp_path / "empty.json").write_text("")
+    (tmp_path / "binary.json").write_bytes(b"\xff[1, 2, 3]")
     code, out, err = run(args, capsys)
     assert code == 2
     assert out == ""
@@ -400,6 +411,16 @@ def test_verify_levels_reach_every_check_that_takes_levels(capsys, monkeypatch):
     assert code == 0 and out.count("PASS") == len(calls) == 11
     for name, kwargs in calls.items():
         assert kwargs.get("levels") == ((5, 7) if name in LEVEL_CHECKS else None)
+
+
+def test_verify_runs_each_repeated_level_once(capsys):
+    # as a repeated check name runs the check once
+    code, out, _ = run(
+        ["verify", "--checks", "belt-periodicity,belt-periodicity", "--levels", "7,5,7,5"],
+        capsys,
+    )
+    assert code == 0 and out.count("belt-periodicity") == 1
+    assert "levels (7, 5):" in out
 
 
 def test_verify_without_levels_runs_each_checks_own_levels(capsys, monkeypatch):

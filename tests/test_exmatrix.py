@@ -288,38 +288,6 @@ def test_all_class_entries_are_cosines():
     assert result.class_size == 576 and result.closed
 
 
-def fresh_rank2_forms(B):
-    """`ExchangeMatrix.rank2_forms` computed entry by entry, as
-    `_orbits_short` read them before they were memoised on the matrix."""
-    forms = []
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        b = B[i, j]
-        if b.is_zero():
-            continue
-        k, l = entry_cosine_form(b)
-        first, second = (i, j) if b.sign() > 0 else (j, i)
-        forms.append((i, j, k, l, first, second))
-    return tuple(forms)
-
-
-def test_rank2_forms_match_a_fresh_computation():
-    checked = 0
-    for m in closed_class_members():
-        forms = m.rank2_forms()
-        assert forms == fresh_rank2_forms(m)
-        assert m.rank2_forms() is forms  # built once per matrix
-        checked += 1
-    assert checked > 100
-
-
-def test_rank2_forms_store_nothing_when_an_entry_is_no_cosine():
-    B = ExchangeMatrix(3, 0, cos_multiple(5, 1))
-    for _ in range(2):
-        with pytest.raises(NotCosineForm):
-            B.rank2_forms()
-    assert B._rank2_forms is None
-
-
 # (class size, mutations of the walk) of each finite class
 FINITE_WALKS = dict(zip(SPHERICAL_PAIRS, zip((4, 5, 6, 6, 10), (8, 8, 10, 9, 15))))
 

@@ -1,13 +1,14 @@
 import dataclasses
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
-from math import cos, pi
+from itertools import product
+from math import cos, gcd, pi
 
 import pytest
 
-from quiverbelt import exgraph, verification
-from quiverbelt.cycfield import FieldElem
+from quiverbelt import exgraph, exmatrix, verification
+from quiverbelt.cycfield import FieldElem, cos_multiple
 from quiverbelt.exmatrix import (
     PERMS3,
     SPHERICAL_PAIRS,
@@ -15,6 +16,7 @@ from quiverbelt.exmatrix import (
     mutate,
     spherical_matrix,
 )
+from quiverbelt.rank2 import period_formula
 from quiverbelt.seedgeom import (
     DegeneratePositivity,
     QuadSpace,
@@ -254,6 +256,59 @@ def test_orbits_short_computes_no_product(pair, monkeypatch):
     monkeypatch.setattr(FieldElem, "__rmul__", forbidden)
     monkeypatch.setattr(QuadSpace, "pair", forbidden)
     assert all(exgraph._orbits_short(seed) for seed in g.vertices.values())
+
+
+def one_pair_seed(entry, ref_signs, pairing_sign):
+    """A seed whose only nonzero entry is b_01 = `entry`, with (v_i, u) of
+    the signs `ref_signs` and (v_0, v_1) of sign `pairing_sign`: the sign
+    rule reads nothing else."""
+    base = spherical_seed(spherical_matrix(*SPHERICAL_PAIRS[0]), (1, 2, 4))
+    one = FieldElem.from_rational(2, 1)
+    return dataclasses.replace(
+        base,
+        B=ExchangeMatrix(entry, 0, 0),
+        ref_pairings=tuple(one * s for s in ref_signs),
+        pairings=(one * pairing_sign, one, one),
+        _key=[],
+    )
+
+
+def test_orbits_short_matches_the_period_law():
+    """The sign rule against `period_formula`, the law it is derived from:
+    on each one-pair seed of weight +-2cos(pi k/l), every coprime k/l with
+    l <= 30 and 2k < l and the +-2 entry 0/1, for every sign of the pair's
+    (v_i, u) and (v_0, v_1), the orbit is short iff the law gives l + 2k
+    with a = k when (v_0, v_1) < 0 and a = l - k otherwise."""
+    forms = [(0, 1)] + [
+        (k, l) for l in range(3, 31) for k in range(1, (l + 1) // 2) if gcd(k, l) == 1
+    ]
+    verdicts = Counter()
+    for k, l in forms:
+        weight = 2 if l == 1 else cos_multiple(l, k)
+        for sign_b, pairing_sign, s0, s1 in product((1, -1), repeat=4):
+            seed = one_pair_seed(sign_b * weight, (s0, s1, 1), pairing_sign)
+            first, second = (0, 1) if sign_b > 0 else (1, 0)
+            signs = (s0, s1)
+            a = k if pairing_sign < 0 else l - k
+            law = period_formula(a, l, signs[first] < 0, signs[second] < 0)
+            short = exgraph._orbits_short(seed)
+            assert short is (law == l + 2 * k), (k, l, sign_b, pairing_sign, s0, s1)
+            verdicts[short] += 1
+    assert verdicts[True] == verdicts[False] == 8 * len(forms)
+
+
+@pytest.mark.parametrize("pair, reference, compatible", REFERENCES)
+def test_orbits_short_reads_no_cosine_form(pair, reference, compatible, monkeypatch):
+    """The compatibility rule reads no k or l: with the cosine-form match
+    disabled it still decides every seed of each reference graph."""
+    g = exgraph.bfs(spherical_seed(spherical_matrix(*pair), reference))
+    assert g.closed
+
+    def forbidden(a):
+        raise AssertionError("a cosine form was matched")
+
+    monkeypatch.setattr(exmatrix, "_cosine_form_cached", forbidden)
+    assert exgraph.all_periods_short(g) is compatible
 
 
 def loop_float_oracle_count(w1, w2, lam, cap):
