@@ -96,7 +96,7 @@ def parse_matrix_spec(text: str) -> ExchangeMatrix:
 
 def load_matrix(path: str) -> ExchangeMatrix:
     """The matrix of a --matrix file: a JSON list of the three
-    upper-triangle entries, each parsed as one entry."""
+    upper-triangle entries, each a number or a string parsed as one entry."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -107,6 +107,12 @@ def load_matrix(path: str) -> ExchangeMatrix:
             f"unrecognised matrix file format in {path}: need a JSON list of "
             "three entries"
         )
+    for x in data:
+        # JSON true/false load as bool, which is an int subclass
+        if isinstance(x, bool) or not isinstance(x, (int, float, str)):
+            raise ParseError(
+                f"matrix file {path}: entry {json.dumps(x)} is not a number or a string"
+            )
     return ExchangeMatrix(*(parse_entry(str(x)) for x in data))
 
 

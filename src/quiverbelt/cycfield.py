@@ -22,10 +22,16 @@ polynomial on a certified dyadic enclosure of c, doubling the enclosure
 precision until the resulting interval excludes zero.  Zero is decided
 symbolically first, which makes the loop terminate: a nonzero reduced
 vector of degree below deg(mu_d) cannot vanish at c.  The enclosure is
-refined by bisection on integer numerators over a power of two, reading
-the sign of mu_d at each midpoint by integer Horner.  Float values come
-from the same enclosure, narrowed until the bounds on the value agree to
-a relative 2^-60.
+a dyadic interval, integer numerators over a power of two.  A refinement
+to a finer width takes the cell of the interval's t-fold halving that
+holds c: Newton's iteration on mu_d, in integer fixed point, proposes the
+cell, and the signs of mu_d at its two ends, by exact integer Horner,
+certify it.  c is the only root of mu_d in the interval, so the certified
+cell is the one that bisection reaches, and bisection (one Horner per
+halving) remains the fallback where the certificate refuses: rational c
+at d = 2 and 3, or a cell end within Newton's guard bits of c.  Float
+values come from the same enclosure, narrowed until the bounds on the
+value agree to a relative 2^-60.
 
 Inverses run the extended Euclidean algorithm on the numerator and mu_d
 with primitive pseudo-remainders, so their integers stay near the size of
@@ -50,10 +56,14 @@ from math import cos, gcd, inf, lcm, pi
 from operator import mul
 
 from quiverbelt import kernels
-from quiverbelt.intpoly import IntPoly, euler_totient, real_min_poly
+from quiverbelt.intpoly import euler_totient, real_min_poly
 
 _INITIAL_SIGN_BITS = 64
 _MAX_SIGN_BITS = 1 << 20
+# Newton's root location: guard bits below the cell scale, and a cap on
+# the steps (from a 28-bit seed, 2^20 bits take about 16)
+_GUARD_BITS = 16
+_NEWTON_STEPS = 64
 
 
 def _initial_sign_bits() -> int:
@@ -108,27 +118,32 @@ class LevelContext:
         """Dyadic interval [lo/2^s, hi/2^s] around c of width <= 2^-bits,
         returned as (lo, hi, s) with s minimal.  It is certified by a sign
         change of the minimal polynomial (an exact hit collapses it to
-        lo == hi).  Bisection runs on the integer numerators: each step
-        doubles both and takes their sum as the midpoint at scale s + 1."""
+        lo == hi).  The interval is the cell of the t-fold halving of the
+        current one that holds c, for the fewest halvings t that reach the
+        width.  Newton's method proposes that cell and two exact signs of
+        mu_d at its ends certify it: c is the only root of mu_d in the
+        current interval, so the one cell with a sign change is the cell
+        bisection reaches.  When the certificate refuses the proposal,
+        bisection makes the t halvings."""
         if self._lo is None:
             self._seed_enclosure()
         if self._lo == self._hi or self._bits >= bits:
             return self._lo, self._hi, self._shift
-        lo, hi, s = self._lo, self._hi, self._shift
-        slo = _dyadic_sign(self.mu, lo, s)
-        # each step keeps hi - lo and halves the interval by raising s
+        mu, lo, hi, s = self.mu, self._lo, self._hi, self._shift
+        slo = _dyadic_sign(mu, lo, s)
         gap = hi - lo
-        while gap << bits > 1 << s:
-            mid = lo + hi
-            lo, hi, s = lo << 1, hi << 1, s + 1
-            smid = _dyadic_sign(self.mu, mid, s)
-            if smid == 0:
-                lo = hi = mid
-                break
-            if smid == slo:
-                lo = mid
-            else:
-                hi = mid
+        # the fewest halvings with gap / 2^(s + t) <= 2^-bits
+        t = max(0, bits + (gap - 1).bit_length() - s)
+        k = _newton_cell(mu, lo, gap, s, t)
+        cell = (lo << t) + k * gap
+        if (
+            0 <= k < 1 << t
+            and _dyadic_sign(mu, cell, s + t) == slo
+            and _dyadic_sign(mu, cell + gap, s + t) == -slo
+        ):
+            lo, hi, s = cell, cell + gap, s + t
+        else:
+            lo, hi, s = _bisect(mu, lo, hi, s, slo, t)
         self._lo, self._hi, self._shift = _reduce_dyadic(lo, hi, s)
         self._bits = max(self._bits, bits)
         return self._lo, self._hi, self._shift
@@ -224,6 +239,50 @@ def _dyadic_sign(coeffs, x: int, s: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _newton_cell(mu, lo: int, gap: int, s: int, t: int) -> int:
+    """Index k of the cell [lo 2^t + k gap, lo 2^t + (k + 1) gap] / 2^(s+t)
+    in which Newton's iteration on mu, started at the midpoint of
+    [lo, lo + gap] / 2^s, settles; -1 if the derivative vanishes.  The
+    iteration runs on integers at scale 2^p.  Truncated Horner loses up
+    to 2^deg units of 2^-p near |x| = 2, so p keeps deg + 16 guard bits
+    below the cell scale s + t.  A step of m bits leaves an error of
+    about 2^(2m - p) units, so the iteration stops at the first step of
+    at most p / 2 bits.  The index is a proposal, which the caller certifies."""
+    deg = len(mu) - 1
+    p = s + t + deg + _GUARD_BITS
+    x = (2 * lo + gap) << (p - s - 1)
+    for _ in range(_NEWTON_STEPS):
+        f, df = mu[-1] << p, 0
+        for a in reversed(mu[:-1]):
+            df = (df * x >> p) + f
+            f = (f * x >> p) + (a << p)
+        if not df:
+            return -1
+        step = (f << p) // df
+        x -= step
+        if 2 * step.bit_length() <= p:
+            break
+    return ((x >> (p - s - t)) - (lo << t)) // gap
+
+
+def _bisect(mu, lo: int, hi: int, s: int, slo: int, t: int) -> tuple[int, int, int]:
+    """t halvings of [lo/2^s, hi/2^s] toward the root of mu, whose sign at
+    lo is slo, on the integer numerators: each step doubles both and takes
+    their sum as the midpoint at scale s + 1.  An exact hit collapses the
+    interval to lo == hi."""
+    for _ in range(t):
+        mid = lo + hi
+        lo, hi, s = lo << 1, hi << 1, s + 1
+        smid = _dyadic_sign(mu, mid, s)
+        if smid == 0:
+            return mid, mid, s
+        if smid == slo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, s
+
+
 def _reduce_dyadic(lo: int, hi: int, s: int) -> tuple[int, int, int]:
     """(lo, hi, s) with the common factors of two cancelled from the scale."""
     both = lo | hi
@@ -303,10 +362,6 @@ class FieldElem:
             den = lcm(den, f.denominator)
         vec = [int(f * den) for f in fracs]
         return FieldElem(level, vec, den)
-
-    @staticmethod
-    def from_intpoly(level: int, poly: IntPoly) -> "FieldElem":
-        return FieldElem(level, list(poly.coeffs) or [0])
 
     # -- structure ---------------------------------------------------------
 

@@ -319,6 +319,19 @@ def test_verify_rejects_unknown_check_names(capsys, monkeypatch):
             ["classify", "--matrix", "binary.json"],
             "cannot read matrix file binary.json: 'utf-8' codec can't decode byte 0xff",
         ),
+        # a --matrix element that is not a JSON number or string is named as written
+        (
+            ["classify", "--matrix", "null.json"],
+            "matrix file null.json: entry null is not a number or a string",
+        ),
+        (
+            ["classify", "--matrix", "true.json"],
+            "matrix file true.json: entry true is not a number or a string",
+        ),
+        (
+            ["classify", "--matrix", "nested.json"],
+            "matrix file nested.json: entry [1] is not a number or a string",
+        ),
     ],
 )
 def test_handled_errors_print_one_line_and_exit_2(
@@ -328,6 +341,9 @@ def test_handled_errors_print_one_line_and_exit_2(
     (tmp_path / "split.json").write_text(json.dumps(["1,2", "3", ""]))
     (tmp_path / "empty.json").write_text("")
     (tmp_path / "binary.json").write_bytes(b"\xff[1, 2, 3]")
+    (tmp_path / "null.json").write_text("[2, null, 1]")
+    (tmp_path / "true.json").write_text("[2, true, 1]")
+    (tmp_path / "nested.json").write_text("[2, [1], 1]")
     code, out, err = run(args, capsys)
     assert code == 2
     assert out == ""

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from quiverbelt import kernels
+from quiverbelt import cycfield, kernels
 from quiverbelt.cycfield import (
     FieldElem,
     GaloisMap,
     InvalidMultiplier,
     LevelContext,
+    _dyadic_sign,
     _int_solve,
+    _reduce_dyadic,
     _times_c,
     conjugate_basis_rank,
     cos_multiple,
@@ -31,7 +33,13 @@ from quiverbelt.cycfield import (
     units_up_to_half,
     verlinde_sum,
 )
-from quiverbelt.intpoly import cos2_poly, euler_totient
+from quiverbelt.intpoly import IntPoly, cos2_poly, euler_totient
+
+
+def from_intpoly(level: int, poly: IntPoly) -> FieldElem:
+    """The element of F_level whose power-basis vector is the integer
+    polynomial `poly` in c, reduced modulo mu."""
+    return FieldElem(level, list(poly.coeffs) or [0])
 
 
 def embed(e):
@@ -338,7 +346,7 @@ def test_inv_sin_sq_closed_form_matches_the_general_inverse():
 def test_folded_cos_multiple_matches_the_unfolded_polynomial():
     for d in range(2, 61):
         for k in range(-4 * d, 4 * d + 1):
-            assert cos_multiple(d, k) == FieldElem.from_intpoly(d, cos2_poly(abs(k)))
+            assert cos_multiple(d, k) == from_intpoly(d, cos2_poly(abs(k)))
 
 
 def test_sin_quotient_matches_the_recurrence_and_the_float_quotient():
@@ -379,7 +387,7 @@ def test_galois_maps_match_horner(level, multiplier, data):
     except InvalidMultiplier:
         reject()
     x = data.draw(elements(level))
-    image = FieldElem.from_intpoly(level, cos2_poly(g.multiplier))
+    image = from_intpoly(level, cos2_poly(g.multiplier))
     assert g.apply(x) == horner(x, image)
 
 
@@ -390,7 +398,7 @@ def test_lifts_match_horner_across_levels(level, data):
     target = mid * data.draw(st.integers(1, 60 // mid))
     x = data.draw(elements(level))
     lifted = x.lift(target)
-    assert lifted == horner(x, FieldElem.from_intpoly(target, cos2_poly(target // level)))
+    assert lifted == horner(x, from_intpoly(target, cos2_poly(target // level)))
     assert x.lift(mid).lift(target) == lifted
 
 
@@ -686,3 +694,146 @@ def test_enclosure_matches_fraction_bisection(d):
         else:
             assert hi - lo <= Fraction(1, 1 << finest)
             assert (reference.mu_at(lo) < 0) != (reference.mu_at(hi) < 0)
+
+
+def fixed_point_cosine(d: int, w: int) -> int:
+    """2cos(pi/d) * 2^w within +-1, from Machin's formula for pi and the
+    cosine series on integers with 32 guard bits; mu_d plays no part."""
+    one = 1 << (w + 32)
+
+    def atan_inv(k: int) -> int:
+        total, term, n, sign = 0, one // k, 1, 1
+        while term:
+            total += sign * (term // n)
+            term //= k * k
+            n, sign = n + 2, -sign
+        return total
+
+    pi = 4 * (4 * atan_inv(5) - atan_inv(239))
+    x2 = (pi // d) ** 2 // one
+    total, term, j = one, one, 1
+    while term:
+        term = term * x2 // one // ((2 * j - 1) * 2 * j)
+        total += -term if j % 2 else term
+        j += 1
+    return (2 * total) >> 32
+
+
+class BisectionEnclosure:
+    """The root enclosure by integer bisection, one halving per bit, from
+    the seed of `LevelContext` and with its cache: each step doubles both
+    numerators and takes their sum as the midpoint at scale s + 1.
+
+    Exact Horner at every midpoint would take minutes for d <= 80 at 4096
+    bits, so a midpoint reads the sign of mu_d from the side of c it lies
+    on, by an independent value of c to 2^-w; within 4 units of it, it
+    reads the exact sign.  The other roots 2cos(k pi/d), gcd(k, 2d) = 1,
+    lie outside the seed interval, so mu_d changes sign there only at c."""
+
+    def __init__(self, d: int, w: int):
+        ctx = LevelContext(d)
+        ctx._seed_enclosure()
+        self.mu, self.w = ctx.mu, w
+        self.lo, self.hi, self.s = ctx._lo, ctx._hi, ctx._shift
+        self.bits = 0
+        width = (self.hi - self.lo) / 2**self.s
+        for k in range(3, d, 2):
+            if math.gcd(k, 2 * d) == 1:
+                assert abs(2 * math.cos(k * math.pi / d) - ctx.c_float) > 2 * width
+        self.c = fixed_point_cosine(d, w)
+        assert abs(self.c / 2**w - ctx.c_float) < 1e-12
+
+    def sign_at(self, x: int, s: int) -> int:
+        assert s <= self.w
+        offset = (x << (self.w - s)) - self.c
+        if abs(offset) <= 4:
+            return _dyadic_sign(self.mu, x, s)
+        # mu_d is monic and c its largest root: negative just below c
+        return -1 if offset < 0 else 1
+
+    def enclosure(self, bits: int):
+        if self.lo == self.hi or self.bits >= bits:
+            return self.lo, self.hi, self.s
+        lo, hi, s = self.lo, self.hi, self.s
+        slo = self.sign_at(lo, s)
+        gap = hi - lo
+        while gap << bits > 1 << s:
+            mid = lo + hi
+            lo, hi, s = lo << 1, hi << 1, s + 1
+            smid = self.sign_at(mid, s)
+            if smid == 0:
+                lo = hi = mid
+                break
+            if smid == slo:
+                lo = mid
+            else:
+                hi = mid
+        self.lo, self.hi, self.s = _reduce_dyadic(lo, hi, s)
+        self.bits = max(self.bits, bits)
+        return self.lo, self.hi, self.s
+
+
+@pytest.mark.parametrize("requests", [(64, 69, 128, 256, 1024, 4096), (1024, 100, 4096)])
+def test_newton_cells_match_integer_bisection(requests, monkeypatch):
+    """Each Newton-located, sign-certified cell is the one bisection
+    reaches, at every level d = 2..80 and request of the sequence.  Only
+    the rational c of d = 2 and 3 fall back to bisection."""
+    halve, bisected = cycfield._bisect, set()
+
+    def counted(mu, *args):
+        bisected.add(mu)
+        return halve(mu, *args)
+
+    monkeypatch.setattr(cycfield, "_bisect", counted)
+    rational = {level_context(2).mu, level_context(3).mu}
+    for d in range(2, 81):
+        ctx = LevelContext(d)
+        reference = BisectionEnclosure(d, max(requests) + 128)
+        for bits in requests:
+            assert ctx.enclosure(bits) == reference.enclosure(bits), (d, bits)
+            assert bisected <= rational, (d, bits)
+    assert bisected == rational
+
+
+class ExactlyCheckedBisection(BisectionEnclosure):
+    """The oracle with each side-of-c sign checked by exact Horner."""
+
+    def sign_at(self, x: int, s: int) -> int:
+        side = super().sign_at(x, s)
+        assert side == _dyadic_sign(self.mu, x, s), (x, s)
+        return side
+
+
+def test_bisection_oracle_reads_the_exact_signs_of_mu():
+    """The oracle's side-of-c signs are the exact signs of mu_d on every
+    midpoint it reads, at every level d = 2..80 up to 256 bits."""
+    for d in range(2, 81):
+        checked = ExactlyCheckedBisection(d, 512)
+        for bits in (64, 69, 128, 256):
+            checked.enclosure(bits)
+
+
+@pytest.mark.parametrize("offset", [-1, 1])
+@pytest.mark.parametrize("d", [5, 17, 53])
+def test_certificate_refuses_a_neighbouring_cell(d, offset, monkeypatch):
+    """A Newton proposal one cell off fails its sign certificate; bisection
+    then returns the same enclosure as the unpatched locator."""
+    requests = (64, 128, 1024)
+    reference = LevelContext(d)
+    expected = [reference.enclosure(bits) for bits in requests]
+    locate, halve = cycfield._newton_cell, cycfield._bisect
+    bisected = []
+
+    def neighbour(*args):
+        return locate(*args) + offset
+
+    def counted(*args):
+        bisected.append(args)
+        return halve(*args)
+
+    monkeypatch.setattr(cycfield, "_newton_cell", neighbour)
+    monkeypatch.setattr(cycfield, "_bisect", counted)
+    ctx = LevelContext(d)
+    for count, (bits, interval) in enumerate(zip(requests, expected), 1):
+        assert ctx.enclosure(bits) == interval
+        assert len(bisected) == count
