@@ -200,7 +200,7 @@ def cmd_enumerate(args) -> int:
     depth = None
     if result is not None and result.kind == "finite":
         # the compatibility check needs the closed graph: no window of it
-        if args.depth is not None or args.max_vertices:
+        if args.depth is not None or args.max_vertices is not None:
             raise ParseError(
                 "--depth and --max-vertices do not apply to finite-type "
                 "classes, whose graph is always the full closure"
@@ -315,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument(
         "--max-vertices",
         type=int,
-        default=0,
         help="vertex limit of an affine window; 0 (the default) means no "
         "limit (rejected for classes of finite type, which are always closed)",
     )

@@ -77,7 +77,7 @@ class LevelContext:
 
     __slots__ = (
         "d", "deg", "mu", "pow_table", "product", "_rows", "c_float",
-        "_lo", "_hi", "_shift", "_bits",
+        "_lo", "_hi", "_shift", "_bits", "_slo",
     )
 
     def __init__(self, d: int):
@@ -98,11 +98,14 @@ class LevelContext:
         # straight-line code for this level up to kernels.UNROLL_MAX_DEG
         self.product = kernels.product_for(self.pow_table, self.deg)
         self.c_float = 2.0 * cos(pi / d)
-        # root enclosure [_lo/2^_shift, _hi/2^_shift], refined to _bits
+        # root enclosure [_lo/2^_shift, _hi/2^_shift], refined to _bits;
+        # while it is open, _slo is the sign of mu_d at _lo, which no
+        # refinement changes
         self._lo: int | None = None
         self._hi: int | None = None
         self._shift = 0
         self._bits = 0
+        self._slo = 0
 
     def _extend_rows(self, count: int) -> None:
         while len(self._rows) < count:
@@ -124,13 +127,14 @@ class LevelContext:
         mu_d at its ends certify it: c is the only root of mu_d in the
         current interval, so the one cell with a sign change is the cell
         bisection reaches.  When the certificate refuses the proposal,
-        bisection makes the t halvings."""
+        bisection makes the t halvings.  Both keep the low end on the side
+        of c it started on, so the sign there is the one `_seed_enclosure`
+        recorded."""
         if self._lo is None:
             self._seed_enclosure()
         if self._lo == self._hi or self._bits >= bits:
             return self._lo, self._hi, self._shift
-        mu, lo, hi, s = self.mu, self._lo, self._hi, self._shift
-        slo = _dyadic_sign(mu, lo, s)
+        mu, lo, hi, s, slo = self.mu, self._lo, self._hi, self._shift, self._slo
         gap = hi - lo
         # the fewest halvings with gap / 2^(s + t) <= 2^-bits
         t = max(0, bits + (gap - 1).bit_length() - s)
@@ -167,6 +171,7 @@ class LevelContext:
                 delta *= 2
                 continue
             self._lo, self._hi, self._shift = _reduce_dyadic(lo, hi, s)
+            self._slo = slo
             return
         raise RuntimeError(f"failed to bracket 2cos(pi/{self.d})")
 

@@ -13,12 +13,14 @@ Whether two planar seeds are translates, and by which vector, is decided
 by `seedgeom.translation_class` alone: lattice reports, the reflection
 witness and the quotient census group seeds by its shape.
 
-The planar BFS mutates once per translation class, canonical direction and
-positivity, the key of its table: `planar_mutate` reads only data a
-translation keeps, plus the positivity of the mutated side, and every point
-it builds moves with the seed, so every other seed's mutation is the table
-entry translated (see `_planar_steps`).  `tests/test_exgraph.py` keeps the
-plain BFS that mutates every vertex as the oracle.
+The planar BFS runs on (shape, lambda) states: the shape of a seed's
+translation class and its anchor's coordinate along the belt, measured from
+the shape's first vertex.  It mutates once per shape and canonical direction,
+the key of its table; each entry's voltage is checked once to be parallel to
+the belt, so every seed of a shape is a translate along the belt of every
+other, which keeps each positivity, and every other seed's mutation is the
+table entry translated (see `_planar_steps`).  `tests/test_exgraph.py` keeps
+the plain BFS that mutates every vertex as the oracle.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from quiverbelt.exmatrix import (
     sources_and_sinks,
 )
 from quiverbelt.intpoly import euler_totient
-from quiverbelt.planegeom import PlanarPoint, length_along
+from quiverbelt.planegeom import PlanarPoint, cross_q, dot, length_along
 from quiverbelt.seedgeom import (
     DegeneratePositivity,
     NotAcyclic,
@@ -134,13 +136,17 @@ def bfs(
     Each open direction asks a step function for the neighbour: either
     the link (key, relabelling) of a stored vertex, or a function that
     builds the new seed (`_mutation_steps` for spherical seeds and
-    matrices).  Planar seeds are mutated once per table key (shape of
-    `translation_class(s)`, canonical slot of k, `positivity(s, k)`), and
-    every other seed under that key takes the stored mutation translated
-    (`_planar_steps`).  That is exact: mutation reads nothing a translation
-    changes but the positivity, which is in the key, and every point it
-    builds moves with the seed.  The plain BFS that mutates every vertex
-    stays in `tests/test_exgraph.py` as the oracle for both."""
+    matrices).  Planar seeds are the states (shape, lambda) of
+    `_planar_steps`: the shape of `translation_class(s)` and the anchor's
+    coordinate along the belt.  They are mutated once per table key (shape,
+    canonical slot of k), and every other seed under that key takes the
+    stored mutation translated, found at lambda plus the entry's step.
+    That is exact: each entry's voltage is checked to be parallel to the
+    belt, so seeds of one shape differ by translations along it, which keep
+    every positivity; mutation reads nothing else a translation changes,
+    and every point it builds moves with the seed.  The plain BFS that
+    mutates every vertex stays in `tests/test_exgraph.py` as the oracle for
+    both."""
     key0 = initial.canonical_key()
     vertices = {key0: initial}
     if isinstance(initial, PlanarSeed):
@@ -209,47 +215,70 @@ def _mutation_steps(vertices: dict, mutation: Callable):
 
 def _planar_steps(initial: PlanarSeed):
     """The BFS step for planar seeds: one `planar_mutate` per translation
-    class, canonical direction and positivity.
+    class and canonical direction, on (shape, lambda) states.
 
-    Exactness: `planar_mutate(s, k)` reads the side directions, the matrix,
-    the outward signs and differences of points, all unchanged by a
-    translation, plus `positivity(s, k)`, which a translation not parallel
-    to the belt can change.  Every point it builds (the kept vertices,
-    `reflect_point`, `line_intersect`) moves with the seed, and every check
-    that bounds the new region compares differences.  So if s = X + w with
-    slot p[i] of s matching slot p'[i] of X (p and p' their class perms),
-    and k' = p'[p^-1[k]], then mu_k(s) and mu_{k'}(X) + w match slot for
-    slot in the same way, field by field, whenever the two positivities
-    agree; and where mu_{k'}(X) raised, X's mutation stopped the BFS
-    before s was reached.
+    Every stored vertex is the state (shape, lambda): `shape` is that of
+    `translation_class`, and its anchor is rep[shape] + lambda * e, where
+    e is the belt's unit direction (dot(e, e) == 1) and rep[shape] is the
+    anchor of the shape's first vertex, at lambda 0.  Lambda is kept per
+    vertex key in this closure, relative to this BFS's representatives.
 
-    The table is keyed by (shape, canonical slot p^-1[k], positivity) and
-    holds the first mutation made under its key, with that parent's class
-    perm and the child's anchor offset from the parent's.  A stored
-    neighbour is found without building anything: the index maps (shape,
-    anchor key) to the vertex key and class perm, and the link's
-    relabelling is composed from the class perms.  Only a new vertex is
-    built, as the table child relabelled and translated by w
-    (`translate_relabelled`)."""
-    children = {}  # (shape, slot, positivity) -> (child, parent perm, parent anchor, offset)
-    index = {}  # (shape, anchor key) -> (vertex key, class perm)
+    The table is keyed by (shape, canonical slot p^-1[k]) and holds the
+    first mutation made under its key: the child, that parent's class perm
+    and anchor, the child's class shape and perm, and d_lambda, the child's
+    lambda minus the parent's.  When an entry is made, the child's voltage
+    v = anchor(child) - rep[child shape] must be parallel to the belt
+    (cross_q(e, v) == 0, else RuntimeError, as in `translation_between`);
+    then the child's lambda is dot(v, e), and a new shape takes the child's
+    anchor as its rep.  A step reads the entry and looks (child shape,
+    lambda + d_lambda) up in the index, with no positivity, no point
+    arithmetic and no point key.  A stored neighbour's relabelling is
+    composed from the class perms.  Only a new vertex is built, as the
+    table child relabelled and translated by w (`translate_relabelled`).
+
+    Exactness: by induction every stored vertex lies on its shape's line
+    through rep parallel to the belt, so two seeds of one shape differ by
+    a translation along the belt.  That translation keeps each side's
+    offset across the belt, so it keeps every `positivity`.
+    `planar_mutate(s, k)` reads the side directions, the matrix, the
+    outward signs and differences of points, all unchanged by a
+    translation, plus that positivity.  Every point it builds (the kept
+    vertices, `reflect_point`, `line_intersect`) moves with the seed, and
+    every check that bounds the new region compares differences.  So if
+    s = X + w with slot p[i] of s matching slot p'[i] of X (p and p' their
+    class perms), and k' = p'[p^-1[k]], then mu_k(s) and mu_{k'}(X) + w
+    match slot for slot in the same way, field by field; and where
+    mu_{k'}(X) raised, X's mutation stopped the BFS before s was reached.
+    The voltage check costs one cross product per table entry."""
+    d, e = initial.d, initial.chart.belt.e
     shape0, anchor0, perm0 = translation_class(initial)
-    index[shape0, anchor0.key()] = (initial.canonical_key(), perm0)
+    key0, zero = initial.canonical_key(), FieldElem.zero(d)
+    # (shape, slot) -> (child, parent perm, parent anchor, cshape, cperm, d_lam)
+    children = {}
+    reps = {shape0: anchor0}  # shape -> anchor of the shape's first vertex
+    lam = {key0: zero}  # vertex key -> lambda
+    # (shape, lambda's num, lambda's den) -> (vertex key, class perm)
+    index = {(shape0, zero.num, zero.den): (key0, perm0)}
 
     def step(seed, k):
         shape, anchor, perm = translation_class(seed)
         inverse = PERM_INVERSE[perm]
-        table_key = (shape, PERMS3[inverse][k], positivity(seed, k))
+        at = lam[seed.canonical_key()]
+        table_key = (shape, PERMS3[inverse][k])
         entry = children.get(table_key)
         if entry is None:
             child = planar_mutate(seed, k)
-            offset = translation_class(child)[1] - anchor
-            entry = children[table_key] = (child, perm, anchor, offset)
-        child, rep_perm, rep_anchor, offset = entry
-        cshape, _, cperm = translation_class(child)
+            cshape, canchor, cperm = translation_class(child)
+            v = canchor - reps.setdefault(cshape, canchor)
+            if not cross_q(e, v).is_zero():
+                raise RuntimeError("translation voltage not parallel to the belt")
+            d_lam = dot(d, v, e) - at
+            entry = children[table_key] = (child, perm, anchor, cshape, cperm, d_lam)
+        child, rep_perm, rep_anchor, cshape, cperm, d_lam = entry
         # slot a of mu_k(seed) is slot r[a] of the stored child, moved by w
         r = PERM_COMPOSE[rep_perm][inverse]
-        target = (cshape, (anchor + offset).key())
+        to = at + d_lam
+        target = (cshape, to.num, to.den)
         found = index.get(target)
         if found is not None:
             # slot r[a] of the child is slot nperm[cperm^-1[r[a]]] of nkey's seed
@@ -259,7 +288,9 @@ def _planar_steps(initial: PlanarSeed):
         def build():
             w = anchor - rep_anchor  # zero only for the seed that made the entry
             nxt = child if w.is_zero() else translate_relabelled(child, r, w)
-            index[target] = (nxt.canonical_key(), translation_class(nxt)[2])
+            nkey = nxt.canonical_key()
+            lam[nkey] = to
+            index[target] = (nkey, translation_class(nxt)[2])
             return nxt
 
         return None, build

@@ -91,10 +91,6 @@ def cross_q(u: PlanarPoint, v: PlanarPoint) -> FieldElem:
     return u.x * v.y - u.y * v.x
 
 
-def norm_sq(d: int, u: PlanarPoint) -> FieldElem:
-    return dot(d, u, u)
-
-
 def reflect_vector(d: int, v: PlanarPoint, m: int) -> PlanarPoint:
     """Reflect a vector across the direction m*pi/d."""
     c2 = cos_value(d, 2 * m)
@@ -153,7 +149,3 @@ def length_along(d: int, v: PlanarPoint, m: int) -> FieldElem:
 
 def midpoint(p: PlanarPoint, q: PlanarPoint) -> PlanarPoint:
     return (p + q).scale(Fraction(1, 2))
-
-
-def collinear(d: int, p: PlanarPoint, q: PlanarPoint, r: PlanarPoint) -> bool:
-    return cross_q(q - p, r - p).is_zero()

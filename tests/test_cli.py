@@ -332,6 +332,11 @@ def test_verify_rejects_unknown_check_names(capsys, monkeypatch):
             ["classify", "--matrix", "nested.json"],
             "matrix file nested.json: entry [1] is not a number or a string",
         ),
+        # an explicit --max-vertices 0 is given, not absent
+        (
+            ["enumerate", "--sph", "1/3,1/3", "--max-vertices", "0"],
+            "--depth and --max-vertices do not apply to finite-type classes",
+        ),
     ],
 )
 def test_handled_errors_print_one_line_and_exit_2(

@@ -795,6 +795,19 @@ def test_newton_cells_match_integer_bisection(requests, monkeypatch):
     assert bisected == rational
 
 
+@pytest.mark.parametrize("requests", [(64, 69, 128, 256, 1024, 4096), (1024, 100, 4096)])
+def test_recorded_low_sign_is_the_sign_at_the_low_end(requests):
+    """The sign of mu_d at the low end, recorded once when the enclosure is
+    seeded, is the sign there after every refinement that leaves the
+    interval open, d = 2..80 (an exact hit at d = 2 and 3 closes it)."""
+    for d in range(2, 81):
+        ctx = LevelContext(d)
+        for bits in requests:
+            lo, hi, s = ctx.enclosure(bits)
+            assert lo == hi or ctx._slo == _dyadic_sign(ctx.mu, lo, s), (d, bits)
+            assert lo < hi or d in (2, 3), (d, bits)
+
+
 class ExactlyCheckedBisection(BisectionEnclosure):
     """The oracle with each side-of-c sign checked by exact Horner."""
 

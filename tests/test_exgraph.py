@@ -10,6 +10,7 @@ import pytest
 from quiverbelt import exgraph, seedgeom
 from quiverbelt.cycfield import FieldElem, cos_multiple
 from quiverbelt.exmatrix import (
+    PERM_INVERSE,
     PERMS3,
     SPHERICAL_PAIRS,
     ExchangeMatrix,
@@ -19,7 +20,7 @@ from quiverbelt.exmatrix import (
     spherical_matrix,
 )
 from quiverbelt.intpoly import euler_totient
-from quiverbelt.planegeom import length_along
+from quiverbelt.planegeom import cross_q, dot, length_along, unit_dir
 from quiverbelt.seedgeom import (
     DegeneratePositivity,
     NotAcyclic,
@@ -31,6 +32,7 @@ from quiverbelt.seedgeom import (
     seed_mutate,
     spherical_seed,
     t_invariant,
+    translation_class,
 )
 
 GRAPHS = {}
@@ -140,39 +142,58 @@ def test_budget_partial_graph_matches_the_plain_bfs(d, limit, offset):
     assert_same_graph(partial, reference_bfs(start, planar_mutate, vertex_limit=limit))
 
 
+def table_key(seed, k):
+    """The planar step's table key: (shape, canonical slot of k)."""
+    shape, _, perm = translation_class(seed)
+    return shape, PERMS3[PERM_INVERSE[perm]][k]
+
+
+@pytest.mark.parametrize("depth", [4, 8])
 @pytest.mark.parametrize("d", [3, 4, 5, 7])
-def test_the_planar_step_keys_its_table_on_positivity(d, monkeypatch):
-    """A translate along the belt reuses the table's mutation.  A translate
-    across it flips the positivity of a side parallel to the belt, so that
-    side is mutated afresh and gets its own mutation or its own error."""
-    belt = initial_seed(d).chart.belt
-    cases = [
-        (seed, k)
-        for seed in graph(d, 6).vertices.values()
-        for k in range(3)
-        if seed.side_dirs[k] == belt.dir_class
-    ]
-    assert cases
-    made = []
+def test_the_planar_step_mutates_once_per_class_and_slot(d, depth, monkeypatch):
+    """One `planar_mutate` per (shape, canonical slot) key the BFS asks
+    its step for, with no positivity in the key."""
+    made, asked = [], set()
     monkeypatch.setattr(
-        exgraph, "planar_mutate", lambda s, k: made.append(k) or planar_mutate(s, k)
+        exgraph,
+        "planar_mutate",
+        lambda s, k: made.append(table_key(s, k)) or planar_mutate(s, k),
     )
-    for seed, k in cases:
-        step = exgraph._planar_steps(seed)
-        step(seed, k)
-        across = seed.translate((belt.base - seed.side_base(k)).scale(2))
-        for moved, fresh in ((seed.translate(belt.e), 0), (across, 1)):
-            made.clear()
-            try:
-                expected = planar_mutate(moved, k)
-            except UnsupportedRegion:
-                with pytest.raises(UnsupportedRegion):
-                    step(moved, k)
-                continue
-            link, build = step(moved, k)
-            assert link is None
-            assert stored_fields(build()) == stored_fields(expected)
-            assert len(made) == fresh
+    steps = exgraph._planar_steps
+
+    def recording_steps(initial):
+        step = steps(initial)
+
+        def recorded(seed, k):
+            asked.add(table_key(seed, k))
+            return step(seed, k)
+
+        return recorded
+
+    monkeypatch.setattr(exgraph, "_planar_steps", recording_steps)
+    exgraph.bfs(initial_seed(d), depth_limit=depth)
+    assert len(made) == len(asked)
+    assert set(made) == asked
+
+
+@pytest.mark.parametrize("d", [3, 5, 8])
+def test_the_planar_step_refuses_a_voltage_across_the_belt(d, monkeypatch):
+    """A child moved across the belt puts a shape off its line through the
+    representative, which the table's voltage check refuses."""
+    belt = initial_seed(d).chart.belt
+    across = unit_dir(d, belt.dir_class + 1)
+    assert not cross_q(belt.e, across).is_zero()
+    monkeypatch.setattr(
+        exgraph, "planar_mutate", lambda s, k: planar_mutate(s, k).translate(across)
+    )
+    with pytest.raises(RuntimeError, match="not parallel to the belt"):
+        exgraph.bfs(initial_seed(d), depth_limit=10)
+
+
+@pytest.mark.parametrize("d", range(3, 13))
+def test_the_belt_direction_is_a_unit_vector(d):
+    e = initial_seed(d).chart.belt.e
+    assert dot(d, e, e) == 1
 
 
 def negated_quiver(d):

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 from quiverbelt.cycfield import FieldElem
 from quiverbelt.planegeom import (
-    collinear,
     cross_q,
     dot,
     foot_of_perpendicular,
@@ -12,7 +11,6 @@ from quiverbelt.planegeom import (
     length_along,
     line_intersect,
     midpoint,
-    norm_sq,
     planar_zero,
     reflect_point,
     reflect_vector,
@@ -22,6 +20,14 @@ from quiverbelt.planegeom import (
 
 def floats(p, d):
     return p.to_floats(d)
+
+
+def norm_sq(d, u):
+    return dot(d, u, u)
+
+
+def collinear(p, q, r):
+    return cross_q(q - p, r - p).is_zero()
 
 
 def test_unit_directions_embed_correctly():
@@ -72,7 +78,7 @@ def test_line_intersection():
     d = 5
     p = line_intersect(d, planar_zero(d), 1, from_rationals(d, 1, 0), 3)
     assert p is not None
-    assert collinear(d, planar_zero(d), p, unit_dir(d, 1))
+    assert collinear(planar_zero(d), p, unit_dir(d, 1))
     assert line_intersect(d, planar_zero(d), 2, from_rationals(d, 1, 1), 2) is None
 
 
