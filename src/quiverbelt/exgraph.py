@@ -11,7 +11,9 @@ along the graph follow labelled seeds without mutating again.
 
 Whether two planar seeds are translates, and by which vector, is decided
 by `seedgeom.translation_class` alone: lattice reports, the reflection
-witness and the quotient census group seeds by its shape.
+witness and the quotient census group seeds by its shape.  A lattice report
+checks each class's members to lie on one line parallel to the belt by
+their `seedgeom.belt_offset` and reads each translation off one coordinate.
 
 The planar BFS runs on (shape, lambda) states: the shape of a seed's
 translation class and its anchor's coordinate along the belt, measured from
@@ -54,6 +56,7 @@ from quiverbelt.seedgeom import (
     NotAcyclic,
     PlanarSeed,
     SphericalSeed,
+    belt_offset,
     orientation_tag,
     planar_mutate,
     positivity,
@@ -351,9 +354,18 @@ def acyclic_belt(initial: PlanarSeed, steps: int) -> tuple[PlanarSeed, ...]:
     """The initial acyclic belt truncated to [-steps, steps]; entry `steps`
     is the initial seed, later entries follow source mutations, earlier
     ones sink mutations.  The belt is memoised on `initial` per `steps`,
-    and it is a tuple, so no caller can change what the next one reads."""
+    and it is a tuple, so no caller can change what the next one reads.
+    Each step reads only the seed before it, so a shorter belt is the
+    middle of a longer one: when `initial` holds a belt of N > steps
+    steps, the entries N - steps .. N + steps are returned and nothing is
+    mutated."""
     belt = initial._cache.get(("belt", steps))
     if belt is not None:
+        return belt
+    n = max((key[1] for key in initial._cache if key[0] == "belt"), default=steps)
+    if n > steps:
+        belt = initial._cache["belt", n][n - steps : n + steps + 1]
+        initial._cache["belt", steps] = belt
         return belt
     sources, sinks = sources_and_sinks(initial.B)
     if not sources or not sinks:
@@ -410,24 +422,43 @@ def s_k_length(d: int, k: int) -> FieldElem:
 def lattice_report(graph: ExchangeGraphData, d: int) -> LatticeReport:
     """Collect translation witnesses among enumerated seeds, witness the
     infinite-region generators of R, and compute exact Q-ranks.  `d` must
-    be the graph's level; any other raises ValueError before any work."""
+    be the graph's level; any other raises ValueError before any work.
+
+    Distinct vertices of one translation class differ by a nonzero
+    translation w between their anchors, which must be parallel to the
+    belt direction e: each member's `belt_offset` must equal the first
+    member's, else RuntimeError, as in `translation_between`.  Then
+    w = t*e with dot(e, e) == 1, so its length along the belt is
+    |t| = |w.x| * |1/e.x| (y when e.x is zero): one cross product per
+    seed, its offset, and one inverse per report."""
     level = graph.vertices[graph.initial_key].d
     if d != level:
         raise ValueError(f"lattice report at d={d} for a graph of level {level}")
     units = units_up_to_half(d)
     seeds = list(graph.vertices.values())
-    belt_e_class = seeds[0].chart.belt.dir_class
+    e = seeds[0].chart.belt.e
+    pick = (lambda p: p.x) if not e.x.is_zero() else (lambda p: p.y)
+    per_unit = pick(e).inv().abs()
 
-    # group by translation class and collect pairwise witnesses: distinct
-    # vertices of one class differ by a nonzero translation
+    # group by translation class and collect the witnesses of each group's
+    # first seed to the others
     groups: dict[str, list[PlanarSeed]] = {}
     for s in seeds:
         groups.setdefault(translation_class(s)[0], []).append(s)
     observed: list[FieldElem] = []
     seen = set()
+    seen_steps = set()  # keys of the coordinate differences already read
     for base, *others in groups.values():
+        offset = belt_offset(base)
+        at = pick(translation_class(base)[1])
         for other in others:
-            L = length_along(d, translation_between(base, other), belt_e_class)
+            if belt_offset(other) != offset:
+                raise RuntimeError("translation witness not parallel to the belt")
+            step = pick(translation_class(other)[1]) - at
+            if step.key() in seen_steps:
+                continue
+            seen_steps.add(step.key())
+            L = step.abs() * per_unit
             if L.key() not in seen:
                 seen.add(L.key())
                 observed.append(L)
@@ -509,7 +540,7 @@ def quotient_census(graph: ExchangeGraphData):
     classes per belt side, and angle_triples is the set of occurring
     unordered triples.  Both the class and the triple are functions of a
     seed's `translation_class` shape, so they are read once per shape;
-    `orientation_tag` is memoised per shape and belt offset."""
+    `orientation_tag` is memoised per shape and `belt_offset`."""
     census: dict = {}
     triples = set()
     classes: dict = {}  # shape -> (angles, quiver-sign) class

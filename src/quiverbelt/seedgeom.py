@@ -495,13 +495,13 @@ def _per_class(s: PlanarSeed, compute, across: bool):
     Two seeds of one chart whose `translation_class` shapes agree are
     translates up to relabelling, so a value that neither a translation
     nor a relabelling changes is one per shape.  With `across`, the key
-    also holds the anchor's offset across the belt (`_belt_offset`): for
-    values that read where the seed lies relative to the belt.  Seeds
-    with one shape and one offset differ by a translation along the
-    belt, which maps the belt onto itself.  An exception propagates and
-    nothing is stored."""
+    also holds `belt_offset`, which names the line parallel to the belt
+    that the anchor lies on: for values that read where the seed lies
+    relative to the belt.  Seeds with one shape and one offset differ by
+    a translation along the belt, which maps the belt onto itself.  An
+    exception propagates and nothing is stored."""
     shape = translation_class(s)[0]
-    key = (compute, shape, _belt_offset(s)) if across else (compute, shape)
+    key = (compute, shape, belt_offset(s)) if across else (compute, shape)
     memo = s.chart._memo
     value = memo.get(key)
     if value is None:
@@ -509,13 +509,15 @@ def _per_class(s: PlanarSeed, compute, across: bool):
     return value
 
 
-def _belt_offset(s: PlanarSeed) -> FieldElem:
-    """cross_q(e, anchor - base) for the anchor of `translation_class(s)`
-    and the belt (base, e); cached on the seed."""
+def belt_offset(s: PlanarSeed) -> FieldElem:
+    """cross_q(e, anchor) for the anchor of `translation_class(s)` and the
+    belt direction e; cached on the seed.  It differs from the anchor's
+    offset across the belt line by the constant cross_q(e, base), so two
+    anchors have equal values exactly when they differ by a multiple of
+    e: cross_q(e, a) - cross_q(e, b) = cross_q(e, a - b)."""
     offset = s._cache.get("offset")
     if offset is None:
-        belt = s.chart.belt
-        offset = s._cache["offset"] = cross_q(belt.e, translation_class(s)[1] - belt.base)
+        offset = s._cache["offset"] = cross_q(s.chart.belt.e, translation_class(s)[1])
     return offset
 
 
@@ -533,9 +535,7 @@ def _t_invariant(s: PlanarSeed) -> FieldElem:
     by the law of sines, whichever side is side 0; a region's end angles
     are k and d - k, whose sines agree."""
     f = s.finite_side_index() or 0
-    a, b = s.endpoints_of_side(f)
-    length = length_along(s.d, b - a, s.side_dirs[f])
-    return length * sin_product(
+    return side_length(s, f) * sin_product(
         s.d, s.angle_multiple((f + 1) % 3), s.angle_multiple((f + 2) % 3)
     )
 

@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 from quiverbelt import exgraph, seedgeom
-from quiverbelt.cycfield import FieldElem, cos_multiple
+from quiverbelt.cycfield import FieldElem, cos_multiple, rational_rank, units_up_to_half
 from quiverbelt.exmatrix import (
     PERM_INVERSE,
     PERMS3,
@@ -32,6 +32,7 @@ from quiverbelt.seedgeom import (
     seed_mutate,
     spherical_seed,
     t_invariant,
+    translation_between,
     translation_class,
 )
 
@@ -445,8 +446,37 @@ def test_acyclic_belt_is_memoised_and_cannot_be_changed_by_a_caller():
     assert again is belt and len(again) == 9 and again[4] is s
     walked = exgraph.acyclic_belt(initial_seed(5), 4)
     assert [x.canonical_key() for x in again] == [x.canonical_key() for x in walked]
-    # each length is its own walk, and the shorter one is the middle part
+    # a shorter length is sliced from the memoised belt: its middle part
     assert exgraph.acyclic_belt(s, 2) == belt[2:7]
+
+
+@pytest.mark.parametrize("d", (3, 5, 8))
+def test_shorter_acyclic_belts_are_sliced_without_mutating(d, monkeypatch):
+    fresh = {n: exgraph.acyclic_belt(initial_seed(d), n) for n in range(11)}
+    s = initial_seed(d)
+    exgraph.acyclic_belt(s, 9)
+
+    def refused(seed, k):
+        raise AssertionError("a shorter belt mutated")
+
+    monkeypatch.setattr(exgraph, "planar_mutate", refused)
+    for n in range(9):
+        belt = exgraph.acyclic_belt(s, n)
+        assert isinstance(belt, tuple) and belt[n] is s
+        assert [x.canonical_key() for x in belt] == [
+            x.canonical_key() for x in fresh[n]
+        ]
+    # a longer request still walks, both ways from s
+    calls = []
+
+    def counted(seed, k):
+        calls.append(k)
+        return planar_mutate(seed, k)
+
+    monkeypatch.setattr(exgraph, "planar_mutate", counted)
+    longer = exgraph.acyclic_belt(s, 10)
+    assert len(calls) == 20
+    assert [x.canonical_key() for x in longer] == [x.canonical_key() for x in fresh[10]]
 
 
 def test_acyclic_belt_rejects_a_cyclic_seed():
@@ -463,8 +493,6 @@ def test_belt_translation_every_sixth_seed():
     for d in (3, 5, 7):
         s0 = initial_seed(d)
         belt = exgraph.acyclic_belt(s0, 9)
-        from quiverbelt.seedgeom import translation_between
-
         for n in range(len(belt) - 6):
             w = translation_between(belt[n], belt[n + 6])
             assert w is not None
@@ -504,6 +532,116 @@ def test_lattice_report_even():
     rep = exgraph.lattice_report(graph(4, 12), 4)
     assert rep.rank_r == 1 == euler_totient(4) // 2
     assert rep.rank_observed in rep.predicted_l_ranks
+
+
+def reference_lattice_report(graph, d):
+    """The lattice report with a `translation_between` and a `length_along`
+    per pair: each translation class's first seed against every other."""
+    seeds = list(graph.vertices.values())
+    belt_class = seeds[0].chart.belt.dir_class
+    groups = {}
+    for s in seeds:
+        groups.setdefault(translation_class(s)[0], []).append(s)
+    observed, seen = [], set()
+    for base, *others in groups.values():
+        for other in others:
+            L = length_along(d, translation_between(base, other), belt_class)
+            if L.key() not in seen:
+                seen.add(L.key())
+                observed.append(L)
+    generators = []
+    for k in units_up_to_half(d):
+        witness = exgraph.witness_region_translation(graph, d, k)
+        if witness is not None:
+            generators.append(witness)
+            if witness.key() not in seen:
+                seen.add(witness.key())
+                observed.append(witness)
+    den = 1
+    for L in observed:
+        for c in L.coeffs:
+            den = den * c.denominator // gcd(den, c.denominator)
+    predicted_r = euler_totient(d) // 2
+    return exgraph.LatticeReport(
+        level=d,
+        generator_lengths=generators,
+        observed_lengths=observed,
+        rank_r=rational_rank(generators) if generators else 0,
+        rank_observed=rational_rank(observed) if observed else 0,
+        predicted_rank_r=predicted_r,
+        predicted_l_ranks=(
+            (predicted_r,) if d % 2 == 1 else (predicted_r, euler_totient(d))
+        ),
+        reflection_witness=any(
+            translation_class(reflect_across_belt(s))[0] in groups for s in seeds
+        ),
+        common_denominator=den,
+    )
+
+
+def belt_entry(d, offset):
+    return exgraph.acyclic_belt(initial_seed(d), 6)[6 + offset]
+
+
+# d = 3..10 to depth 8 from three belt entries, and the affine-analysis
+# benchmark's depth-7 windows from the belt entry 6 (its offset k = 1)
+LATTICE_WINDOWS = [
+    (d, 8, offset) for d in range(3, 11) for offset in (-2, 0, 3)
+] + [(d, 7, 6) for d in (4, 6, 8, 5, 7)]
+
+
+@pytest.mark.parametrize("d, depth, offset", LATTICE_WINDOWS)
+def test_lattice_report_matches_the_pairwise_translations(d, depth, offset):
+    window = exgraph.bfs(belt_entry(d, offset), depth_limit=depth)
+    report = exgraph.lattice_report(window, d)
+    expected = reference_lattice_report(window, d)
+    for name in ("generator_lengths", "observed_lengths"):
+        assert [L.key() for L in getattr(report, name)] == [
+            L.key() for L in getattr(expected, name)
+        ]
+    assert report == expected
+
+
+@pytest.mark.parametrize("m", (1, 2))
+def test_lattice_report_measures_along_a_belt_of_any_direction(m):
+    # at m = 2 of d = 4 the belt is vertical, e.x == 0, and the report reads
+    # the translations off y
+    d = 4
+    s = initial_seed(d)
+    e = -unit_dir(d, m)
+    belt = seedgeom.BeltLine(s.chart.belt.base, m, e)
+    chart = seedgeom.PlanarChart(d, belt, s.chart.t0)
+    seed = PlanarSeed(chart, s.kind, s.vertices, s.side_dirs, s.ray, s.B)
+    moved = (seed, seed.translate(e), seed.translate(e.scale(-3)))
+    vertices = {x.canonical_key(): x for x in moved}
+    window = exgraph.ExchangeGraphData(
+        vertices, {}, dict.fromkeys(vertices, 0), False, seed.canonical_key(), {}
+    )
+    assert exgraph.lattice_report(window, d).observed_lengths == [1, 3]
+
+
+@pytest.mark.parametrize("d", (3, 5, 8))
+def test_lattice_report_refuses_a_translate_off_the_belt_line(d):
+    # a vertex moved across the belt keeps its shape, so it joins a class
+    # whose other members it no longer translates to along the belt
+    window = exgraph.bfs(initial_seed(d), depth_limit=6)
+    sizes = {}
+    for s in window.vertices.values():
+        shape = translation_class(s)[0]
+        sizes[shape] = sizes.get(shape, 0) + 1
+    key, seed = next(
+        (key, s)
+        for key, s in window.vertices.items()
+        if key != window.initial_key and sizes[translation_class(s)[0]] > 1
+    )
+    across = unit_dir(d, seed.chart.belt.dir_class + 1)
+    vertices = dict(window.vertices)
+    vertices[key] = seed.translate(across)
+    moved = exgraph.ExchangeGraphData(
+        vertices, window.edges, window.depth, window.closed, window.initial_key, window.links
+    )
+    with pytest.raises(RuntimeError, match="not parallel to the belt"):
+        exgraph.lattice_report(moved, d)
 
 
 def test_s_k_lengths_match_the_sine_formula():
