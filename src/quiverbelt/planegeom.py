@@ -66,14 +66,6 @@ def planar_zero(d: int) -> PlanarPoint:
     return PlanarPoint(z, z)
 
 
-def from_rationals(d: int, x, y) -> PlanarPoint:
-    """Point with rational module coordinates (x, y*sin(pi/d))."""
-    return PlanarPoint(
-        FieldElem.from_rational(d, Fraction(x)),
-        FieldElem.from_rational(d, Fraction(y)),
-    )
-
-
 @lru_cache(maxsize=None)
 def unit_dir(d: int, m: int) -> PlanarPoint:
     """Unit vector at angle m*pi/d: (cos(m a), sin(m a)/sin(a)) in module

@@ -13,7 +13,9 @@ rebuilds the region on the far side of k.
 Spherical case (finite type): seeds are vector triples in a quadratic
 space with a positive-definite quasi-Cartan Gram matrix; mutation is the
 usual partial-reflection rule with positivity read off a fixed interior
-reference point.
+reference point.  The vectors are roots of the class's finite reflection
+group, so the roots, matrices and keys of a class live in one RootTable
+that every reference point shares.
 
 Vertex i is always opposite side i: it lies on every side but side i, so
 side i's line holds the vertices in slots i+1 and i+2.  An infinite region
@@ -727,11 +729,136 @@ def _cyclic_orientation(s: PlanarSeed) -> int:
 # -- quadratic-space (spherical) seeds ------------------------------------------
 
 
+class RootTable:
+    """The lazily filled table of one spherical class, shared by every draw
+    of a reference point.
+
+    Every vector of a spherical seed is a root of the class's finite
+    reflection group (12, 18 or 30 signed roots for A3, B3 and H3), and a
+    seed's matrix is one of the class's few matrices.  So the table holds:
+      - each root interned by value, with its slot string (its three
+        coordinate keys) and its negation;
+      - the reflection t = r - (r, s) s of each pair of roots asked for,
+        and t reflected across -s, which is r again;
+      - the pairings ((v_0, v_1), (v_0, v_2), (v_1, v_2)) of each root
+        triple;
+      - each matrix interned by value, and mu_k of each, recorded both ways
+        as mutation is an involution;
+      - (canonical key, key_perm) of each state (root triple, matrix).
+    Entries are made on first use, never as a closure up front, so the
+    table is bounded by the roots and states that the class's seeds reach.
+
+    Each entry is a function of the Gram form (which the owning QuadSpace
+    fixes) and of roots and matrices compared by value, never of a draw's
+    reference point: `ref` and the carried (v_i, u) stay on the seeds.
+    Roots and matrices are looked up by id() first; the id tables hold only
+    interned objects, which `roots` and `matrices` keep alive, and anything
+    else is found by value.  A root triple's pairings are those that the
+    first seed to reach it carried, so a seed's pairings must be those of
+    its vectors, as for every seed that `spherical_seed` and `seed_mutate`
+    build."""
+
+    def __init__(self):
+        self.roots: list = []  # root index -> interned coordinate tuple
+        self.slots: list = []  # root index -> ";"-joined coordinate keys
+        self._negations: list = []  # root index -> index of -root, or None
+        self._root_ids: dict = {}  # id(interned root) -> root index
+        self._root_index: dict = {}  # coordinate tuple -> root index
+        self._reflections: dict = {}  # (r, s) -> index of r - (r, s) s
+        self._pairings: dict = {}  # (r0, r1, r2) -> pairings
+        self.matrices: list = []  # matrix index -> interned ExchangeMatrix
+        self._matrix_ids: dict = {}  # id(interned matrix) -> matrix index
+        self._matrix_index: dict = {}  # ExchangeMatrix -> matrix index
+        self._mutations: dict = {}  # (m, k) -> matrix index of mu_k
+        self._keys: dict = {}  # (r0, r1, r2, m) -> (canonical key, key_perm)
+
+    def root(self, v: tuple) -> int:
+        """The index of the root with coordinate tuple `v`, interned if new."""
+        r = self._root_ids.get(id(v))
+        if r is None:
+            r = self._root_index.get(v)
+            if r is None:
+                r = len(self.roots)
+                self.roots.append(v)
+                self.slots.append(";".join([c.key() for c in v]))
+                self._negations.append(None)
+                self._root_index[v] = r
+                self._root_ids[id(v)] = r
+        return r
+
+    def negation(self, r: int) -> int:
+        n = self._negations[r]
+        if n is None:
+            n = self.root(tuple([-c for c in self.roots[r]]))
+            self._negations[r], self._negations[n] = n, r
+        return n
+
+    def reflection(self, r: int, s: int, a: FieldElem) -> int:
+        """The index of r - a s, where a = (r, s) and (s, s) = 2."""
+        t = self._reflections.get((r, s))
+        if t is None:
+            v, w = self.roots[r], self.roots[s]
+            t = self.root(tuple([v[i] - a * w[i] for i in range(3)]))
+            self._reflections[r, s] = t
+            # mu_k twice: t reflected across -s is t + a s = r
+            self._reflections[t, self.negation(s)] = r
+        return t
+
+    def matrix(self, B: ExchangeMatrix) -> int:
+        """The index of the matrix equal to `B`, interned if new."""
+        m = self._matrix_ids.get(id(B))
+        if m is None:
+            m = self._matrix_index.get(B)
+            if m is None:
+                m = len(self.matrices)
+                self.matrices.append(B)
+                self._matrix_index[B] = m
+                self._matrix_ids[id(B)] = m
+        return m
+
+    def mutation(self, m: int, k: int) -> int:
+        n = self._mutations.get((m, k))
+        if n is None:
+            n = self.matrix(mutate(self.matrices[m], k))
+            self._mutations[m, k] = n
+            self._mutations[n, k] = m
+        return n
+
+    def pairings(self, roots: tuple, carried) -> tuple:
+        """The pairings of a root triple, made by `carried()` on first use."""
+        found = self._pairings.get(roots)
+        if found is None:
+            found = self._pairings[roots] = carried()
+        return found
+
+    def key(self, s: "SphericalSeed") -> tuple[str, int]:
+        """(canonical key, key_perm) of the seed's state: one string per
+        slot (its root's slot string) and then the arrows, so
+        `_least_serial` builds only the one that wins."""
+        state = (*[self.root(v) for v in s.vectors], self.matrix(s.B))
+        found = self._keys.get(state)
+        if found is None:
+            slots = [self.slots[r] for r in state[:3]]
+            arrows = self.matrices[state[3]].entry_keys()
+            found = self._keys[state] = _least_serial(
+                slots,
+                lambda p: ";".join(
+                    [slots[p[0]], slots[p[1]], slots[p[2]]]
+                    + [arrows[p[i], p[j]] for i, j in arrows]
+                ),
+            )
+        return found
+
+
 @dataclass(frozen=True)
 class QuadSpace:
-    """Symmetric bilinear form in the basis of the initial vectors."""
+    """Symmetric bilinear form in the basis of the initial vectors, and the
+    `RootTable` of the spherical class whose Gram form it is.
+    `spherical_seed` interns one space per Gram form, so the draws of a
+    class share its table."""
 
     gram: tuple[tuple[FieldElem, ...], ...]
+    table: RootTable = field(default_factory=RootTable, compare=False, repr=False)
 
     def pair(self, x, y) -> FieldElem:
         total = None
@@ -746,6 +873,22 @@ class QuadSpace:
         if total is None:
             return FieldElem.zero(self.gram[0][0].level)
         return total
+
+    @cached_property
+    def basis(self) -> tuple[tuple, tuple]:
+        """(the basis vectors, their pairings (v_0, v_1), (v_0, v_2),
+        (v_1, v_2)): the vectors and pairings of every initial seed."""
+        level = self.gram[0][0].level
+        zero, one = FieldElem.zero(level), FieldElem.one(level)
+        table = self.table
+        roots = tuple(
+            table.root(tuple(one if t == i else zero for t in range(3))) for i in range(3)
+        )
+        basis = tuple(table.roots[r] for r in roots)
+        pairings = tuple(
+            self.pair(basis[i], basis[j]) for i, j in ((0, 1), (0, 2), (1, 2))
+        )
+        return basis, table.pairings(roots, lambda: pairings)
 
 
 @dataclass(frozen=True)
@@ -763,8 +906,12 @@ class SphericalSeed:
       (v_i', v_j) = (v_i, v_j) - a_i a_j when only i is reflected, and
       (v_i', v_j') = (v_i, v_j) - 2 a_i a_j + a_i a_j (v_k, v_k)
       = (v_i, v_j) when both are.
-    So `seed_mutate` carries them with at most three products, and the
-    compatibility rule reads their signs without computing any."""
+    The (v_i, u) belong to the draw and are carried so, with at most two
+    products per mutation.  The vectors, the matrix, the pairings and the
+    key belong to the class and are read from its `RootTable`
+    (`space.table`); the pairings are carried by the rules above only where
+    the table has no entry yet.  The compatibility rule reads their signs
+    without computing any."""
 
     space: QuadSpace
     vectors: tuple[tuple[FieldElem, ...], ...]
@@ -783,19 +930,10 @@ class SphericalSeed:
         """The least serialisation over index relabellings; `key_perm()`
         then names a relabelling that attains it.  The serialisation is one
         string per slot (its vector's three coordinate keys) and then the
-        arrows, so `_least_serial` builds only the one that wins."""
+        arrows.  It is read from the class table's memo for the seed's
+        state (`RootTable.key`), built there on first use."""
         if not self._key:
-            slots = [";".join([c.key() for c in v]) for v in self.vectors]
-            arrows = self.B.entry_keys()
-            self._key.extend(
-                _least_serial(
-                    slots,
-                    lambda p: ";".join(
-                        [slots[p[0]], slots[p[1]], slots[p[2]]]
-                        + [arrows[p[i], p[j]] for i, j in arrows]
-                    ),
-                )
-            )
+            self._key.extend(self.space.table.key(self))
         return self._key[0]
 
     def key_perm(self) -> int:
@@ -838,84 +976,92 @@ def gram_invariants_ok(s: SphericalSeed) -> bool:
     return True
 
 
+# (level, upper Gram entries) -> the QuadSpace of that spherical class
+_SPACES: dict = {}
+
+
+def _class_space(B: ExchangeMatrix) -> QuadSpace:
+    """The interned quadratic space of B's quasi-Cartan Gram form: 2 on the
+    diagonal and -|b_ij| off it, with one pairing flipped on a cyclic
+    triangle so that the positive count is odd."""
+    level = B.level
+    upper = [-B[i, j].abs() for i, j in ((0, 1), (0, 2), (1, 2))]
+    if not is_acyclic(B) and not any(e.is_zero() for e in upper):
+        upper[0] = -upper[0]
+    key = (level, tuple(upper))
+    space = _SPACES.get(key)
+    if space is None:
+        two = FieldElem.from_rational(level, 2)
+        g01, g02, g12 = upper
+        gram = ((two, g01, g02), (g01, two, g12), (g02, g12, two))
+        space = _SPACES[key] = QuadSpace(gram)
+    return space
+
+
 def spherical_seed(B: ExchangeMatrix, reference) -> SphericalSeed:
     """Quasi-Cartan realisation of a finite-type matrix whose reference
-    point u pairs with the basis vectors as (v_i, u) = -reference[i]."""
-    level = B.level
-    acyclic = is_acyclic(B)
-    gram_rows = []
-    nonzero_pairs = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            if i == j:
-                row.append(FieldElem.from_rational(level, 2))
-            else:
-                entry = -B[i, j].abs()
-                row.append(entry)
-                if i < j and not entry.is_zero():
-                    nonzero_pairs.append((i, j))
-        gram_rows.append(row)
-    if not acyclic and len(nonzero_pairs) == 3:
-        # cyclic: flip one pairing so the positive count is odd
-        i, j = nonzero_pairs[0]
-        gram_rows[i][j] = -gram_rows[i][j]
-        gram_rows[j][i] = -gram_rows[j][i]
-    space = QuadSpace(tuple(tuple(r) for r in gram_rows))
+    point u pairs with the basis vectors as (v_i, u) = -reference[i].
+
+    The space is interned per Gram form, and its basis and basis pairings
+    are built once per class (`QuadSpace.basis`), so a draw adds only its
+    three (v_i, u)."""
+    space = _class_space(B)
     ref = tuple(Fraction(x) for x in reference)
     if all(x == 0 for x in ref):
         raise ValueError("reference weights must not all vanish")
-    basis = []
-    for i in range(3):
-        coords = [FieldElem.zero(level)] * 3
-        coords[i] = FieldElem.one(level)
-        basis.append(tuple(coords))
-    ref_pairings = tuple(FieldElem.from_rational(level, -x) for x in ref)
-    pairings = tuple(
-        space.pair(basis[i], basis[j]) for i, j in ((0, 1), (0, 2), (1, 2))
-    )
-    return SphericalSeed(space, tuple(basis), B, ref, ref_pairings, pairings)
+    basis, pairings = space.basis
+    ref_pairings = tuple(FieldElem.from_rational(B.level, -x) for x in ref)
+    return SphericalSeed(space, basis, B, ref, ref_pairings, pairings)
 
 
 def seed_mutate(s: SphericalSeed, k: int) -> SphericalSeed:
-    """Partial-reflection mutation of a spherical seed, carrying its
-    pairings by the rules in `SphericalSeed`'s docstring."""
+    """Partial-reflection mutation of a spherical seed.  Positivity and the
+    carried (v_i, u) are the draw's; the new roots, their pairings and the
+    new matrix are looked up in the class's `RootTable` and computed only
+    where it has no entry yet, the pairings by the rules in
+    `SphericalSeed`'s docstring."""
     pairing = s.ref_pairings[k]
     sgn = pairing.sign()
     if sgn == 0:
         raise DegeneratePositivity("reference point orthogonal to the vector")
     positive = sgn < 0
-    new_vectors = list(s.vectors)
+    table = s.space.table
+    roots = [table.root(v) for v in s.vectors]
     ref_pairings = list(s.ref_pairings)
-    pairings = list(s.pairings)
-    vk = s.vectors[k]
-    new_vectors[k] = tuple(-c for c in vk)
     ref_pairings[k] = -pairing
-    reflected = 0
+    reflected = []
     for i in range(3):
         if i == k:
             continue
         b_sign = s.B[i, k].sign()
-        reflect = (b_sign < 0) if positive else (b_sign > 0)
-        factor = s.pairing(i, k)
-        if reflect:
-            new_vectors[i] = tuple(
-                s.vectors[i][t] - factor * vk[t] for t in range(3)
-            )
-            ref_pairings[i] = ref_pairings[i] - factor * pairing
-            reflected += 1
-        else:
-            pairings[i + k - 1] = -factor
-    # the pair without k moves only when exactly one of it is reflected
-    i, j = (x for x in range(3) if x != k)
-    a_i, a_j = s.pairing(i, k), s.pairing(j, k)
-    if reflected == 1 and not (a_i.is_zero() or a_j.is_zero()):
-        pairings[i + j - 1] = pairings[i + j - 1] - a_i * a_j
+        if (b_sign < 0) if positive else (b_sign > 0):
+            a = s.pairing(i, k)
+            roots[i] = table.reflection(roots[i], roots[k], a)
+            ref_pairings[i] = ref_pairings[i] - a * pairing
+            reflected.append(i)
+    roots[k] = table.negation(roots[k])
+    roots = tuple(roots)
     return SphericalSeed(
         s.space,
-        tuple(new_vectors),
-        mutate(s.B, k),
+        tuple([table.roots[r] for r in roots]),
+        table.matrices[table.mutation(table.matrix(s.B), k)],
         s.ref,
         tuple(ref_pairings),
-        tuple(pairings),
+        table.pairings(roots, lambda: _carried_pairings(s, k, reflected)),
     )
+
+
+def _carried_pairings(s: SphericalSeed, k: int, reflected: list) -> tuple:
+    """The pairings of mu_k(s) from those of s by `SphericalSeed`'s rules,
+    `reflected` naming the indices that mu_k reflects: (v_i, v_k) stays
+    a_i for a reflected i and turns to -a_i otherwise, and the pair without
+    k moves only when exactly one of it is reflected."""
+    pairings = list(s.pairings)
+    i, j = (x for x in range(3) if x != k)
+    a_i, a_j = s.pairing(i, k), s.pairing(j, k)
+    for x, a in ((i, a_i), (j, a_j)):
+        if x not in reflected:
+            pairings[x + k - 1] = -a
+    if len(reflected) == 1 and not (a_i.is_zero() or a_j.is_zero()):
+        pairings[i + j - 1] = pairings[i + j - 1] - a_i * a_j
+    return tuple(pairings)

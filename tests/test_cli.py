@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import os
@@ -541,3 +542,40 @@ def test_precision_variable_is_not_read(value, tmp_path, monkeypatch):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0 and proc.stdout.startswith("PASS verlinde")
+
+
+# sha256 of `enumerate --sph PAIR --seed 3 --format FMT`, recorded when every
+# spherical vector, pairing and matrix was computed afresh at each mutation;
+# the class tables must not move a byte
+SPH_EXPORTS = {
+    ("1/3,1/3", "json"): "4357c34e89f54046237471a025c554e8acb64aa32dc061b697d882cd922b6a43",
+    ("1/3,1/3", "dot"): "05239f1a495a41b893c853923ed28350159256a0a4fdfe836beaef8c8fe94acf",
+    ("1/3,1/4", "json"): "cd07a46dd3dd123cbaab4c5b2f196e0faa29f20bbc7161ad57a0ecb83255d064",
+    ("1/3,1/4", "dot"): "b93491e40c5a7d9383ea5c29d5c104c9538e9270554d56d6aa8b2532c8c41410",
+    ("1/3,1/5", "json"): "cb0b7c12440845bfc9524587c9e4104dbe6b2f831d684b9f19e1c3a232d2088f",
+    ("1/3,1/5", "dot"): "074641242915ba48b3ab752fb048d55f58b17adf8ef005eb41047877327b803d",
+    ("1/3,2/5", "json"): "5df4baa3274fab32983e02e8b3dce63187e0c89e56275658cf7cc97dbe570e67",
+    ("1/3,2/5", "dot"): "f028efa2d7fe0ad9f6cbbcec1dcefa390f7e6d08baad95df39400279ad5252b5",
+    ("1/5,2/5", "json"): "e3d40647b2d6c5ea2bb4d7467be98240171b5578b609810eb9c7064b5d9e08d7",
+    ("1/5,2/5", "dot"): "68c6355ef3d2a73d75162ffe0a2244ef655031bae86ce5e3559e89875eab4395",
+}
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+@pytest.mark.parametrize("pair", sorted({pair for pair, _ in SPH_EXPORTS}))
+def test_enumerate_sph_exports_are_pinned_under_any_hash_seed(
+    pair, hash_seed, tmp_path
+):
+    """The json and dot exports of each finite class are the recorded bytes
+    in a fresh interpreter, whatever its hash seed does to set and dict
+    order."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONHASHSEED=hash_seed)
+    for fmt in ("json", "dot"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "quiverbelt.cli", "enumerate", "--sph", pair,
+             "--seed", "3", "--format", fmt],
+            cwd=tmp_path, env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == SPH_EXPORTS[pair, fmt], fmt

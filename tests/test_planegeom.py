@@ -4,10 +4,10 @@ from fractions import Fraction
 
 from quiverbelt.cycfield import FieldElem
 from quiverbelt.planegeom import (
+    PlanarPoint,
     cross_q,
     dot,
     foot_of_perpendicular,
-    from_rationals,
     length_along,
     line_intersect,
     midpoint,
@@ -20,6 +20,14 @@ from quiverbelt.planegeom import (
 
 def floats(p, d):
     return p.to_floats(d)
+
+
+def from_rationals(d, x, y):
+    """Point with rational module coordinates (x, y*sin(pi/d))."""
+    return PlanarPoint(
+        FieldElem.from_rational(d, Fraction(x)),
+        FieldElem.from_rational(d, Fraction(y)),
+    )
 
 
 def norm_sq(d, u):

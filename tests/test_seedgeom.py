@@ -22,7 +22,6 @@ from quiverbelt.planegeom import (
     cross_q,
     dot,
     foot_of_perpendicular,
-    from_rationals,
     length_along,
     line_intersect,
     planar_zero,
@@ -54,6 +53,7 @@ from quiverbelt.seedgeom import (
     translation_between,
     translation_class,
 )
+from test_planegeom import from_rationals
 
 
 def test_initial_seed_odd():

@@ -7,7 +7,7 @@ from math import cos, gcd, pi
 
 import pytest
 
-from quiverbelt import exgraph, exmatrix, verification
+from quiverbelt import exgraph, exmatrix, seedgeom, verification
 from quiverbelt.cycfield import FieldElem, cos_multiple
 from quiverbelt.exmatrix import (
     PERMS3,
@@ -20,11 +20,13 @@ from quiverbelt.rank2 import period_formula
 from quiverbelt.seedgeom import (
     DegeneratePositivity,
     QuadSpace,
+    RootTable,
     SphericalSeed,
     gram_invariants_ok,
     seed_mutate,
     spherical_seed,
 )
+from test_properties import relabelled
 
 
 def test_gram_matrix_of_the_normal_form():
@@ -581,3 +583,206 @@ def test_spherical_key_with_two_equal_slots_takes_the_fallback():
         assert (tied.canonical_key(), tied.key_perm()) == expected
         perms.add(expected[1])
     assert len(perms) > 1
+
+
+# -- the class tables against table-free mutation -------------------------------
+
+
+def reference_seed_mutate(s, k):
+    """`seed_mutate` as it was before the class tables: every vector, the
+    matrix and every pairing computed afresh by the rules in
+    `SphericalSeed`'s docstring.  The oracle of the `RootTable` path."""
+    pairing = s.ref_pairings[k]
+    sgn = pairing.sign()
+    if sgn == 0:
+        raise DegeneratePositivity("reference point orthogonal to the vector")
+    positive = sgn < 0
+    new_vectors = list(s.vectors)
+    ref_pairings = list(s.ref_pairings)
+    pairings = list(s.pairings)
+    vk = s.vectors[k]
+    new_vectors[k] = tuple(-c for c in vk)
+    ref_pairings[k] = -pairing
+    reflected = 0
+    for i in range(3):
+        if i == k:
+            continue
+        b_sign = s.B[i, k].sign()
+        reflect = (b_sign < 0) if positive else (b_sign > 0)
+        factor = s.pairing(i, k)
+        if reflect:
+            new_vectors[i] = tuple(
+                s.vectors[i][t] - factor * vk[t] for t in range(3)
+            )
+            ref_pairings[i] = ref_pairings[i] - factor * pairing
+            reflected += 1
+        else:
+            pairings[i + k - 1] = -factor
+    i, j = (x for x in range(3) if x != k)
+    a_i, a_j = s.pairing(i, k), s.pairing(j, k)
+    if reflected == 1 and not (a_i.is_zero() or a_j.is_zero()):
+        pairings[i + j - 1] = pairings[i + j - 1] - a_i * a_j
+    return SphericalSeed(
+        s.space,
+        tuple(new_vectors),
+        mutate(s.B, k),
+        s.ref,
+        tuple(ref_pairings),
+        tuple(pairings),
+    )
+
+
+def assert_mutates_as_the_reference(s, k):
+    """mu_k(s) from the table against `reference_seed_mutate`, field by
+    field, with its key and key_perm against the six-serial minimum of the
+    reference seed; both raise or neither does.  The table's seed, or None
+    where mu_k is not defined."""
+    try:
+        expected = reference_seed_mutate(s, k)
+    except DegeneratePositivity:
+        with pytest.raises(DegeneratePositivity):
+            seed_mutate(s, k)
+        return None
+    got = seed_mutate(s, k)
+    assert got.space is s.space
+    assert got.vectors == expected.vectors
+    assert got.B.entries == expected.B.entries
+    assert got.ref == expected.ref
+    assert got.ref_pairings == expected.ref_pairings
+    assert got.pairings == expected.pairings
+    assert (got.canonical_key(), got.key_perm()) == six_serial_key(expected)
+    return got
+
+
+def walk_as_the_reference(seed, rng, steps):
+    assert (seed.canonical_key(), seed.key_perm()) == six_serial_key(seed)
+    for _ in range(steps):
+        seed = assert_mutates_as_the_reference(seed, rng.randrange(3))
+        if seed is None:
+            return
+
+
+def fresh_copy(s, p):
+    """`relabelled(s, p)` with every vector a new tuple of new field
+    elements, so that the table can find its roots by value only."""
+    moved = relabelled(s, p)
+    vectors = tuple(
+        tuple(FieldElem(c.level, c.num, c.den) for c in v) for v in moved.vectors
+    )
+    return dataclasses.replace(moved, vectors=vectors, _key=[])
+
+
+def random_reference(rng):
+    return tuple(
+        Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 7))
+        for _ in range(3)
+    )
+
+
+@pytest.mark.parametrize("pair", SPHERICAL_PAIRS, ids=str)
+def test_table_mutation_matches_the_reference_along_sampled_walks(pair):
+    """Random walks from 30 sampled draws of the class in one process, so
+    that later draws read a table that earlier ones filled."""
+    rng = random.Random(32)
+    B = spherical_matrix(*pair)
+    for _ in range(30):
+        seed, _ = exgraph.compatible_spherical_graph(B, rng)
+        walk_as_the_reference(seed, rng, 12)
+
+
+@pytest.mark.parametrize("pair", SPHERICAL_PAIRS, ids=str)
+def test_table_mutation_matches_the_reference_from_a_cold_table(pair, monkeypatch):
+    """Each walk starts on an empty table of its class, compatible draw or
+    not, so every entry it reads is one it made."""
+    rng = random.Random(33)
+    B = spherical_matrix(*pair)
+    for _ in range(8):
+        monkeypatch.setattr(seedgeom, "_SPACES", {})
+        seed = spherical_seed(B, random_reference(rng))
+        assert not seed.space.table._keys
+        walk_as_the_reference(seed, rng, 30)
+
+
+@pytest.mark.parametrize("pair", SPHERICAL_PAIRS, ids=str)
+@pytest.mark.parametrize("cold", [False, True], ids=["warm", "cold"])
+def test_table_mutation_matches_the_reference_on_hand_built_seeds(
+    pair, cold, monkeypatch
+):
+    """Seeds relabelled by `permuted_matrix` with fresh vector tuples: the
+    table meets roots and matrices it has not seen as objects and finds
+    them by value, on a warm table and on a cold one."""
+    rng = random.Random(34)
+    B = spherical_matrix(*pair)
+    seed, g = exgraph.compatible_spherical_graph(B, rng)
+    for s in list(g.vertices.values())[::3]:
+        if cold:
+            monkeypatch.setattr(seedgeom, "_SPACES", {})
+            space = seedgeom._class_space(B)
+            assert space is not s.space and not space.table.roots
+            s = dataclasses.replace(s, space=space, _key=[])
+        for p in PERMS3:
+            walk_as_the_reference(fresh_copy(s, p), rng, 6)
+
+
+def signed_roots(pair):
+    return len(seedgeom._class_space(spherical_matrix(*pair)).table.roots)
+
+
+SIGNED_ROOTS = dict(zip(SPHERICAL_PAIRS, (12, 18, 30, 30, 30)))  # A3, B3, H3 three times
+
+
+@pytest.mark.parametrize("pair", SPHERICAL_PAIRS, ids=str)
+def test_a_class_table_holds_at_most_its_signed_roots(pair):
+    """Whatever ran before in this process, every vector a class's seeds
+    reached is one of the 2|Phi+| roots of its reflection group."""
+    spherical_seed(spherical_matrix(*pair), (1, 2, 4))
+    assert 3 <= signed_roots(pair) <= SIGNED_ROOTS[pair]
+
+
+def test_thirty_closures_reach_every_signed_root(monkeypatch):
+    """From cold tables, 30 closures per class drawn with Random(5) reach
+    all 12/18/30/30/30 roots and no other vector; the id tables hold
+    exactly the interned objects, which the table keeps alive."""
+    monkeypatch.setattr(seedgeom, "_SPACES", {})
+    rng = random.Random(5)
+    for pair in SPHERICAL_PAIRS:
+        B = spherical_matrix(*pair)
+        for _ in range(30):
+            exgraph.compatible_spherical_graph(B, rng)
+        table = seedgeom._class_space(B).table
+        assert len(table.roots) == SIGNED_ROOTS[pair]
+        assert set(table._root_ids) == {id(v) for v in table.roots}
+        assert set(table._matrix_ids) == {id(m) for m in table.matrices}
+        negations = [table.negation(r) for r in range(len(table.roots))]
+        assert sorted(negations) == list(range(len(table.roots)))
+    assert len(seedgeom._SPACES) == len(SPHERICAL_PAIRS)
+
+
+def test_a_slot_string_names_a_root_of_one_class_only():
+    """(1/3,1/5) and (1/3,2/5) both live at level 15, so their basis
+    vectors have the same slot strings; the classes still keep apart, each
+    with its own space and table, and close at 32 and 48 seeds."""
+    spaces = [seedgeom._class_space(spherical_matrix(*p)) for p in SPHERICAL_PAIRS[2:4]]
+    assert spaces[0] is not spaces[1] and spaces[0].table is not spaces[1].table
+    slots = [
+        [s.table.slots[s.table.root(v)] for v in s.basis[0]] for s in spaces
+    ]
+    assert slots[0] == slots[1]
+    rng = random.Random(7)
+    orders = [
+        exgraph.compatible_spherical_graph(spherical_matrix(*p), rng)[1].order()
+        for p in SPHERICAL_PAIRS[2:4]
+    ]
+    assert orders == [32, 48]
+
+
+def test_a_hand_built_space_gets_its_own_table():
+    """A QuadSpace made by hand equals the interned one of its Gram form
+    but starts with an empty table, and its seeds mutate as the reference."""
+    seed = spherical_seed(spherical_matrix(*SPHERICAL_PAIRS[3]), (4, 2, 1))
+    space = QuadSpace(seed.space.gram)
+    assert space == seed.space and space.table is not seed.space.table
+    assert isinstance(space.table, RootTable) and not space.table.roots
+    hand_built = dataclasses.replace(seed, space=space, _key=[])
+    walk_as_the_reference(hand_built, random.Random(8), 20)
+    assert space.table.roots
