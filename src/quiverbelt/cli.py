@@ -96,11 +96,13 @@ def parse_matrix_spec(text: str) -> ExchangeMatrix:
 
 def load_matrix(path: str) -> ExchangeMatrix:
     """The matrix of a --matrix file: a JSON list of the three
-    upper-triangle entries, each a number or a string parsed as one entry."""
+    upper-triangle entries, each a number or a string parsed as one entry.
+    A number is parsed from its literal text, as --entries parses it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            data = json.load(fh, parse_float=str)
+    except (UnicodeDecodeError, ValueError) as exc:
+        # ValueError: malformed JSON, or an integer too long to convert
         raise ParseError(f"cannot read matrix file {path}: {exc}") from exc
     if not isinstance(data, list) or len(data) != 3:
         raise ParseError(
@@ -108,8 +110,9 @@ def load_matrix(path: str) -> ExchangeMatrix:
             "three entries"
         )
     for x in data:
-        # JSON true/false load as bool, which is an int subclass
-        if isinstance(x, bool) or not isinstance(x, (int, float, str)):
+        # JSON true/false load as bool, which is an int subclass; with
+        # parse_float=str the only floats left are NaN and +-Infinity
+        if isinstance(x, (bool, float)) or not isinstance(x, (int, str)):
             raise ParseError(
                 f"matrix file {path}: entry {json.dumps(x)} is not a number or a string"
             )
@@ -315,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument(
         "--max-vertices",
         type=int,
-        help="vertex limit of an affine window; 0 (the default) means no "
-        "limit (rejected for classes of finite type, which are always closed)",
+        help="vertex limit of an affine window; 0, like leaving it out, means "
+        "no limit (rejected for classes of finite type, which are always closed)",
     )
     pe.add_argument(
         "--format", choices=("text", "json", "dot", "svg"), default="text"

@@ -14,8 +14,9 @@ Spherical case (finite type): seeds are vector triples in a quadratic
 space with a positive-definite quasi-Cartan Gram matrix; mutation is the
 usual partial-reflection rule with positivity read off a fixed interior
 reference point.  The vectors are roots of the class's finite reflection
-group, so the roots, matrices and keys of a class live in one RootTable
-that every reference point shares.
+group, so the roots, matrices and keys of a class live in its interned
+QuadSpace, which every reference point shares, and a seed is a state
+(root indices, matrix index) of it.
 
 Vertex i is always opposite side i: it lies on every side but side i, so
 side i's line holds the vertices in slots i+1 and i+2.  An infinite region
@@ -729,61 +730,89 @@ def _cyclic_orientation(s: PlanarSeed) -> int:
 # -- quadratic-space (spherical) seeds ------------------------------------------
 
 
-class RootTable:
-    """The lazily filled table of one spherical class, shared by every draw
-    of a reference point.
+def _memo(factory):
+    """A field of a class's table: filled on use, never compared or shown."""
+    return field(default_factory=factory, compare=False, repr=False)
+
+
+@dataclass(frozen=True)
+class QuadSpace:
+    """Symmetric bilinear form in the basis of the initial vectors, and the
+    lazily filled table of the spherical class whose Gram form it is.
+    `spherical_seed` interns one space per Gram form, so every draw of a
+    reference point shares it.
 
     Every vector of a spherical seed is a root of the class's finite
     reflection group (12, 18 or 30 signed roots for A3, B3 and H3), and a
-    seed's matrix is one of the class's few matrices.  So the table holds:
-      - each root interned by value, with its slot string (its three
-        coordinate keys) and its negation;
+    seed's matrix is one of the class's few matrices, so a seed is a state
+    (root indices, matrix index) of its space.  The table holds:
+      - each root interned by value (`root`), with its slot string (its
+        three coordinate keys) and its negation;
       - the reflection t = r - (r, s) s of each pair of roots asked for,
         and t reflected across -s, which is r again;
       - the pairings ((v_0, v_1), (v_0, v_2), (v_1, v_2)) of each root
         triple;
-      - each matrix interned by value, and mu_k of each, recorded both ways
-        as mutation is an involution;
-      - (canonical key, key_perm) of each state (root triple, matrix).
+      - each matrix interned by value (`matrix`), and mu_k of each,
+        recorded both ways as mutation is an involution;
+      - (canonical key, key_perm) of each state.
     Entries are made on first use, never as a closure up front, so the
     table is bounded by the roots and states that the class's seeds reach.
 
-    Each entry is a function of the Gram form (which the owning QuadSpace
-    fixes) and of roots and matrices compared by value, never of a draw's
-    reference point: `ref` and the carried (v_i, u) stay on the seeds.
-    Roots and matrices are looked up by id() first; the id tables hold only
-    interned objects, which `roots` and `matrices` keep alive, and anything
-    else is found by value.  A root triple's pairings are those that the
-    first seed to reach it carried, so a seed's pairings must be those of
-    its vectors, as for every seed that `spherical_seed` and `seed_mutate`
-    build."""
+    Each entry is a function of the Gram form and of roots and matrices
+    compared by value, never of a draw's reference point: `ref` and the
+    carried (v_i, u) stay on the seeds.  A root triple's pairings are those
+    that the first seed to reach it carried, so a seed's pairings must be
+    those of its vectors, as for every seed that `spherical_seed` and
+    `seed_mutate` build."""
 
-    def __init__(self):
-        self.roots: list = []  # root index -> interned coordinate tuple
-        self.slots: list = []  # root index -> ";"-joined coordinate keys
-        self._negations: list = []  # root index -> index of -root, or None
-        self._root_ids: dict = {}  # id(interned root) -> root index
-        self._root_index: dict = {}  # coordinate tuple -> root index
-        self._reflections: dict = {}  # (r, s) -> index of r - (r, s) s
-        self._pairings: dict = {}  # (r0, r1, r2) -> pairings
-        self.matrices: list = []  # matrix index -> interned ExchangeMatrix
-        self._matrix_ids: dict = {}  # id(interned matrix) -> matrix index
-        self._matrix_index: dict = {}  # ExchangeMatrix -> matrix index
-        self._mutations: dict = {}  # (m, k) -> matrix index of mu_k
-        self._keys: dict = {}  # (r0, r1, r2, m) -> (canonical key, key_perm)
+    gram: tuple[tuple[FieldElem, ...], ...]
+    roots: list = _memo(list)  # root index -> coordinate tuple
+    slots: list = _memo(list)  # root index -> ";"-joined coordinate keys
+    _negations: list = _memo(list)  # root index -> index of -root, or None
+    _root_index: dict = _memo(dict)  # coordinate tuple -> root index
+    _reflections: dict = _memo(dict)  # (r, s) -> index of r - (r, s) s
+    _pairings: dict = _memo(dict)  # (r0, r1, r2) -> pairings
+    matrices: list = _memo(list)  # matrix index -> ExchangeMatrix
+    _matrix_index: dict = _memo(dict)  # ExchangeMatrix -> matrix index
+    _mutations: dict = _memo(dict)  # (m, k) -> matrix index of mu_k
+    _keys: dict = _memo(dict)  # (r0, r1, r2, m) -> (canonical key, key_perm)
+
+    def pair(self, x, y) -> FieldElem:
+        total = None
+        for i in range(3):
+            if x[i].is_zero():
+                continue
+            for j in range(3):
+                if y[j].is_zero():
+                    continue
+                term = x[i] * self.gram[i][j] * y[j]
+                total = term if total is None else total + term
+        if total is None:
+            return FieldElem.zero(self.gram[0][0].level)
+        return total
+
+    @cached_property
+    def basis(self) -> tuple[tuple, tuple]:
+        """(the root indices of the basis vectors, their pairings (v_0, v_1),
+        (v_0, v_2), (v_1, v_2)): the roots and pairings of every initial
+        seed."""
+        level = self.gram[0][0].level
+        zero, one = FieldElem.zero(level), FieldElem.one(level)
+        basis = [tuple(one if t == i else zero for t in range(3)) for i in range(3)]
+        pairings = tuple(
+            self.pair(basis[i], basis[j]) for i, j in ((0, 1), (0, 2), (1, 2))
+        )
+        roots = tuple(self.root(v) for v in basis)
+        return roots, self.pairings(roots, lambda: pairings)
 
     def root(self, v: tuple) -> int:
         """The index of the root with coordinate tuple `v`, interned if new."""
-        r = self._root_ids.get(id(v))
+        r = self._root_index.get(v)
         if r is None:
-            r = self._root_index.get(v)
-            if r is None:
-                r = len(self.roots)
-                self.roots.append(v)
-                self.slots.append(";".join([c.key() for c in v]))
-                self._negations.append(None)
-                self._root_index[v] = r
-                self._root_ids[id(v)] = r
+            r = self._root_index[v] = len(self.roots)
+            self.roots.append(v)
+            self.slots.append(";".join([c.key() for c in v]))
+            self._negations.append(None)
         return r
 
     def negation(self, r: int) -> int:
@@ -806,14 +835,10 @@ class RootTable:
 
     def matrix(self, B: ExchangeMatrix) -> int:
         """The index of the matrix equal to `B`, interned if new."""
-        m = self._matrix_ids.get(id(B))
+        m = self._matrix_index.get(B)
         if m is None:
-            m = self._matrix_index.get(B)
-            if m is None:
-                m = len(self.matrices)
-                self.matrices.append(B)
-                self._matrix_index[B] = m
-                self._matrix_ids[id(B)] = m
+            m = self._matrix_index[B] = len(self.matrices)
+            self.matrices.append(B)
         return m
 
     def mutation(self, m: int, k: int) -> int:
@@ -831,15 +856,15 @@ class RootTable:
             found = self._pairings[roots] = carried()
         return found
 
-    def key(self, s: "SphericalSeed") -> tuple[str, int]:
-        """(canonical key, key_perm) of the seed's state: one string per
+    def key(self, roots: tuple, m: int) -> tuple[str, int]:
+        """(canonical key, key_perm) of the state (roots, m): one string per
         slot (its root's slot string) and then the arrows, so
         `_least_serial` builds only the one that wins."""
-        state = (*[self.root(v) for v in s.vectors], self.matrix(s.B))
+        state = (*roots, m)
         found = self._keys.get(state)
         if found is None:
-            slots = [self.slots[r] for r in state[:3]]
-            arrows = self.matrices[state[3]].entry_keys()
+            slots = [self.slots[r] for r in roots]
+            arrows = self.matrices[m].entry_keys()
             found = self._keys[state] = _least_serial(
                 slots,
                 lambda p: ";".join(
@@ -851,49 +876,10 @@ class RootTable:
 
 
 @dataclass(frozen=True)
-class QuadSpace:
-    """Symmetric bilinear form in the basis of the initial vectors, and the
-    `RootTable` of the spherical class whose Gram form it is.
-    `spherical_seed` interns one space per Gram form, so the draws of a
-    class share its table."""
-
-    gram: tuple[tuple[FieldElem, ...], ...]
-    table: RootTable = field(default_factory=RootTable, compare=False, repr=False)
-
-    def pair(self, x, y) -> FieldElem:
-        total = None
-        for i in range(3):
-            if x[i].is_zero():
-                continue
-            for j in range(3):
-                if y[j].is_zero():
-                    continue
-                term = x[i] * self.gram[i][j] * y[j]
-                total = term if total is None else total + term
-        if total is None:
-            return FieldElem.zero(self.gram[0][0].level)
-        return total
-
-    @cached_property
-    def basis(self) -> tuple[tuple, tuple]:
-        """(the basis vectors, their pairings (v_0, v_1), (v_0, v_2),
-        (v_1, v_2)): the vectors and pairings of every initial seed."""
-        level = self.gram[0][0].level
-        zero, one = FieldElem.zero(level), FieldElem.one(level)
-        table = self.table
-        roots = tuple(
-            table.root(tuple(one if t == i else zero for t in range(3))) for i in range(3)
-        )
-        basis = tuple(table.roots[r] for r in roots)
-        pairings = tuple(
-            self.pair(basis[i], basis[j]) for i, j in ((0, 1), (0, 2), (1, 2))
-        )
-        return basis, table.pairings(roots, lambda: pairings)
-
-
-@dataclass(frozen=True)
 class SphericalSeed:
-    """A vector triple with its exchange matrix, carrying its pairings.
+    """A state of its class's `QuadSpace`: three root indices and a matrix
+    index, carrying the draw's pairings with the reference point and the
+    pairings of its vectors.
 
     `ref_pairings[i]` is (v_i, u) for the reference point u, and
     `pairings[i + j - 1]` is (v_i, v_j) for i != j (see `pairing`).
@@ -907,20 +893,29 @@ class SphericalSeed:
       (v_i', v_j') = (v_i, v_j) - 2 a_i a_j + a_i a_j (v_k, v_k)
       = (v_i, v_j) when both are.
     The (v_i, u) belong to the draw and are carried so, with at most two
-    products per mutation.  The vectors, the matrix, the pairings and the
-    key belong to the class and are read from its `RootTable`
-    (`space.table`); the pairings are carried by the rules above only where
-    the table has no entry yet.  The compatibility rule reads their signs
-    without computing any."""
+    products per mutation.  The roots, the matrix, the pairings and the key
+    belong to the class and are read from its space's table; the pairings
+    are carried by the rules above only where the table has no entry yet.
+    The compatibility rule reads their signs without computing any."""
 
     space: QuadSpace
-    vectors: tuple[tuple[FieldElem, ...], ...]
-    B: ExchangeMatrix
+    roots: tuple[int, int, int]  # indices into space.roots
+    matrix: int  # index into space.matrices
     ref: tuple[Fraction, Fraction, Fraction]  # (v_i, u) = -ref_i at the start
     ref_pairings: tuple[FieldElem, FieldElem, FieldElem]  # (v_i, u)
     pairings: tuple[FieldElem, FieldElem, FieldElem]  # (v_0, v_1), (v_0, v_2), (v_1, v_2)
     # [canonical key, key_perm()] once built
     _key: list = field(default_factory=list, compare=False, repr=False)
+
+    @property
+    def vectors(self) -> tuple[tuple[FieldElem, ...], ...]:
+        """The coordinate tuples of the seed's roots."""
+        roots = self.space.roots
+        return tuple([roots[r] for r in self.roots])
+
+    @property
+    def B(self) -> ExchangeMatrix:
+        return self.space.matrices[self.matrix]
 
     def pairing(self, i: int, j: int) -> FieldElem:
         """(v_i, v_j) for i != j."""
@@ -930,10 +925,10 @@ class SphericalSeed:
         """The least serialisation over index relabellings; `key_perm()`
         then names a relabelling that attains it.  The serialisation is one
         string per slot (its vector's three coordinate keys) and then the
-        arrows.  It is read from the class table's memo for the seed's
-        state (`RootTable.key`), built there on first use."""
+        arrows.  It is read from the space's memo for the seed's state
+        (`QuadSpace.key`), built there on first use."""
         if not self._key:
-            self._key.extend(self.space.table.key(self))
+            self._key.extend(self.space.key(self.roots, self.matrix))
         return self._key[0]
 
     def key_perm(self) -> int:
@@ -1004,50 +999,50 @@ def spherical_seed(B: ExchangeMatrix, reference) -> SphericalSeed:
 
     The space is interned per Gram form, and its basis and basis pairings
     are built once per class (`QuadSpace.basis`), so a draw adds only its
-    three (v_i, u)."""
+    three (v_i, u) and interns B."""
     space = _class_space(B)
     ref = tuple(Fraction(x) for x in reference)
     if all(x == 0 for x in ref):
         raise ValueError("reference weights must not all vanish")
-    basis, pairings = space.basis
+    roots, pairings = space.basis
     ref_pairings = tuple(FieldElem.from_rational(B.level, -x) for x in ref)
-    return SphericalSeed(space, basis, B, ref, ref_pairings, pairings)
+    return SphericalSeed(space, roots, space.matrix(B), ref, ref_pairings, pairings)
 
 
 def seed_mutate(s: SphericalSeed, k: int) -> SphericalSeed:
-    """Partial-reflection mutation of a spherical seed.  Positivity and the
-    carried (v_i, u) are the draw's; the new roots, their pairings and the
-    new matrix are looked up in the class's `RootTable` and computed only
-    where it has no entry yet, the pairings by the rules in
-    `SphericalSeed`'s docstring."""
+    """Partial-reflection mutation of a spherical seed, on its state alone.
+    Positivity and the carried (v_i, u) are the draw's; the new root and
+    matrix indices and the new pairings are read from the space's table
+    and computed only where it has no entry yet, the pairings by the rules
+    in `SphericalSeed`'s docstring."""
     pairing = s.ref_pairings[k]
     sgn = pairing.sign()
     if sgn == 0:
         raise DegeneratePositivity("reference point orthogonal to the vector")
     positive = sgn < 0
-    table = s.space.table
-    roots = [table.root(v) for v in s.vectors]
+    space, B = s.space, s.B
+    roots = list(s.roots)
     ref_pairings = list(s.ref_pairings)
     ref_pairings[k] = -pairing
     reflected = []
     for i in range(3):
         if i == k:
             continue
-        b_sign = s.B[i, k].sign()
+        b_sign = B[i, k].sign()
         if (b_sign < 0) if positive else (b_sign > 0):
             a = s.pairing(i, k)
-            roots[i] = table.reflection(roots[i], roots[k], a)
+            roots[i] = space.reflection(roots[i], roots[k], a)
             ref_pairings[i] = ref_pairings[i] - a * pairing
             reflected.append(i)
-    roots[k] = table.negation(roots[k])
+    roots[k] = space.negation(roots[k])
     roots = tuple(roots)
     return SphericalSeed(
-        s.space,
-        tuple([table.roots[r] for r in roots]),
-        table.matrices[table.mutation(table.matrix(s.B), k)],
+        space,
+        roots,
+        space.mutation(s.matrix, k),
         s.ref,
         tuple(ref_pairings),
-        table.pairings(roots, lambda: _carried_pairings(s, k, reflected)),
+        space.pairings(roots, lambda: _carried_pairings(s, k, reflected)),
     )
 
 

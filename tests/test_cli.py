@@ -338,6 +338,21 @@ def test_verify_rejects_unknown_check_names(capsys, monkeypatch):
             ["enumerate", "--sph", "1/3,1/3", "--max-vertices", "0"],
             "--depth and --max-vertices do not apply to finite-type classes",
         ),
+        # JSON's non-finite constants are not numbers
+        (
+            ["classify", "--matrix", "nan.json"],
+            "matrix file nan.json: entry NaN is not a number or a string",
+        ),
+        (
+            ["classify", "--matrix", "inf.json"],
+            "matrix file inf.json: entry Infinity is not a number or a string",
+        ),
+        (
+            ["classify", "--matrix", "neginf.json"],
+            "matrix file neginf.json: entry -Infinity is not a number or a string",
+        ),
+        # an integer longer than int() converts is named with its file
+        (["classify", "--matrix", "huge.json"], "cannot read matrix file huge.json: "),
     ],
 )
 def test_handled_errors_print_one_line_and_exit_2(
@@ -350,10 +365,33 @@ def test_handled_errors_print_one_line_and_exit_2(
     (tmp_path / "null.json").write_text("[2, null, 1]")
     (tmp_path / "true.json").write_text("[2, true, 1]")
     (tmp_path / "nested.json").write_text("[2, [1], 1]")
+    (tmp_path / "nan.json").write_text("[NaN, 0, 0]")
+    (tmp_path / "inf.json").write_text("[1, Infinity, 0]")
+    (tmp_path / "neginf.json").write_text("[1, 0, -Infinity]")
+    (tmp_path / "huge.json").write_text("[" + "1" * 5000 + ", 0, 0]")
     code, out, err = run(args, capsys)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        ("1e400", "rational entry 1" + "0" * 400 + " is not"),
+        ("0.1000000000000000055511151231257827", "entry 1000000000000000055511151231257827/"),
+    ],
+    ids=["1e400", "long-decimal"],
+)
+def test_a_matrix_file_number_reads_as_its_literal_text(literal, message, capsys, tmp_path):
+    """A JSON number is parsed from its text, as --entries parses it, not
+    through a float: 1e400 is 10^400, not 'inf', and a decimal that no
+    double holds stays exact.  Either way the run exits as --entries does."""
+    path = tmp_path / "big.json"
+    path.write_text(f"[{literal}, 0, 0]")
+    from_file = run(["classify", "--matrix", str(path)], capsys)
+    assert from_file == run(["classify", f"--entries={literal},0,0"], capsys)
+    assert from_file[0] == 2 and message in from_file[2]
 
 
 def test_affine_enumeration_reports_the_partial_graph_on_budget(capsys):
@@ -380,7 +418,8 @@ def test_enumerate_help_names_the_defaults(capsys):
         main(["enumerate", "--help"])
     text = " ".join(capsys.readouterr().out.split())
     assert "0 gives the initial seed alone (default: 14 for affine d <= 7" in text
-    assert "vertex limit of an affine window; 0 (the default) means no limit" in text
+    assert "vertex limit of an affine window; 0, like leaving it out, means no limit" in text
+    assert "(the default)" not in text
     assert "4096" not in text and "infinite non-affine" not in text
     assert "Mutation-infinite, Markov and decomposable classes have none" in text
     assert text.count("rejected for classes of finite type") == 2
@@ -561,6 +600,19 @@ SPH_EXPORTS = {
 }
 
 
+def export_sha256(args, hash_seed, cwd):
+    """sha256 of the stdout of `quiverbelt enumerate *args` run in a fresh
+    interpreter under the given hash seed."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONHASHSEED=hash_seed)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quiverbelt.cli", "enumerate", *args],
+        cwd=cwd, env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return hashlib.sha256(proc.stdout).hexdigest()
+
+
 @pytest.mark.parametrize("hash_seed", ["0", "1"])
 @pytest.mark.parametrize("pair", sorted({pair for pair, _ in SPH_EXPORTS}))
 def test_enumerate_sph_exports_are_pinned_under_any_hash_seed(
@@ -569,13 +621,37 @@ def test_enumerate_sph_exports_are_pinned_under_any_hash_seed(
     """The json and dot exports of each finite class are the recorded bytes
     in a fresh interpreter, whatever its hash seed does to set and dict
     order."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONHASHSEED=hash_seed)
     for fmt in ("json", "dot"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "quiverbelt.cli", "enumerate", "--sph", pair,
-             "--seed", "3", "--format", fmt],
-            cwd=tmp_path, env=env, capture_output=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert hashlib.sha256(proc.stdout).hexdigest() == SPH_EXPORTS[pair, fmt], fmt
+        args = ["--sph", pair, "--seed", "3", "--format", fmt]
+        assert export_sha256(args, hash_seed, tmp_path) == SPH_EXPORTS[pair, fmt], fmt
+
+
+# sha256 of `enumerate --affine d --depth 7 --format json|dot`, recorded
+# before the affine BFS moves onto integer states: every later change to
+# it must keep these bytes
+AFFINE_EXPORTS = {
+    (3, "json"): "24ab5b13da918d77f70d3130a815011273a6d6f2cb4be9c8d250c6fb53cf0b16",
+    (3, "dot"): "9328f014d71740956d995c726874043a4ba98812e35ff34a0f223b53309cefd9",
+    (4, "json"): "31d6bdcb2ad0fd346f9b895900ff5e607edc1441373f39c4ea7e5649e3f8e710",
+    (4, "dot"): "2f621c4feab93f396c8f80b5d007a418bc6b07baa7164e2c721c4ac4f9dad0ac",
+    (5, "json"): "1abe1f1b95c0fc673294cb1b9f8455e5df5afcfe734ab4baf5e3ea75ddeae49c",
+    (5, "dot"): "7e4dad9a20a7ff31fcb3a7b5dc96bfb19c9058d1cca0d0f519bef6914818e0f0",
+    (6, "json"): "daf275f6d1ab1e073defbef3133966597363029f6d195324a16b29f10a2e6df1",
+    (6, "dot"): "9a23bc51695ece3955dea4b43abb57289573f3a032f7160cdd69312fe9aa06e7",
+    (7, "json"): "d8d23aca37a6472cde32afc7b08f08fa721ddcd5729975874d56aa0f31ac393c",
+    (7, "dot"): "cacf1ab44addccaca2709ba4154b457aa1e494dc6dab0873c85e0b15a19e15f6",
+    (8, "json"): "0eca4e29a35589c2f65213d11b8db4c5e3aced0b5739b35601525486e4c00f37",
+    (8, "dot"): "e7cf7d6cc98140db4dc695088e9c0e548d6252b3256172847d31cf375308728e",
+    (10, "json"): "142f5baa870d98764ec203d6be268036476a0a3c7e7743c07ad4090a96a0ef32",
+    (10, "dot"): "678100b6b1de84ef5a5659078c98543fc6dc8cef10bc430485ad107b1780b2b8",
+}
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+@pytest.mark.parametrize("d", sorted({d for d, _ in AFFINE_EXPORTS}))
+def test_enumerate_affine_exports_are_pinned_under_any_hash_seed(d, hash_seed, tmp_path):
+    """The depth-7 json and dot windows of each affine level are the
+    recorded bytes in a fresh interpreter, whatever its hash seed."""
+    for fmt in ("json", "dot"):
+        args = ["--affine", str(d), "--depth", "7", "--format", fmt]
+        assert export_sha256(args, hash_seed, tmp_path) == AFFINE_EXPORTS[d, fmt], fmt

@@ -36,6 +36,7 @@ from quiverbelt.exmatrix import (
 from quiverbelt.seedgeom import (
     DegeneratePositivity,
     PlanarSeed,
+    QuadSpace,
     SphericalSeed,
     initial_seed,
     planar_mutate,
@@ -117,8 +118,17 @@ def test_rank3_matrix_key_is_invariant_under_index_permutation(B, walk, p):
     assert permuted_matrix(B, p).canonical_key() == B.canonical_key()
 
 
-def relabelled(s, p):
-    """The planar or spherical seed whose slot i holds slot p[i] of s."""
+def spherical_in(space, vectors, B, ref, ref_pairings, pairings):
+    """The spherical seed with these fields in `space`, its vectors and B
+    interned there by value."""
+    roots = tuple(space.root(v) for v in vectors)
+    return SphericalSeed(space, roots, space.matrix(B), ref, ref_pairings, pairings)
+
+
+def relabelled(s, p, space=None):
+    """The planar or spherical seed whose slot i holds slot p[i] of s.  A
+    spherical one lives in `space`, by default a fresh `QuadSpace` of s's
+    Gram form, so that its relabelled matrix stays out of s's class table."""
     if isinstance(s, PlanarSeed):
         return PlanarSeed(
             s.chart,
@@ -128,8 +138,8 @@ def relabelled(s, p):
             s.ray,
             permuted_matrix(s.B, p),
         )
-    return SphericalSeed(
-        s.space,
+    return spherical_in(
+        QuadSpace(s.space.gram) if space is None else space,
         tuple(s.vectors[p[i]] for i in range(3)),
         permuted_matrix(s.B, p),
         s.ref,

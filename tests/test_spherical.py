@@ -4,6 +4,7 @@ from collections import Counter, deque
 from fractions import Fraction
 from itertools import product
 from math import cos, gcd, pi
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,13 +21,11 @@ from quiverbelt.rank2 import period_formula
 from quiverbelt.seedgeom import (
     DegeneratePositivity,
     QuadSpace,
-    RootTable,
-    SphericalSeed,
     gram_invariants_ok,
     seed_mutate,
     spherical_seed,
 )
-from test_properties import relabelled
+from test_properties import relabelled, spherical_in
 
 
 def test_gram_matrix_of_the_normal_form():
@@ -107,7 +106,7 @@ def test_the_final_error_names_each_kind_of_last_rejection(monkeypatch):
     monkeypatch.setattr(exgraph, "_orbits_short", lambda s: False)
     fails_with("long rank-2 orbit at the initial seed", random.Random(3))
     # every initial seed passes, and every seed the BFS builds fails
-    monkeypatch.setattr(exgraph, "_orbits_short", lambda s: s.B is B)
+    monkeypatch.setattr(exgraph, "_orbits_short", lambda s: s.B == B)
     fails_with("long rank-2 orbit", random.Random(3))
 
 
@@ -148,13 +147,17 @@ REFERENCES = [
 
 
 def restricted_to(seed, i, j):
-    """`seed` with every entry of B but b_ij and b_ji set to 0: the sign
-    rule reads a zero entry as a commuting pair, period 4, always short, so
-    on this seed it decides the one pair (i, j)."""
+    """`seed` with every entry of B but b_ij and b_ji set to 0, in a fresh
+    space of its Gram form: the sign rule reads a zero entry as a
+    commuting pair, period 4, always short, so on this seed it decides the
+    one pair (i, j)."""
     B = ExchangeMatrix(
         *(seed.B[r, c] if {r, c} == {i, j} else 0 for r, c in ((0, 1), (0, 2), (1, 2)))
     )
-    return dataclasses.replace(seed, B=B, _key=[])
+    return spherical_in(
+        QuadSpace(seed.space.gram), seed.vectors, B, seed.ref, seed.ref_pairings,
+        seed.pairings,
+    )
 
 
 @pytest.mark.parametrize("pair, reference, compatible", REFERENCES)
@@ -262,16 +265,17 @@ def test_orbits_short_computes_no_product(pair, monkeypatch):
 
 def one_pair_seed(entry, ref_signs, pairing_sign):
     """A seed whose only nonzero entry is b_01 = `entry`, with (v_i, u) of
-    the signs `ref_signs` and (v_0, v_1) of sign `pairing_sign`: the sign
-    rule reads nothing else."""
+    the signs `ref_signs` and (v_0, v_1) of sign `pairing_sign`, in a fresh
+    space: the sign rule reads nothing else."""
     base = spherical_seed(spherical_matrix(*SPHERICAL_PAIRS[0]), (1, 2, 4))
     one = FieldElem.from_rational(2, 1)
-    return dataclasses.replace(
-        base,
-        B=ExchangeMatrix(entry, 0, 0),
-        ref_pairings=tuple(one * s for s in ref_signs),
-        pairings=(one * pairing_sign, one, one),
-        _key=[],
+    return spherical_in(
+        QuadSpace(base.space.gram),
+        base.vectors,
+        ExchangeMatrix(entry, 0, 0),
+        base.ref,
+        tuple(one * s for s in ref_signs),
+        (one * pairing_sign, one, one),
     )
 
 
@@ -571,14 +575,14 @@ def test_spherical_keys_match_the_six_serial_minimum(pair):
 
 
 def test_spherical_key_with_two_equal_slots_takes_the_fallback():
-    """Two slots hold one vector, so the arrows decide between the two
+    """Two slots hold one root, so the arrows decide between the two
     relabellings that put the tied slots first."""
     seed = spherical_seed(spherical_matrix(Fraction(1, 3), Fraction(2, 5)), (4, 2, 1))
     seed = seed_mutate(seed_mutate(seed, 0), 1)
-    v0, v1, v2 = seed.vectors
+    r0, r1, r2 = seed.roots
     perms = set()
-    for vectors in ((v0, v1, v0), (v1, v0, v0), (v0, v0, v1), (v2, v1, v2)):
-        tied = dataclasses.replace(seed, vectors=vectors, _key=[])
+    for roots in ((r0, r1, r0), (r1, r0, r0), (r0, r0, r1), (r2, r1, r2)):
+        tied = dataclasses.replace(seed, roots=roots, _key=[])
         expected = six_serial_key(tied)
         assert (tied.canonical_key(), tied.key_perm()) == expected
         perms.add(expected[1])
@@ -591,7 +595,8 @@ def test_spherical_key_with_two_equal_slots_takes_the_fallback():
 def reference_seed_mutate(s, k):
     """`seed_mutate` as it was before the class tables: every vector, the
     matrix and every pairing computed afresh by the rules in
-    `SphericalSeed`'s docstring.  The oracle of the `RootTable` path."""
+    `SphericalSeed`'s docstring, and returned as plain fields, so that
+    nothing enters a table.  The oracle of the table path."""
     pairing = s.ref_pairings[k]
     sgn = pairing.sign()
     if sgn == 0:
@@ -622,13 +627,12 @@ def reference_seed_mutate(s, k):
     a_i, a_j = s.pairing(i, k), s.pairing(j, k)
     if reflected == 1 and not (a_i.is_zero() or a_j.is_zero()):
         pairings[i + j - 1] = pairings[i + j - 1] - a_i * a_j
-    return SphericalSeed(
-        s.space,
-        tuple(new_vectors),
-        mutate(s.B, k),
-        s.ref,
-        tuple(ref_pairings),
-        tuple(pairings),
+    return SimpleNamespace(
+        vectors=tuple(new_vectors),
+        B=mutate(s.B, k),
+        ref=s.ref,
+        ref_pairings=tuple(ref_pairings),
+        pairings=tuple(pairings),
     )
 
 
@@ -662,16 +666,6 @@ def walk_as_the_reference(seed, rng, steps):
             return
 
 
-def fresh_copy(s, p):
-    """`relabelled(s, p)` with every vector a new tuple of new field
-    elements, so that the table can find its roots by value only."""
-    moved = relabelled(s, p)
-    vectors = tuple(
-        tuple(FieldElem(c.level, c.num, c.den) for c in v) for v in moved.vectors
-    )
-    return dataclasses.replace(moved, vectors=vectors, _key=[])
-
-
 def random_reference(rng):
     return tuple(
         Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 7))
@@ -699,7 +693,7 @@ def test_table_mutation_matches_the_reference_from_a_cold_table(pair, monkeypatc
     for _ in range(8):
         monkeypatch.setattr(seedgeom, "_SPACES", {})
         seed = spherical_seed(B, random_reference(rng))
-        assert not seed.space.table._keys
+        assert not seed.space._keys
         walk_as_the_reference(seed, rng, 30)
 
 
@@ -708,24 +702,23 @@ def test_table_mutation_matches_the_reference_from_a_cold_table(pair, monkeypatc
 def test_table_mutation_matches_the_reference_on_hand_built_seeds(
     pair, cold, monkeypatch
 ):
-    """Seeds relabelled by `permuted_matrix` with fresh vector tuples: the
-    table meets roots and matrices it has not seen as objects and finds
-    them by value, on a warm table and on a cold one."""
+    """Seeds relabelled by `permuted_matrix`, their roots and matrices
+    interned by value into the class's warm space, or into a cold one."""
     rng = random.Random(34)
     B = spherical_matrix(*pair)
     seed, g = exgraph.compatible_spherical_graph(B, rng)
     for s in list(g.vertices.values())[::3]:
+        space = s.space
         if cold:
             monkeypatch.setattr(seedgeom, "_SPACES", {})
             space = seedgeom._class_space(B)
-            assert space is not s.space and not space.table.roots
-            s = dataclasses.replace(s, space=space, _key=[])
+            assert space is not s.space and not space.roots
         for p in PERMS3:
-            walk_as_the_reference(fresh_copy(s, p), rng, 6)
+            walk_as_the_reference(relabelled(s, p, space), rng, 6)
 
 
 def signed_roots(pair):
-    return len(seedgeom._class_space(spherical_matrix(*pair)).table.roots)
+    return len(seedgeom._class_space(spherical_matrix(*pair)).roots)
 
 
 SIGNED_ROOTS = dict(zip(SPHERICAL_PAIRS, (12, 18, 30, 30, 30)))  # A3, B3, H3 three times
@@ -741,20 +734,21 @@ def test_a_class_table_holds_at_most_its_signed_roots(pair):
 
 def test_thirty_closures_reach_every_signed_root(monkeypatch):
     """From cold tables, 30 closures per class drawn with Random(5) reach
-    all 12/18/30/30/30 roots and no other vector; the id tables hold
-    exactly the interned objects, which the table keeps alive."""
+    all 12/18/30/30/30 roots and no other vector; each root and matrix is
+    interned once, by value."""
     monkeypatch.setattr(seedgeom, "_SPACES", {})
     rng = random.Random(5)
     for pair in SPHERICAL_PAIRS:
         B = spherical_matrix(*pair)
         for _ in range(30):
             exgraph.compatible_spherical_graph(B, rng)
-        table = seedgeom._class_space(B).table
-        assert len(table.roots) == SIGNED_ROOTS[pair]
-        assert set(table._root_ids) == {id(v) for v in table.roots}
-        assert set(table._matrix_ids) == {id(m) for m in table.matrices}
-        negations = [table.negation(r) for r in range(len(table.roots))]
-        assert sorted(negations) == list(range(len(table.roots)))
+        space = seedgeom._class_space(B)
+        assert len(space.roots) == SIGNED_ROOTS[pair]
+        assert [space.root(v) for v in space.roots] == list(range(len(space.roots)))
+        indices = [space.matrix(m) for m in space.matrices]
+        assert indices == list(range(len(space.matrices)))
+        negations = [space.negation(r) for r in range(len(space.roots))]
+        assert sorted(negations) == list(range(len(space.roots)))
     assert len(seedgeom._SPACES) == len(SPHERICAL_PAIRS)
 
 
@@ -763,10 +757,8 @@ def test_a_slot_string_names_a_root_of_one_class_only():
     vectors have the same slot strings; the classes still keep apart, each
     with its own space and table, and close at 32 and 48 seeds."""
     spaces = [seedgeom._class_space(spherical_matrix(*p)) for p in SPHERICAL_PAIRS[2:4]]
-    assert spaces[0] is not spaces[1] and spaces[0].table is not spaces[1].table
-    slots = [
-        [s.table.slots[s.table.root(v)] for v in s.basis[0]] for s in spaces
-    ]
+    assert spaces[0] is not spaces[1]
+    slots = [[s.slots[r] for r in s.basis[0]] for s in spaces]
     assert slots[0] == slots[1]
     rng = random.Random(7)
     orders = [
@@ -781,8 +773,31 @@ def test_a_hand_built_space_gets_its_own_table():
     but starts with an empty table, and its seeds mutate as the reference."""
     seed = spherical_seed(spherical_matrix(*SPHERICAL_PAIRS[3]), (4, 2, 1))
     space = QuadSpace(seed.space.gram)
-    assert space == seed.space and space.table is not seed.space.table
-    assert isinstance(space.table, RootTable) and not space.table.roots
-    hand_built = dataclasses.replace(seed, space=space, _key=[])
+    assert space == seed.space and space is not seed.space
+    assert not space.roots and not space.matrices and not space._keys
+    hand_built = relabelled(seed, PERMS3[0], space)
+    assert hand_built.roots == (0, 1, 2) and hand_built.matrix == 0
     walk_as_the_reference(hand_built, random.Random(8), 20)
-    assert space.table.roots
+    assert len(space.roots) > 3
+
+
+@pytest.mark.parametrize("pair", SPHERICAL_PAIRS, ids=str)
+def test_a_warm_class_closes_a_new_draw_with_no_lookup(pair, monkeypatch):
+    """A seed is a state (root indices, matrix index): once a draw's graph
+    has filled its class's table, a new draw's seed closes the same graph
+    with `QuadSpace.root` and `QuadSpace.matrix` disabled, so mutation and
+    keys look nothing up by value."""
+    B = spherical_matrix(*pair)
+    reference = next(ref for p, ref, ok in REFERENCES if p == pair and ok)
+    warm = exgraph.bfs(spherical_seed(B, reference))
+    seed = spherical_seed(B, reference)
+    assert seed.roots == seed.space.basis[0] and seed.B == B
+
+    def forbidden(*args):
+        raise AssertionError("a root or matrix was looked up")
+
+    monkeypatch.setattr(QuadSpace, "root", forbidden)
+    monkeypatch.setattr(QuadSpace, "matrix", forbidden)
+    g = exgraph.bfs(seed)
+    assert g.closed and list(g.vertices) == list(warm.vertices)
+    assert g.edges == warm.edges and g.links == warm.links
