@@ -582,17 +582,18 @@ def gcd_one_triples(d: int) -> set:
     return out
 
 
-def belt_subgraph_check(graph: ExchangeGraphData, w: PlanarPoint, steps: int) -> bool:
+def belt_subgraph_check(
+    graph: ExchangeGraphData, w: PlanarPoint, steps: int
+) -> Optional[bool]:
     """Whether the w-translate of the initial acyclic belt sits in the
     enumerated window as a full subgraph: translated belt seeds present
-    with consecutive edges and no chords."""
+    with consecutive edges and no chords.  None when no translated seed
+    is in the window, so that nothing was checked."""
     initial = graph.vertices[graph.initial_key]
     belt = acyclic_belt(initial, steps)
-    translated = [s.translate(w) for s in belt]
-    keys = [s.canonical_key() for s in translated]
-    present = [k for k in keys if k in graph.vertices]
-    if not present:
-        return False
+    keys = [s.translate(w).canonical_key() for s in belt]
+    if not any(k in graph.vertices for k in keys):
+        return None
     for a in range(len(keys) - 1):
         if keys[a] in graph.vertices and keys[a + 1] in graph.vertices:
             if frozenset((keys[a], keys[a + 1])) not in graph.edges:

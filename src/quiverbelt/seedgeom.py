@@ -759,11 +759,10 @@ class QuadSpace:
     table is bounded by the roots and states that the class's seeds reach.
 
     Each entry is a function of the Gram form and of roots and matrices
-    compared by value, never of a draw's reference point: `ref` and the
-    carried (v_i, u) stay on the seeds.  A root triple's pairings are those
-    that the first seed to reach it carried, so a seed's pairings must be
-    those of its vectors, as for every seed that `spherical_seed` and
-    `seed_mutate` build."""
+    compared by value, never of a draw's reference point: the carried
+    (v_i, u) stay on the seeds.  A seed reads its pairings here, and
+    `spherical_seed` and `seed_mutate` record those of its root triple
+    first, so they are those of its vectors."""
 
     gram: tuple[tuple[FieldElem, ...], ...]
     roots: list = _memo(list)  # root index -> coordinate tuple
@@ -771,7 +770,7 @@ class QuadSpace:
     _negations: list = _memo(list)  # root index -> index of -root, or None
     _root_index: dict = _memo(dict)  # coordinate tuple -> root index
     _reflections: dict = _memo(dict)  # (r, s) -> index of r - (r, s) s
-    _pairings: dict = _memo(dict)  # (r0, r1, r2) -> pairings
+    pairings: dict = _memo(dict)  # (r0, r1, r2) -> pairings
     matrices: list = _memo(list)  # matrix index -> ExchangeMatrix
     _matrix_index: dict = _memo(dict)  # ExchangeMatrix -> matrix index
     _mutations: dict = _memo(dict)  # (m, k) -> matrix index of mu_k
@@ -792,10 +791,9 @@ class QuadSpace:
         return total
 
     @cached_property
-    def basis(self) -> tuple[tuple, tuple]:
-        """(the root indices of the basis vectors, their pairings (v_0, v_1),
-        (v_0, v_2), (v_1, v_2)): the roots and pairings of every initial
-        seed."""
+    def basis(self) -> tuple[int, int, int]:
+        """The root indices of the basis vectors, the roots of every initial
+        seed, with their pairings recorded."""
         level = self.gram[0][0].level
         zero, one = FieldElem.zero(level), FieldElem.one(level)
         basis = [tuple(one if t == i else zero for t in range(3)) for i in range(3)]
@@ -803,7 +801,8 @@ class QuadSpace:
             self.pair(basis[i], basis[j]) for i, j in ((0, 1), (0, 2), (1, 2))
         )
         roots = tuple(self.root(v) for v in basis)
-        return roots, self.pairings(roots, lambda: pairings)
+        self.pairings.setdefault(roots, pairings)
+        return roots
 
     def root(self, v: tuple) -> int:
         """The index of the root with coordinate tuple `v`, interned if new."""
@@ -849,13 +848,6 @@ class QuadSpace:
             self._mutations[n, k] = m
         return n
 
-    def pairings(self, roots: tuple, carried) -> tuple:
-        """The pairings of a root triple, made by `carried()` on first use."""
-        found = self._pairings.get(roots)
-        if found is None:
-            found = self._pairings[roots] = carried()
-        return found
-
     def key(self, roots: tuple, m: int) -> tuple[str, int]:
         """(canonical key, key_perm) of the state (roots, m): one string per
         slot (its root's slot string) and then the arrows, so
@@ -877,9 +869,8 @@ class QuadSpace:
 
 @dataclass(frozen=True)
 class SphericalSeed:
-    """A state of its class's `QuadSpace`: three root indices and a matrix
-    index, carrying the draw's pairings with the reference point and the
-    pairings of its vectors.
+    """A state of its class's `QuadSpace` (three root indices and a matrix
+    index) and the draw's pairings with its reference point.
 
     `ref_pairings[i]` is (v_i, u) for the reference point u, and
     `pairings[i + j - 1]` is (v_i, v_j) for i != j (see `pairing`).
@@ -901,11 +892,7 @@ class SphericalSeed:
     space: QuadSpace
     roots: tuple[int, int, int]  # indices into space.roots
     matrix: int  # index into space.matrices
-    ref: tuple[Fraction, Fraction, Fraction]  # (v_i, u) = -ref_i at the start
     ref_pairings: tuple[FieldElem, FieldElem, FieldElem]  # (v_i, u)
-    pairings: tuple[FieldElem, FieldElem, FieldElem]  # (v_0, v_1), (v_0, v_2), (v_1, v_2)
-    # [canonical key, key_perm()] once built
-    _key: list = field(default_factory=list, compare=False, repr=False)
 
     @property
     def vectors(self) -> tuple[tuple[FieldElem, ...], ...]:
@@ -917,6 +904,11 @@ class SphericalSeed:
     def B(self) -> ExchangeMatrix:
         return self.space.matrices[self.matrix]
 
+    @property
+    def pairings(self) -> tuple[FieldElem, FieldElem, FieldElem]:
+        """(v_0, v_1), (v_0, v_2), (v_1, v_2), read from the space's table."""
+        return self.space.pairings[self.roots]
+
     def pairing(self, i: int, j: int) -> FieldElem:
         """(v_i, v_j) for i != j."""
         return self.pairings[i + j - 1]
@@ -927,15 +919,18 @@ class SphericalSeed:
         string per slot (its vector's three coordinate keys) and then the
         arrows.  It is read from the space's memo for the seed's state
         (`QuadSpace.key`), built there on first use."""
-        if not self._key:
-            self._key.extend(self.space.key(self.roots, self.matrix))
-        return self._key[0]
+        return self.space.key(self.roots, self.matrix)[0]
 
     def key_perm(self) -> int:
         """Index in PERMS3 of a p whose relabelling (slot i takes slot
-        p[i]'s data) serialises to the canonical key, which must already
-        be built."""
-        return self._key[1]
+        p[i]'s data) serialises to the canonical key."""
+        return self.space.key(self.roots, self.matrix)[1]
+
+    @property
+    def _key(self) -> Optional[tuple[str, int]]:
+        """The space's (canonical key, key_perm) for the state, or None; never
+        builds it, so perfbench's tracer can tell a memoised key from a new one."""
+        return self.space._keys.get((*self.roots, self.matrix))
 
     def __eq__(self, other):
         return (
@@ -1000,13 +995,14 @@ def spherical_seed(B: ExchangeMatrix, reference) -> SphericalSeed:
     The space is interned per Gram form, and its basis and basis pairings
     are built once per class (`QuadSpace.basis`), so a draw adds only its
     three (v_i, u) and interns B."""
-    space = _class_space(B)
     ref = tuple(Fraction(x) for x in reference)
+    if len(ref) != 3:
+        raise ValueError(f"expected 3 reference weights, got {len(ref)}")
     if all(x == 0 for x in ref):
         raise ValueError("reference weights must not all vanish")
-    roots, pairings = space.basis
+    space = _class_space(B)
     ref_pairings = tuple(FieldElem.from_rational(B.level, -x) for x in ref)
-    return SphericalSeed(space, roots, space.matrix(B), ref, ref_pairings, pairings)
+    return SphericalSeed(space, space.basis, space.matrix(B), ref_pairings)
 
 
 def seed_mutate(s: SphericalSeed, k: int) -> SphericalSeed:
@@ -1036,13 +1032,10 @@ def seed_mutate(s: SphericalSeed, k: int) -> SphericalSeed:
             reflected.append(i)
     roots[k] = space.negation(roots[k])
     roots = tuple(roots)
+    if roots not in space.pairings:
+        space.pairings[roots] = _carried_pairings(s, k, reflected)
     return SphericalSeed(
-        space,
-        roots,
-        space.mutation(s.matrix, k),
-        s.ref,
-        tuple(ref_pairings),
-        space.pairings(roots, lambda: _carried_pairings(s, k, reflected)),
+        space, roots, space.mutation(s.matrix, k), tuple(ref_pairings)
     )
 
 

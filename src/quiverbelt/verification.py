@@ -394,7 +394,7 @@ def check_belt_periodicity(levels=(3, 5, 7), **_) -> CheckResult:
 
 def check_translated_belts(levels=(5, 7), **_) -> CheckResult:
     """Each generator s_k witnessed by a region mutation, and the
-    translated belt is a full subgraph of the window."""
+    translated belt meets the window and is a full subgraph of it."""
     problems = []
     for d in levels:
         graph = affine_graph(d)
@@ -409,7 +409,12 @@ def check_translated_belts(levels=(5, 7), **_) -> CheckResult:
                 problems.append(f"d={d}: witness length != s_{k}")
             e = initial.chart.belt.e
             w = e.scale(length)
-            if not exgraph.belt_subgraph_check(graph, w, steps=6):
+            full = exgraph.belt_subgraph_check(graph, w, steps=6)
+            if full is None:
+                problems.append(
+                    f"d={d}: translated belt for k={k} has no seed in the window"
+                )
+            elif not full:
                 problems.append(f"d={d}: belt subgraph check failed for k={k}")
     return CheckResult(
         "translated-belts",

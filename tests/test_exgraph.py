@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from quiverbelt import exgraph, seedgeom
+from quiverbelt import exgraph, seedgeom, verification
 from quiverbelt.cycfield import FieldElem, cos_multiple, rational_rank, units_up_to_half
 from quiverbelt.exmatrix import (
     PERM_INVERSE,
@@ -292,7 +292,6 @@ def labelled_fields(seed, p):
         seed.space,
         tuple(seed.vectors[p[i]] for i in range(3)),
         B,
-        seed.ref,
         tuple(seed.ref_pairings[p[i]] for i in range(3)),
         tuple(seed.pairing(p[i], p[j]) for i, j in ((0, 1), (0, 2), (1, 2))),
     )
@@ -688,9 +687,25 @@ def test_belt_subgraph_check():
     for k in (1, 2):
         w = e.scale(exgraph.s_k_length(5, k))
         assert exgraph.belt_subgraph_check(g, w, steps=5)
-    # a translation by half a generator misses the graph entirely
-    assert not exgraph.belt_subgraph_check(
-        g, e.scale(exgraph.s_k_length(5, 1) * Fraction(1, 2)), steps=5
+    # a translation by half a generator misses the graph entirely, so
+    # nothing is checked
+    assert (
+        exgraph.belt_subgraph_check(
+            g, e.scale(exgraph.s_k_length(5, 1) * Fraction(1, 2)), steps=5
+        )
+        is None
+    )
+
+
+def test_translated_belts_names_a_belt_outside_the_window():
+    """At d = 12 the s_5-translate of the belt has none of its seeds in the
+    depth-12 window: the check fails and says that nothing was checked,
+    not that a subgraph was wrong."""
+    result = verification.check_translated_belts(levels=(12,))
+    assert not result.passed
+    assert result.detail == (
+        "levels (12,): s_k witnessed and belts are full subgraphs; "
+        "d=12: translated belt for k=5 has no seed in the window"
     )
 
 

@@ -118,11 +118,13 @@ def test_rank3_matrix_key_is_invariant_under_index_permutation(B, walk, p):
     assert permuted_matrix(B, p).canonical_key() == B.canonical_key()
 
 
-def spherical_in(space, vectors, B, ref, ref_pairings, pairings):
-    """The spherical seed with these fields in `space`, its vectors and B
-    interned there by value."""
+def spherical_in(space, vectors, B, ref_pairings, pairings):
+    """The spherical seed with these vectors, B, (v_i, u) and pairings in
+    `space`: its vectors and B interned there by value, and its pairings
+    recorded for its root triple, which must have none yet or these."""
     roots = tuple(space.root(v) for v in vectors)
-    return SphericalSeed(space, roots, space.matrix(B), ref, ref_pairings, pairings)
+    assert space.pairings.setdefault(roots, pairings) == pairings
+    return SphericalSeed(space, roots, space.matrix(B), ref_pairings)
 
 
 def relabelled(s, p, space=None):
@@ -142,7 +144,6 @@ def relabelled(s, p, space=None):
         QuadSpace(s.space.gram) if space is None else space,
         tuple(s.vectors[p[i]] for i in range(3)),
         permuted_matrix(s.B, p),
-        s.ref,
         tuple(s.ref_pairings[p[i]] for i in range(3)),
         tuple(s.pairing(p[i], p[j]) for i, j in ((0, 1), (0, 2), (1, 2))),
     )
@@ -152,7 +153,7 @@ def fields(s):
     """Every field of a seed, as a labelled seed (not up to relabelling)."""
     if isinstance(s, PlanarSeed):
         return s.chart, s.kind, s.vertices, s.side_dirs, s.ray, s.B
-    return s.space, s.vectors, s.B, s.ref, s.ref_pairings, s.pairings
+    return s.space, s.vectors, s.B, s.ref_pairings, s.pairings
 
 
 def planar_walk_ends(d, walk):

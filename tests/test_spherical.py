@@ -66,6 +66,22 @@ def test_degenerate_reference_raises():
         g = exgraph.bfs(s)
 
 
+@pytest.mark.parametrize("reference", [(1, 2, 3, 4), (1, 2)])
+def test_a_reference_point_has_exactly_three_weights(reference):
+    """A fourth weight is not dropped, nor a missing one left to fail at
+    the first mutation in its direction."""
+    B = spherical_matrix(Fraction(1, 3), Fraction(2, 5))
+    count = f"expected 3 reference weights, got {len(reference)}"
+    with pytest.raises(ValueError, match=count):
+        spherical_seed(B, reference)
+
+
+def test_an_all_zero_reference_point_raises():
+    B = spherical_matrix(Fraction(1, 3), Fraction(2, 5))
+    with pytest.raises(ValueError, match="must not all vanish"):
+        spherical_seed(B, (0, 0, 0))
+
+
 def test_associahedron_counts():
     rng = random.Random(5)
     expected = {
@@ -155,8 +171,7 @@ def restricted_to(seed, i, j):
         *(seed.B[r, c] if {r, c} == {i, j} else 0 for r, c in ((0, 1), (0, 2), (1, 2)))
     )
     return spherical_in(
-        QuadSpace(seed.space.gram), seed.vectors, B, seed.ref, seed.ref_pairings,
-        seed.pairings,
+        QuadSpace(seed.space.gram), seed.vectors, B, seed.ref_pairings, seed.pairings
     )
 
 
@@ -174,7 +189,7 @@ def test_linked_periods_match_the_direct_oracle(
     direct = {}
 
     def seed_mutate_once(s, k):
-        fields = (s.vectors, s.B.entries, s.space, s.ref, k)
+        fields = (s.vectors, s.B.entries, s.space, s.ref_pairings, k)
         if fields not in direct:
             direct[fields] = seed_mutate(s, k)
         return direct[fields]
@@ -194,36 +209,37 @@ def test_linked_periods_match_the_direct_oracle(
         assert exgraph._orbits_short(seed) is all(verdicts), key
 
 
-def pair_with_ref(seed, v):
-    """(v, u) computed directly from the coordinates of v and the reference
-    weights: the oracle for the carried (v_i, u)."""
-    total = FieldElem.zero(seed.B.level)
+def pair_with_ref(u, v):
+    """(v, u) computed directly from the coordinates of v and u, the (e_i, u)
+    of the basis vectors: the oracle for the carried (v_i, u)."""
+    total = FieldElem.zero(u[0].level)
     for i in range(3):
         if not v[i].is_zero():
-            total = total + v[i] * (-seed.ref[i])
+            total = total + v[i] * u[i]
     return total
 
 
-def assert_pairings_are_direct(seed):
+def assert_pairings_are_direct(seed, u):
     for i in range(3):
-        assert seed.ref_pairings[i] == pair_with_ref(seed, seed.vectors[i]), i
+        assert seed.ref_pairings[i] == pair_with_ref(u, seed.vectors[i]), i
         for j in range(3):
             if i != j:
                 direct = seed.space.pair(seed.vectors[i], seed.vectors[j])
                 assert seed.pairing(i, j) == direct, (i, j)
 
 
-def checked_walk(seed, rng, steps):
+def checked_walk(seed, rng, steps, u):
     """Mutate `steps` times at random indices, checking the carried
-    pairings of every seed met; the seeds of the walk."""
+    pairings of every seed met against u, the draw's (e_i, u); the seeds
+    of the walk."""
     walk = [seed]
-    assert_pairings_are_direct(seed)
+    assert_pairings_are_direct(seed, u)
     for _ in range(steps):
         try:
             seed = seed_mutate(seed, rng.randrange(3))
         except DegeneratePositivity:
             break
-        assert_pairings_are_direct(seed)
+        assert_pairings_are_direct(seed, u)
         walk.append(seed)
     return walk
 
@@ -238,11 +254,12 @@ def test_carried_pairings_match_direct_recomputation(pair):
     references = [ref for p, ref, _ in REFERENCES if p == pair]
     references += [(-3, -3, 1), (Fraction(7, 2), Fraction(-5, 3), 2)]
     for reference in references:
-        walk = checked_walk(spherical_seed(B, reference), rng, 40)
+        u = tuple(FieldElem.from_rational(B.level, -Fraction(x)) for x in reference)
+        walk = checked_walk(spherical_seed(B, reference), rng, 40, u)
         assert gram_invariants_ok(walk[-1])
         for seed in walk[::8]:
             for i, j in ((0, 1), (0, 2), (1, 2)):
-                checked_walk(restricted_to(seed, i, j), rng, 8)
+                checked_walk(restricted_to(seed, i, j), rng, 8, u)
 
 
 @pytest.mark.parametrize("pair", SPHERICAL_PAIRS)
@@ -273,7 +290,6 @@ def one_pair_seed(entry, ref_signs, pairing_sign):
         QuadSpace(base.space.gram),
         base.vectors,
         ExchangeMatrix(entry, 0, 0),
-        base.ref,
         tuple(one * s for s in ref_signs),
         (one * pairing_sign, one, one),
     )
@@ -462,7 +478,7 @@ def test_sampling_accepts_what_the_direct_oracle_accepts(monkeypatch):
         out = []
         for pair in SPHERICAL_PAIRS:
             seed, g = exgraph.compatible_spherical_graph(spherical_matrix(*pair), rng)
-            out.append((seed.ref, list(g.vertices), g.edges))
+            out.append((seed.ref_pairings, list(g.vertices), g.edges))
         return out, rng.getstate()
 
     linked = sample()
@@ -524,7 +540,9 @@ def test_initial_orbit_rejection_keeps_draws_and_graphs(monkeypatch):
         out = []
         for pair in SPHERICAL_PAIRS:
             seed, g = sampler(spherical_matrix(*pair), rng)
-            out.append((seed.ref, list(g.vertices), g.edges, g.depth, g.links))
+            out.append(
+                (seed.ref_pairings, list(g.vertices), g.edges, g.depth, g.links)
+            )
         return out, rng.getstate(), len(bfs_runs)
 
     for rng_seed in (11000, 1, 2, 3):
@@ -553,7 +571,8 @@ def six_serial_key(seed):
 
 
 def built_key(seed):
-    fresh = dataclasses.replace(seed, _key=[])
+    """The key and key_perm of `seed` built afresh, in a new space."""
+    fresh = relabelled(seed, PERMS3[0])
     return fresh.canonical_key(), fresh.key_perm()
 
 
@@ -582,7 +601,7 @@ def test_spherical_key_with_two_equal_slots_takes_the_fallback():
     r0, r1, r2 = seed.roots
     perms = set()
     for roots in ((r0, r1, r0), (r1, r0, r0), (r0, r0, r1), (r2, r1, r2)):
-        tied = dataclasses.replace(seed, roots=roots, _key=[])
+        tied = dataclasses.replace(seed, roots=roots)
         expected = six_serial_key(tied)
         assert (tied.canonical_key(), tied.key_perm()) == expected
         perms.add(expected[1])
@@ -630,7 +649,6 @@ def reference_seed_mutate(s, k):
     return SimpleNamespace(
         vectors=tuple(new_vectors),
         B=mutate(s.B, k),
-        ref=s.ref,
         ref_pairings=tuple(ref_pairings),
         pairings=tuple(pairings),
     )
@@ -651,7 +669,6 @@ def assert_mutates_as_the_reference(s, k):
     assert got.space is s.space
     assert got.vectors == expected.vectors
     assert got.B.entries == expected.B.entries
-    assert got.ref == expected.ref
     assert got.ref_pairings == expected.ref_pairings
     assert got.pairings == expected.pairings
     assert (got.canonical_key(), got.key_perm()) == six_serial_key(expected)
@@ -758,7 +775,7 @@ def test_a_slot_string_names_a_root_of_one_class_only():
     with its own space and table, and close at 32 and 48 seeds."""
     spaces = [seedgeom._class_space(spherical_matrix(*p)) for p in SPHERICAL_PAIRS[2:4]]
     assert spaces[0] is not spaces[1]
-    slots = [[s.slots[r] for r in s.basis[0]] for s in spaces]
+    slots = [[s.slots[r] for r in s.basis] for s in spaces]
     assert slots[0] == slots[1]
     rng = random.Random(7)
     orders = [
@@ -766,6 +783,41 @@ def test_a_slot_string_names_a_root_of_one_class_only():
         for p in SPHERICAL_PAIRS[2:4]
     ]
     assert orders == [32, 48]
+
+
+def test_a_spherical_seed_is_a_class_state_and_its_draw():
+    """A seed holds its space, its state (root indices, matrix index) and
+    its (v_i, u), none of them mutable; its pairings and key live in the
+    space's table only."""
+    assert [f.name for f in dataclasses.fields(seedgeom.SphericalSeed)] == [
+        "space",
+        "roots",
+        "matrix",
+        "ref_pairings",
+    ]
+    drawn = spherical_seed(spherical_matrix(*SPHERICAL_PAIRS[3]), (4, 2, 1))
+    seed = relabelled(drawn, PERMS3[0])  # in a fresh space, no key built yet
+    for name in ("space", "roots", "matrix", "ref_pairings", "pairings", "_key"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(seed, name, None)
+    assert seed.pairings is seed.space.pairings[seed.roots]
+    assert seed._key is None
+    key = (seed.canonical_key(), seed.key_perm())
+    assert seed._key == key == seed.space.key(seed.roots, seed.matrix)
+
+
+def test_a_seed_on_a_triple_with_no_recorded_pairings_has_none():
+    """A seed reads its pairings from the table: on a root triple for which
+    none were recorded, `pairing` raises rather than make them up."""
+    seed = spherical_seed(spherical_matrix(*SPHERICAL_PAIRS[3]), (4, 2, 1))
+    space = QuadSpace(seed.space.gram)
+    roots = tuple(space.root(v) for v in seed.vectors)
+    bare = seedgeom.SphericalSeed(
+        space, roots, space.matrix(seed.B), seed.ref_pairings
+    )
+    assert bare.vectors == seed.vectors and bare.B == seed.B
+    with pytest.raises(KeyError):
+        bare.pairing(0, 1)
 
 
 def test_a_hand_built_space_gets_its_own_table():
@@ -791,7 +843,7 @@ def test_a_warm_class_closes_a_new_draw_with_no_lookup(pair, monkeypatch):
     reference = next(ref for p, ref, ok in REFERENCES if p == pair and ok)
     warm = exgraph.bfs(spherical_seed(B, reference))
     seed = spherical_seed(B, reference)
-    assert seed.roots == seed.space.basis[0] and seed.B == B
+    assert seed.roots == seed.space.basis and seed.B == B
 
     def forbidden(*args):
         raise AssertionError("a root or matrix was looked up")
